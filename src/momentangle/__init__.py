@@ -38,9 +38,7 @@ from .syzygy import (
 from .hilton import (
     SphereSpectrum,
     WedgeModel,
-    basic_product_count,
     borel_model,
-    mixed_wedge_spectrum,
     moebius,
     rational_rank_wedge,
     wedge_spectrum,

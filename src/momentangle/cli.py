@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import complexes, hilton, manifold, syzygy
 from .complexes import FaceRingPresentation, SimplicialComplex
-from .gale import CyclicParams, enumerate_faces, f_vector
+from .gale import CyclicParams, enumerate_faces
 
 __all__ = ["VerdictReport", "CliError", "build_verdict_report", "main", "run"]
 
@@ -339,7 +339,7 @@ def cmd_wedge(args) -> int:
         shown = model.spectrum
         if args.ceiling is not None:
             dims = [g.degree - 1 for g in F.generators]
-            shown = hilton.mixed_wedge_spectrum(dims, args.ceiling)
+            shown = hilton.wedge_spectrum(dims, args.ceiling)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     notes = []

@@ -146,10 +146,8 @@ def f_vector(p: CyclicParams) -> tuple[int, ...]:
     (8, 28, 40, 20)
     """
     counts = [0] * p.d
-    for k in range(1, p.d + 1):
-        counts[k - 1] = sum(
-            1 for c in combinations(range(1, p.n + 1), k) if is_face(c, p)
-        )
+    for face in enumerate_faces(p, p.d):
+        counts[len(face) - 1] += 1
     return tuple(counts)
 
 

@@ -2,20 +2,23 @@
 
 The loop space of a wedge of spheres splits as a product of loop spaces of
 single spheres, one per basic product in the free nonassociative algebra on
-the wedge summands.  The number of basic products of weight w on k generators
-is the Witt number
+the wedge summands.  A basic product of generators S^(D_1+1), ..., S^(D_w+1)
+contributes a sphere of dimension D_1 + ... + D_w + 1, and the number L_n of
+spheres of dimension n + 1 is given by the graded Witt formula (Kang-Kim,
+J. Algebra 183, 1996), which reads only the histogram a_D of generators
+S^(D+1):
 
-    W(k, w) = (1/w) * sum over d | w of mu(d) * k^(w/d)
+    c_n = n * a_n + sum over 0 < j < n of a_j * c_(n-j)     (c = t a'/(1 - a))
+    L_n = (1/n) * sum over d | n of mu(n/d) * c_d
 
-and a weight-w basic product on copies of S^n contributes a sphere of
-dimension (n-1)*w + 1.  Everything here is exact integer arithmetic;
-spectra are always truncated at an explicit ceiling so that out-of-range
-degrees fail loudly instead of answering wrongly.
+For k copies of S^3 (a = k t^2) it gives the Witt number
+W(k, w) = (1/w) * sum over d | w of mu(d) * k^(w/d) at n = 2w.  Everything
+here is exact integer arithmetic; spectra are always truncated at an explicit
+ceiling so that out-of-range degrees fail loudly instead of answering wrongly.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .complexes import FaceRingPresentation
@@ -24,9 +27,7 @@ __all__ = [
     "SphereSpectrum",
     "WedgeModel",
     "moebius",
-    "basic_product_count",
     "wedge_spectrum",
-    "mixed_wedge_spectrum",
     "rational_rank_wedge",
     "borel_model",
 ]
@@ -67,50 +68,6 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def basic_product_count(k: int, w: int) -> int:
-    """Witt number W(k, w): basic products of weight w on k generators.
-
-    Always an exact nonnegative integer; the divisibility is asserted rather
-    than rounded.
-
-    >>> basic_product_count(16, 2)
-    120
-    >>> basic_product_count(2, 6)
-    9
-    """
-    if k < 1 or w < 1:
-        raise ValueError(f"need k >= 1 and w >= 1, got k={k}, w={w}")
-    total = sum(moebius(d) * k ** (w // d) for d in _divisors(w))
-    if total < 0 or total % w:
-        raise ArithmeticError(f"Witt sum {total} is not a multiple of {w}")
-    return total // w
-
-
-def _multinomial(total: int, parts) -> int:
-    out = math.factorial(total)
-    for p in parts:
-        out //= math.factorial(p)
-    return out
-
-
-def _multidegree_count(vec: tuple[int, ...]) -> int:
-    """Basic products with exponent vector `vec` (necklace refinement of the
-    Witt formula): (1/W) * sum over d | gcd(vec) of mu(d) * (W/d)! / prod (a_i/d)!.
-    """
-    w = sum(vec)
-    g = 0
-    for a in vec:
-        g = math.gcd(g, a)
-    total = 0
-    for d in _divisors(g):
-        mu = moebius(d)
-        if mu:
-            total += mu * _multinomial(w // d, [a // d for a in vec if a])
-    if total < 0 or total % w:
-        raise ArithmeticError(f"necklace sum {total} is not a multiple of {w}")
-    return total // w
-
-
 @dataclass(frozen=True)
 class SphereSpectrum:
     """Multiset of sphere dimensions (all odd, >= 3) with multiplicities,
@@ -139,60 +96,37 @@ def _check_generator_dim(dim: int) -> None:
         raise ValueError(f"generator spheres must be simply connected, got S^{dim}")
 
 
-def wedge_spectrum(count: int, sphere_dim: int, ceiling: int) -> SphereSpectrum:
-    """Sphere spectrum of the loop-space splitting of a wedge of `count`
-    copies of S^sphere_dim, up to the ceiling.
+def wedge_spectrum(dims, ceiling: int) -> SphereSpectrum:
+    """Sphere spectrum of the loop-space splitting of a wedge of odd spheres
+    S^dims[0] v S^dims[1] v ..., up to the ceiling.
 
-    >>> wedge_spectrum(16, 5, 9).entries
-    {5: 16, 9: 120}
+    Only the histogram a_D (generators S^(D+1)) is read, by the graded Witt
+    formula; the work is O(ceiling^2) whatever the generator count.
+
+    >>> wedge_spectrum([5] * 16, 9).entries == {5: 16, 9: 120}
+    True
+    >>> wedge_spectrum([3, 5], 7).entries == {3: 1, 5: 1, 7: 1}
+    True
     """
-    if count < 1:
-        raise ValueError(f"need at least one wedge summand, got {count}")
-    _check_generator_dim(sphere_dim)
-    step = sphere_dim - 1
-    entries: dict[int, int] = {}
-    w = 1
-    while step * w + 1 <= ceiling:
-        mult = basic_product_count(count, w)
-        if mult:
-            entries[step * w + 1] = mult
-        w += 1
-    return SphereSpectrum(entries=entries, ceiling=ceiling)
-
-
-def mixed_wedge_spectrum(dims, ceiling: int) -> SphereSpectrum:
-    """Spectrum for a wedge of odd spheres of (possibly) mixed dimensions.
-
-    Enumerates exponent vectors over the generators; a vector a contributes
-    `_multidegree_count(a)` spheres of dimension sum(a_i * (dim_i - 1)) + 1.
-    Agrees with `wedge_spectrum` when all dimensions coincide.
-    """
-    dims = tuple(dims)
+    dims = list(dims)
     if not dims:
         raise ValueError("need at least one wedge summand")
-    for dim in dims:
+    for dim in sorted(set(dims)):
         _check_generator_dim(dim)
-    steps = [dim - 1 for dim in dims]
+    a = [0] * ceiling  # a[D] for D < ceiling; larger D cannot reach the ceiling
+    for dim in dims:
+        if dim <= ceiling:
+            a[dim - 1] += 1
+    c = [0] * ceiling
     entries: dict[int, int] = {}
-    vec = [0] * len(dims)
-
-    def descend(idx: int, budget: int) -> None:
-        if idx == len(dims):
-            if any(vec):
-                mult = _multidegree_count(tuple(vec))
-                if mult:
-                    dim = sum(a * s for a, s in zip(vec, steps)) + 1
-                    entries[dim] = entries.get(dim, 0) + mult
-            return
-        a = 0
-        while a * steps[idx] <= budget:
-            vec[idx] = a
-            descend(idx + 1, budget - a * steps[idx])
-            a += 1
-        vec[idx] = 0
-
-    descend(0, ceiling - 1)
-    return SphereSpectrum(entries=dict(sorted(entries.items())), ceiling=ceiling)
+    for n in range(1, ceiling):
+        c[n] = n * a[n] + sum(a[j] * c[n - j] for j in range(1, n))
+        total = sum(moebius(n // d) * c[d] for d in _divisors(n))
+        if total < 0 or total % n:
+            raise ArithmeticError(f"Witt sum {total} is not a multiple of {n}")
+        if total:
+            entries[n + 1] = total // n
+    return SphereSpectrum(entries=entries, ceiling=ceiling)
 
 
 def rational_rank_wedge(s: SphereSpectrum, q: int) -> int:
@@ -251,5 +185,5 @@ def borel_model(F: FaceRingPresentation, rmin: int) -> WedgeModel:
         )
     q_max = rmin - 2
     dims = [g.degree - 1 for g in F.generators]
-    spectrum = mixed_wedge_spectrum(dims, ceiling=q_max)
+    spectrum = wedge_spectrum(dims, ceiling=q_max)
     return WedgeModel(spectrum=spectrum, m=F.m, q_max=q_max, min_relation_degree=rmin)

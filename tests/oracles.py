@@ -1,16 +1,19 @@
 """Independent oracle implementations and frozen reference data.
 
 Everything here deliberately avoids the code paths it is used to check:
-basic products are enumerated via Hall's inductive construction instead of
-the Witt formula, connected-sum homology is peeled one summand at a time via
-the collapse cofibration instead of multiplying punctured tables, and the
-minimal relation degree is found by exhaustive multiset matching instead of
-the lcm shortcut.
+basic products are enumerated via Hall's inductive construction or counted
+exponent vector by exponent vector instead of by the graded Witt formula,
+connected-sum homology is peeled one summand at a time via the collapse
+cofibration instead of multiplying punctured tables, and the minimal relation
+degree is found by exhaustive multiset matching instead of the lcm shortcut.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import chain, combinations
+
+from momentangle.hilton import moebius
 
 # The 16 minimal non-faces of the boundary complex of C(8,4); independently
 # checked by hand against the proper-odd-component criterion.
@@ -85,6 +88,59 @@ def hall_sphere_spectrum(dims, ceiling: int) -> dict[int, int]:
         dim = sum(a * s for a, s in zip(item["exps"], steps)) + 1
         if dim <= ceiling:
             entries[dim] = entries.get(dim, 0) + 1
+    return dict(sorted(entries.items()))
+
+
+def _multinomial(total: int, parts) -> int:
+    out = math.factorial(total)
+    for p in parts:
+        out //= math.factorial(p)
+    return out
+
+
+def _multidegree_count(vec: tuple[int, ...]) -> int:
+    """Basic products with exponent vector `vec` (necklace refinement of the
+    Witt formula): (1/W) * sum over d | gcd(vec) of mu(d) * (W/d)! / prod (a_i/d)!.
+    """
+    w = sum(vec)
+    g = 0
+    for a in vec:
+        g = math.gcd(g, a)
+    total = 0
+    for d in range(1, g + 1):
+        if g % d == 0:
+            total += moebius(d) * _multinomial(w // d, [a // d for a in vec if a])
+    if total < 0 or total % w:
+        raise ArithmeticError(f"necklace sum {total} is not a multiple of {w}")
+    return total // w
+
+
+def necklace_sphere_spectrum(dims, ceiling: int) -> dict[int, int]:
+    """Sphere dimensions from basic products on generators S^dims, counted
+    exponent vector by exponent vector: a vector a contributes
+    `_multidegree_count(a)` spheres of dimension sum(a_i * (dim_i - 1)) + 1.
+    The cost is exponential in the generator count.
+    """
+    steps = [d - 1 for d in dims]
+    entries: dict[int, int] = {}
+    vec = [0] * len(steps)
+
+    def descend(idx: int, budget: int) -> None:
+        if idx == len(steps):
+            if any(vec):
+                mult = _multidegree_count(tuple(vec))
+                if mult:
+                    dim = sum(a * s for a, s in zip(vec, steps)) + 1
+                    entries[dim] = entries.get(dim, 0) + mult
+            return
+        a = 0
+        while a * steps[idx] <= budget:
+            vec[idx] = a
+            descend(idx + 1, budget - a * steps[idx])
+            a += 1
+        vec[idx] = 0
+
+    descend(0, ceiling - 1)
     return dict(sorted(entries.items()))
 
 

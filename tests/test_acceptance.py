@@ -31,7 +31,7 @@ from itertools import combinations, combinations_with_replacement
 from momentangle.cli import main
 from momentangle.complexes import face_ring, from_cyclic, from_polygon, minimal_nonfaces
 from momentangle.gale import CyclicParams, enumerate_faces, f_vector, is_face
-from momentangle.hilton import basic_product_count
+from momentangle.hilton import wedge_spectrum
 from momentangle.manifold import (
     ConnectedSumSpec,
     SphereProduct,
@@ -46,6 +46,11 @@ from oracles import (
     connected_sum_ranks_peeling,
     hall_count_by_weight,
 )
+
+
+def _witt(k: int, w: int) -> int:
+    """Witt number W(k, w) from the S^3 column of the wedge spectrum."""
+    return wedge_spectrum([3] * k, 2 * w + 1).entries.get(2 * w + 1, 0)
 
 
 class _criterion:
@@ -132,11 +137,11 @@ def test_criterion_5_witt_oracle():
         for k in range(1, 4):
             counts = hall_count_by_weight(k, 5)
             for w in range(1, 6):
-                assert basic_product_count(k, w) == counts[w], (k, w)
+                assert _witt(k, w) == counts[w], (k, w)
         for k in range(1, 17):
             for w in range(1, 9):
                 lhs = sum(
-                    d * basic_product_count(k, d)
+                    d * _witt(k, d)
                     for d in range(1, w + 1)
                     if w % d == 0
                 )
