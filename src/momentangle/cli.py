@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import complexes, hilton, manifold, syzygy
-from .complexes import FaceRingPresentation, SimplicialComplex
+from .complexes import FaceRingPresentation, Monomial
 from .gale import CyclicParams, enumerate_faces
 
 __all__ = ["VerdictReport", "CliError", "build_verdict_report", "main", "run"]
@@ -47,26 +47,27 @@ class VerdictReport:
 # source resolution and report blocks
 # ---------------------------------------------------------------------------
 
-def _resolve_source(tokens) -> tuple[SimplicialComplex, dict]:
+def _resolve_source(tokens) -> tuple[FaceRingPresentation, dict]:
+    """The face ring of a source given as CLI tokens, and its JSON descriptor."""
     usage = "source must be 'cyclic N D', 'polygon M', or 'file PATH'"
-    if not tokens:
-        raise CliError(usage)
-    kind = tokens[0]
+    kind = tokens[0] if tokens else None
     try:
         if kind == "cyclic" and len(tokens) == 3:
             p = CyclicParams(int(tokens[1]), int(tokens[2]))
-            return complexes.from_cyclic(p), {"kind": "cyclic", "n": p.n, "d": p.d}
-        if kind == "polygon" and len(tokens) == 2:
+            descriptor = {"kind": "cyclic", "n": p.n, "d": p.d}
+            K = complexes.from_cyclic(p)
+        elif kind == "polygon" and len(tokens) == 2:
             m = int(tokens[1])
-            return complexes.from_polygon(m), {"kind": "polygon", "m": m}
-        if kind == "file" and len(tokens) == 2:
+            K, descriptor = complexes.from_polygon(m), {"kind": "polygon", "m": m}
+        elif kind == "file" and len(tokens) == 2:
             path = tokens[1]
-            text = Path(path).read_text()
-            K = complexes.parse_complex(text, source=f"file:{path}")
-            return K, {"kind": "file", "path": path}
+            K = complexes.parse_complex(Path(path).read_text(), source=f"file:{path}")
+            descriptor = {"kind": "file", "path": path}
+        else:
+            raise CliError(usage)
     except (ValueError, OSError) as exc:
         raise CliError(str(exc)) from exc
-    raise CliError(usage)
+    return complexes.face_ring(K), descriptor
 
 
 def _ideal_block(F: FaceRingPresentation) -> dict:
@@ -90,6 +91,15 @@ def _witness_block(F: FaceRingPresentation, rel: syzygy.RelationAmongRelations) 
     }
 
 
+def _wedge_block(shown: hilton.SphereSpectrum, model: hilton.WedgeModel) -> dict:
+    return {
+        "spectrum": {str(k): v for k, v in sorted(shown.entries.items())},
+        "ceiling": shown.ceiling,
+        "q_max": model.q_max,
+        "pi2_rank": model.m,
+    }
+
+
 def _manifold_block(spec: manifold.ConnectedSumSpec, g: manifold.GradedRanks) -> dict:
     return {
         "spec": manifold.format_connected_sum(spec),
@@ -102,8 +112,7 @@ def _manifold_block(spec: manifold.ConnectedSumSpec, g: manifold.GradedRanks) ->
 
 def build_verdict_report(source_tokens, manifold_text: str, q: int | None = None,
                          extra_notes: tuple[str, ...] = ()) -> VerdictReport:
-    K, descriptor = _resolve_source(source_tokens)
-    F = complexes.face_ring(K)
+    F, descriptor = _resolve_source(source_tokens)
     if F.is_trivial:
         raise CliError("the ideal is empty (full simplex): nothing to compare")
     rmin_degree, witness = syzygy.min_relation_degree(F)
@@ -154,12 +163,7 @@ def build_verdict_report(source_tokens, manifold_text: str, q: int | None = None
         input={"source": descriptor, "manifold": manifold.format_connected_sum(spec)},
         ideal=_ideal_block(F),
         rmin={"degree": rmin_degree, "witness": _witness_block(F, witness)},
-        wedge={
-            "spectrum": {str(k): v for k, v in sorted(model.spectrum.entries.items())},
-            "ceiling": model.spectrum.ceiling,
-            "q_max": model.q_max,
-            "pi2_rank": model.m,
-        },
+        wedge=_wedge_block(model.spectrum, model),
         manifold=_manifold_block(spec, g),
         comparison=comparison,
         verdict=verdict,
@@ -174,8 +178,16 @@ def _emit_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
-def _print_generators(F: FaceRingPresentation, per_row: int = 4) -> None:
-    gens = [str(g) for g in F.generators]
+def _witness_text(witness: dict) -> str:
+    gi, gj, mi, mj = (
+        str(Monomial(tuple(witness[key])))
+        for key in ("generator_i", "generator_j", "multiplier_i", "multiplier_j")
+    )
+    return f"({gi}) * {mi} == ({gj}) * {mj}"
+
+
+def _print_generators(supports, per_row: int = 4) -> None:
+    gens = [str(Monomial(tuple(s))) for s in supports]
     for i in range(0, len(gens), per_row):
         print("  " + "  ".join(gens[i : i + per_row]))
 
@@ -197,16 +209,9 @@ def _print_report(report: VerdictReport, quiet: bool) -> None:
         print()
         ideal = report.ideal
         print(f"face ring: {ideal['m']} variables, |I| = {ideal['size']} generators")
-        for gens_row in range(0, ideal["size"], 4):
-            row = ideal["generators"][gens_row : gens_row + 4]
-            print("  " + "  ".join("*".join(f"v{v}" for v in g) for g in row))
-        witness = report.rmin["witness"]
-        wit_i = "*".join(f"v{v}" for v in witness["generator_i"])
-        wit_j = "*".join(f"v{v}" for v in witness["generator_j"])
-        mul_i = "*".join(f"v{v}" for v in witness["multiplier_i"])
-        mul_j = "*".join(f"v{v}" for v in witness["multiplier_j"])
+        _print_generators(ideal["generators"])
         print(f"minimal relation degree: {report.rmin['degree']}")
-        print(f"  witness: ({wit_i}) * {mul_i} == ({wit_j}) * {mul_j}")
+        print(f"  witness: {_witness_text(report.rmin['witness'])}")
         wedge = report.wedge
         print(
             f"wedge model: spheres {wedge['spectrum']}, "
@@ -247,7 +252,12 @@ def _print_report(report: VerdictReport, quiet: bool) -> None:
         )
 
 
-def _verdict_exit(report: VerdictReport) -> int:
+def _finish_report(report: VerdictReport, args) -> int:
+    """Emit the report as JSON or text; the exit code carries the verdict."""
+    if args.json:
+        _emit_json(asdict(report))
+    else:
+        _print_report(report, quiet=args.quiet)
     return 0 if report.verdict == "NOT_EQUIVALENT" else 2
 
 
@@ -256,12 +266,9 @@ def _verdict_exit(report: VerdictReport) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_faces(args) -> int:
-    try:
-        p = CyclicParams(args.n, args.d)
-        max_card = args.max_card if args.max_card is not None else p.d
-        faces = enumerate_faces(p, max_card)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    p = CyclicParams(args.n, args.d)
+    max_card = args.max_card if args.max_card is not None else p.d
+    faces = enumerate_faces(p, max_card)
     counts = {str(k): 0 for k in range(1, max_card + 1)}
     for face in faces:
         counts[str(len(face))] += 1
@@ -285,8 +292,7 @@ def cmd_faces(args) -> int:
 
 
 def cmd_ideal(args) -> int:
-    K, descriptor = _resolve_source(args.source)
-    F = complexes.face_ring(K)
+    F, descriptor = _resolve_source(args.source)
     if args.json:
         _emit_json({"input": {"source": descriptor}, "ideal": _ideal_block(F)})
         return 0
@@ -300,17 +306,13 @@ def cmd_ideal(args) -> int:
     if not args.quiet:
         hist = ", ".join(f"degree {d}: {c}" for d, c in F.degree_histogram().items())
         print(f"degree histogram: {hist}")
-        _print_generators(F)
+        _print_generators(g.support for g in F.generators)
     return 0
 
 
 def cmd_syzmin(args) -> int:
-    K, descriptor = _resolve_source(args.source)
-    F = complexes.face_ring(K)
-    try:
-        degree, witness = syzygy.min_relation_degree(F)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    F, descriptor = _resolve_source(args.source)
+    degree, witness = syzygy.min_relation_degree(F)
     if args.json:
         _emit_json(
             {
@@ -322,26 +324,18 @@ def cmd_syzmin(args) -> int:
         return 0
     print(f"minimal relation degree for {_describe_source(descriptor)}: {degree}")
     if not args.quiet:
-        gi, gj = F.generators[witness.i], F.generators[witness.j]
-        print(
-            f"  witness: ({gi}) * {witness.multiplier_i} == "
-            f"({gj}) * {witness.multiplier_j}"
-        )
+        print(f"  witness: {_witness_text(_witness_block(F, witness))}")
     return 0
 
 
 def cmd_wedge(args) -> int:
-    K, descriptor = _resolve_source(args.source)
-    F = complexes.face_ring(K)
-    try:
-        rmin_degree, _ = syzygy.min_relation_degree(F)
-        model = hilton.borel_model(F, rmin_degree)
-        shown = model.spectrum
-        if args.ceiling is not None:
-            dims = [g.degree - 1 for g in F.generators]
-            shown = hilton.wedge_spectrum(dims, args.ceiling)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    F, descriptor = _resolve_source(args.source)
+    rmin_degree, _ = syzygy.min_relation_degree(F)
+    model = hilton.borel_model(F, rmin_degree)
+    shown = model.spectrum
+    if args.ceiling is not None:
+        dims = [g.degree - 1 for g in F.generators]
+        shown = hilton.wedge_spectrum(dims, args.ceiling)
     notes = []
     if shown.ceiling > model.q_max:
         notes.append(
@@ -353,13 +347,7 @@ def cmd_wedge(args) -> int:
                 "input": {"source": descriptor},
                 "ideal": _ideal_block(F),
                 "rmin": {"degree": rmin_degree},
-                "wedge": {
-                    "spectrum": {str(k): v for k, v in sorted(shown.entries.items())},
-                    "ceiling": shown.ceiling,
-                    "q_max": model.q_max,
-                    "pi2_rank": model.m,
-                    "notes": notes,
-                },
+                "wedge": {**_wedge_block(shown, model), "notes": notes},
             }
         )
         return 0
@@ -373,11 +361,8 @@ def cmd_wedge(args) -> int:
 
 
 def cmd_homology(args) -> int:
-    try:
-        spec = manifold.parse_connected_sum(args.spec)
-        g = manifold.connected_sum_homology(spec)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    spec = manifold.parse_connected_sum(args.spec)
+    g = manifold.connected_sum_homology(spec)
     block = _manifold_block(spec, g)
     if args.json:
         _emit_json({"manifold": block})
@@ -392,11 +377,7 @@ def cmd_homology(args) -> int:
 
 def cmd_verdict(args) -> int:
     report = build_verdict_report(args.source, args.vs, q=args.q)
-    if args.json:
-        _emit_json(asdict(report))
-    else:
-        _print_report(report, quiet=args.quiet)
-    return _verdict_exit(report)
+    return _finish_report(report, args)
 
 
 def cmd_counterexample(args) -> int:
@@ -407,11 +388,7 @@ def cmd_counterexample(args) -> int:
             "cyclic parameters normalized to n=8 vertices in dimension d=4",
         ),
     )
-    if args.json:
-        _emit_json(asdict(report))
-    else:
-        _print_report(report, quiet=args.quiet)
-    return _verdict_exit(report)
+    return _finish_report(report, args)
 
 
 # ---------------------------------------------------------------------------
@@ -490,10 +467,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,18 +1,21 @@
 """Simplicial complexes and their Stanley-Reisner presentations.
 
-A complex on vertex set 1..m is carried either by its facet list or by a
-minimal-non-face list; both determine the same membership predicate.  The
-face ring presentation is the polynomial ring on degree-2 variables v_1..v_m
-modulo the squarefree monomial ideal generated by the minimal non-faces.
+A complex on vertex set 1..m is carried by its minimal non-faces, which
+determine its membership predicate.  Facet lists are an input format:
+`from_facets` derives the minimal non-faces from them once.  The face ring
+presentation is the polynomial ring on degree-2 variables v_1..v_m modulo the
+squarefree monomial ideal generated by the minimal non-faces.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
+from math import comb
 
-from .gale import CyclicParams, as_subset, is_face as _cyclic_is_face
+from .gale import CyclicParams, as_subset, check_subset_count
+from .gale import is_face as _cyclic_is_face
 
 __all__ = [
     "Monomial",
@@ -52,21 +55,20 @@ class Monomial:
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Complex on 1..m backed by facets or by minimal non-faces.
+    """Complex on 1..m carried by its minimal non-faces.
 
-    Exactly one of `facets` / `nonfaces` is set; `source` records where the
-    complex came from.  Every vertex must be a face (no ghost vertices);
-    the factory functions enforce this.
+    `nonfaces` is the sorted tuple of minimal non-faces, the generators of
+    the Stanley-Reisner ideal; facet lists are only an input format, turned
+    into generators by `from_facets`.  `source` records where the complex
+    came from.  Every vertex must be a face (no ghost vertices); the factory
+    functions enforce this.
     """
 
     m: int
-    facets: tuple[tuple[int, ...], ...] | None = None
-    nonfaces: tuple[tuple[int, ...], ...] | None = None
+    nonfaces: tuple[tuple[int, ...], ...]
     source: str = "explicit"
 
     def __post_init__(self) -> None:
-        if (self.facets is None) == (self.nonfaces is None):
-            raise ValueError("exactly one of facets/nonfaces must be given")
         if self.m < 1:
             raise ValueError(f"vertex count must be positive, got {self.m}")
 
@@ -75,48 +77,59 @@ class SimplicialComplex:
 
         The empty set is always a face.
         """
-        xs = as_subset(members, self.m)
-        if self.facets is not None:
-            s = set(xs)
-            return any(s.issubset(f) for f in self.facets)
-        s = set(xs)
+        s = set(as_subset(members, self.m))
         return all(not set(nf).issubset(s) for nf in self.nonfaces)
 
     def dim(self) -> int:
-        """Dimension = max face cardinality - 1.
-
-        For non-face-backed complexes this is a subset search, fine at the
-        vertex counts this library is used at (m <= ~20).
-        """
-        if self.facets is not None:
-            return max(len(f) for f in self.facets) - 1
+        """Dimension = max face cardinality - 1; a subset search, fine for m <= ~20."""
         for k in range(self.m, 0, -1):
             if any(self.is_face(c) for c in combinations(range(1, self.m + 1), k)):
                 return k - 1
         return -1
 
 
-def _canon_subsets(subsets, m: int) -> list[tuple[int, ...]]:
-    return sorted({as_subset(s, m) for s in subsets})
+def _members(mask: int) -> tuple[int, ...]:
+    """The vertices of a bitmask (bit v-1 stands for vertex v), increasing."""
+    return tuple(v for v in range(1, mask.bit_length() + 1) if mask >> (v - 1) & 1)
 
 
 def from_facets(m: int, facets, source: str = "facets") -> SimplicialComplex:
-    """Build a complex from its facet list.
+    """Build a complex from its facet list, deriving its minimal non-faces.
 
-    Non-maximal entries are dropped; every vertex must appear in some facet.
+    Non-maximal and repeated entries are allowed; every vertex must appear in
+    some facet.  Dropping the largest vertex of a minimal non-face leaves a
+    face, so extending every face by each vertex above its own, and keeping
+    the non-faces all of whose other one-vertex deletions are faces, finds
+    every generator exactly once.  Faces are vertex bitmasks.
     """
-    fs = _canon_subsets(facets, m)
-    if any(not f for f in fs):
+    masks = {sum(1 << (v - 1) for v in as_subset(f, m)) for f in facets}
+    if 0 in masks:
         raise ValueError("facets must be nonempty")
-    maximal = [
-        f for f in fs
-        if not any(f != g and set(f).issubset(g) for g in fs)
-    ]
-    covered = set().union(*map(set, maximal)) if maximal else set()
-    missing = set(range(1, m + 1)) - covered
-    if missing:
-        raise ValueError(f"ghost vertices (in no facet): {sorted(missing)}")
-    return SimplicialComplex(m=m, facets=tuple(maximal), source=source)
+    covered = 0
+    for mask in masks:
+        covered |= mask
+    n_missing = m - covered.bit_count()
+    if n_missing > 0:
+        missing = (v for v in range(1, m + 1) if not covered >> (v - 1) & 1)
+        shown = ", ".join(map(str, islice(missing, 10)))
+        more = f", ...] ({n_missing} in all)" if n_missing > 10 else "]"
+        raise ValueError(f"ghost vertices (in no facet): [{shown}{more}")
+    closure = sum(1 << mask.bit_count() for mask in masks)
+    check_subset_count(closure, "the downward closure of the facet list")
+    faces = {0}
+    for mask in masks:
+        sub = mask
+        while sub:
+            faces.add(sub)
+            sub = (sub - 1) & mask
+    nonfaces = []
+    for f in faces:
+        bits = [1 << (u - 1) for u in _members(f)]
+        for v in range(f.bit_length(), m):
+            s = f | 1 << v
+            if s not in faces and all(s ^ b in faces for b in bits):
+                nonfaces.append(_members(s))
+    return SimplicialComplex(m=m, nonfaces=tuple(sorted(nonfaces)), source=source)
 
 
 def from_nonfaces(m: int, nonfaces, source: str = "nonfaces") -> SimplicialComplex:
@@ -125,7 +138,7 @@ def from_nonfaces(m: int, nonfaces, source: str = "nonfaces") -> SimplicialCompl
     The list is reduced to its minimal elements (the ideal generators).
     Singleton non-faces are rejected: they would delete a vertex.
     """
-    nfs = _canon_subsets(nonfaces, m)
+    nfs = sorted({as_subset(s, m) for s in nonfaces})
     if any(not nf for nf in nfs):
         raise ValueError("the empty set is a face of every complex here")
     if any(len(nf) == 1 for nf in nfs):
@@ -145,6 +158,7 @@ def from_cyclic(p: CyclicParams) -> SimplicialComplex:
     exactly the criterion's faces (polytope boundaries are pure and closed
     under subsets).
     """
+    check_subset_count(comb(p.n, p.d), f"the facet search of C({p.n},{p.d})")
     facets = [
         c for c in combinations(range(1, p.n + 1), p.d) if _cyclic_is_face(c, p)
     ]
@@ -164,21 +178,8 @@ def from_polygon(m: int) -> SimplicialComplex:
 
 
 def minimal_nonfaces(K: SimplicialComplex) -> list[tuple[int, ...]]:
-    """Minimal non-faces of K, lexicographically sorted.
-
-    A minimal non-face has every proper subset a face; the search only has
-    to scan cardinalities 2 .. dim(K)+2.
-    """
-    if K.nonfaces is not None:
-        return list(K.nonfaces)
-    out: list[tuple[int, ...]] = []
-    for card in range(2, K.dim() + 3):
-        for s in combinations(range(1, K.m + 1), card):
-            if K.is_face(s):
-                continue
-            if all(K.is_face(s[:i] + s[i + 1 :]) for i in range(len(s))):
-                out.append(s)
-    return sorted(out)
+    """Minimal non-faces of K (the ideal generators), lexicographically sorted."""
+    return list(K.nonfaces)
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 __all__ = [
+    "SUBSET_LIMIT",
+    "check_subset_count",
     "CyclicParams",
     "Component",
     "as_subset",
@@ -27,6 +30,19 @@ __all__ = [
     "f_vector",
     "is_q_neighborly",
 ]
+
+
+SUBSET_LIMIT = 2**20
+
+
+def check_subset_count(estimate: int, what: str) -> None:
+    """Refuse, with ValueError, an enumeration estimated to visit more than
+    SUBSET_LIMIT vertex subsets: oversized inputs fail at once instead of
+    running for minutes."""
+    if estimate > SUBSET_LIMIT:
+        raise ValueError(
+            f"{what} would visit {estimate} subsets, above the limit of {SUBSET_LIMIT}"
+        )
 
 
 @dataclass(frozen=True)
@@ -131,6 +147,8 @@ def enumerate_faces(p: CyclicParams, max_card: int) -> list[tuple[int, ...]]:
     """
     if not 0 <= max_card <= p.d:
         raise ValueError(f"max_card must lie in 0..{p.d}, got {max_card}")
+    n_subsets = sum(comb(p.n, k) for k in range(max_card + 1))
+    check_subset_count(n_subsets, f"enumerating the faces of C({p.n},{p.d})")
     out: list[tuple[int, ...]] = []
     for k in range(1, max_card + 1):
         out.extend(

@@ -4,8 +4,10 @@ Everything here deliberately avoids the code paths it is used to check:
 basic products are enumerated via Hall's inductive construction or counted
 exponent vector by exponent vector instead of by the graded Witt formula,
 connected-sum homology is peeled one summand at a time via the collapse
-cofibration instead of multiplying punctured tables, and the minimal relation
-degree is found by exhaustive multiset matching instead of the lcm shortcut.
+cofibration instead of multiplying punctured tables, the minimal relation
+degree is found by exhaustive multiset matching instead of the lcm shortcut,
+and minimal non-faces are found by scanning subsets against the facet list
+instead of extending bitmask faces.
 """
 
 from __future__ import annotations
@@ -25,6 +27,29 @@ CYCLIC_8_4_MINIMAL_NONFACES = [
 ]
 
 PENTAGON_MINIMAL_NONFACES = [(1, 3), (1, 4), (2, 4), (2, 5), (3, 5)]
+
+
+# ---------------------------------------------------------------------------
+# minimal non-faces: exhaustive subset scan against the facet list
+# ---------------------------------------------------------------------------
+
+def minimal_nonfaces_bruteforce(m: int, facets) -> list[tuple[int, ...]]:
+    """Minimal non-faces of the complex spanned by `facets` on 1..m.
+
+    Scans every subset of cardinality 2 .. max facet size + 1 and tests it,
+    and each of its one-vertex deletions, for containment in some facet.
+    """
+    facet_sets = [set(f) for f in facets]
+
+    def is_face(s) -> bool:
+        return any(set(s) <= f for f in facet_sets)
+
+    out = []
+    for card in range(2, max(map(len, facet_sets), default=0) + 2):
+        for s in combinations(range(1, m + 1), card):
+            if not is_face(s) and all(is_face(s[:i] + s[i + 1 :]) for i in range(card)):
+                out.append(s)
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------

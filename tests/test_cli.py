@@ -2,6 +2,9 @@ import json
 import os
 import subprocess
 import sys
+import time
+
+import pytest
 
 from momentangle.cli import main
 
@@ -83,6 +86,31 @@ class TestIdeal:
         code, out, err = run_cli(capsys, "ideal", "torus", "3")
         assert code == 1
         assert "source" in err
+
+
+class TestInputLimits:
+    """Inputs whose enumeration would explode fail at once with one line."""
+
+    @pytest.mark.parametrize(
+        "argv,text",
+        [
+            (["ideal", "cyclic", "24", "12"], None),
+            (["faces", "60", "30", "--count"], None),
+            (["ideal", "file"], "vertices 25\nfacets\n" + " ".join(map(str, range(1, 26)))),
+            (["ideal", "file"], "vertices 1000000000\nfacets\n1 2\n"),
+        ],
+    )
+    def test_exits_one_quickly(self, capsys, tmp_path, argv, text):
+        if text is not None:
+            path = tmp_path / "complex.txt"
+            path.write_text(text)
+            argv = argv + [str(path)]
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestSyzmin:

@@ -1,4 +1,6 @@
+import time
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,11 @@ from momentangle.complexes import (
 )
 from momentangle.gale import CyclicParams, is_face as cyclic_is_face
 
-from oracles import CYCLIC_8_4_MINIMAL_NONFACES, PENTAGON_MINIMAL_NONFACES
+from oracles import (
+    CYCLIC_8_4_MINIMAL_NONFACES,
+    PENTAGON_MINIMAL_NONFACES,
+    minimal_nonfaces_bruteforce,
+)
 
 
 def all_subsets(m, max_card=None):
@@ -26,8 +32,9 @@ def all_subsets(m, max_card=None):
         yield from combinations(range(1, m + 1), k)
 
 
-def random_complexes():
-    """Small ghost-free facet complexes; singletons patch uncovered vertices."""
+def random_facet_lists():
+    """(m, facets) for small ghost-free complexes; singletons patch uncovered
+    vertices, so non-maximal entries are common, and a drawn facet may repeat."""
 
     def build(args):
         m, raw = args
@@ -35,7 +42,7 @@ def random_complexes():
             (i,) for i in range(1, m + 1)
         ]
         facets = [tuple(v for v in f if v <= m) for f in facets]
-        return from_facets(m, [f for f in facets if f])
+        return m, [f for f in facets if f]
 
     return st.tuples(
         st.integers(3, 7),
@@ -62,11 +69,36 @@ class TestMonomial:
 class TestFactories:
     def test_facets_drop_nonmaximal(self):
         K = from_facets(3, [(1, 2), (1,), (3,)])
-        assert K.facets == ((1, 2), (3,))
+        assert K == from_facets(3, [(1, 2), (3,)])
+        assert K.nonfaces == ((1, 3), (2, 3))
 
     def test_facets_reject_ghosts(self):
         with pytest.raises(ValueError):
             from_facets(3, [(1, 2)])
+
+    def test_ghost_check_is_sized_by_the_input(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            from_facets(10**9, [(1, 2)])
+        assert time.perf_counter() - start < 1.0
+        message = str(info.value)
+        assert len(message.encode()) < 300
+        assert message == (
+            "ghost vertices (in no facet): "
+            "[3, 4, 5, 6, 7, 8, 9, 10, 11, 12, ...] (999999998 in all)"
+        )
+        with pytest.raises(ValueError, match=r"in no facet\): \[3\]$"):
+            from_facets(3, [(1, 2)])
+        with pytest.raises(ValueError, match=r": \[3, 4, 5, 6, 7, 8, 9, 10, 11, 12\]$"):
+            from_facets(12, [(1, 2)])
+
+    def test_facets_refuse_oversized_closure(self):
+        with pytest.raises(ValueError, match=f"{2**25} subsets"):
+            from_facets(25, [range(1, 26)])
+
+    def test_cyclic_refuses_oversized_facet_search(self):
+        with pytest.raises(ValueError, match=f"{comb(24, 12)} subsets"):
+            from_cyclic(CyclicParams(24, 12))
 
     def test_nonfaces_reject_singletons(self):
         with pytest.raises(ValueError):
@@ -144,15 +176,32 @@ class TestMinimalNonfaces:
         assert minimal_nonfaces(K) == minimal_nonfaces(K)
 
     @settings(max_examples=60, deadline=None)
-    @given(random_complexes())
-    def test_minimality_and_reconstruction(self, K):
-        gens = minimal_nonfaces(K)
+    @given(random_facet_lists())
+    def test_minimality_and_reconstruction(self, args):
+        m, facets = args
+        gens = minimal_nonfaces(from_facets(m, facets))
         for a, b in combinations(gens, 2):
             assert not set(a).issubset(b)
             assert not set(b).issubset(a)
-        for s in all_subsets(K.m):
+        for s in all_subsets(m):
             covered = any(set(g).issubset(s) for g in gens)
-            assert K.is_face(s) == (not covered)
+            assert any(set(s) <= set(f) for f in facets) == (not covered)
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_facet_lists(), st.data())
+    def test_from_facets_matches_bruteforce(self, args, data):
+        m, facets = args
+        repeated = data.draw(st.lists(st.sampled_from(facets), max_size=3))
+        got = from_facets(m, facets + repeated).nonfaces
+        assert list(got) == minimal_nonfaces_bruteforce(m, facets)
+
+    @pytest.mark.parametrize(
+        "n,d", [(n, d) for n in range(3, 12) for d in range(2, n)]
+    )
+    def test_cyclic_matches_bruteforce(self, n, d):
+        p = CyclicParams(n, d)
+        facets = [c for c in combinations(range(1, n + 1), d) if cyclic_is_face(c, p)]
+        assert minimal_nonfaces(from_cyclic(p)) == minimal_nonfaces_bruteforce(n, facets)
 
     @settings(max_examples=25, deadline=None)
     @given(st.tuples(st.integers(2, 5), st.integers(0, 4)))

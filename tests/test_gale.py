@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentangle.gale import (
+    SUBSET_LIMIT,
     Component,
     CyclicParams,
     as_subset,
+    check_subset_count,
     components,
     enumerate_faces,
     f_vector,
@@ -127,6 +129,16 @@ class TestEnumerateFaces:
         with pytest.raises(ValueError):
             enumerate_faces(CyclicParams(8, 4), -1)
         assert enumerate_faces(CyclicParams(8, 4), 0) == []
+
+    def test_refuses_oversized_enumeration(self):
+        with pytest.raises(ValueError, match=f"above the limit of {SUBSET_LIMIT}"):
+            enumerate_faces(CyclicParams(60, 30), 30)
+
+
+def test_subset_limit_is_inclusive():
+    check_subset_count(SUBSET_LIMIT, "a scan at the limit")
+    with pytest.raises(ValueError, match=f"{SUBSET_LIMIT + 1} subsets"):
+        check_subset_count(SUBSET_LIMIT + 1, "a scan past the limit")
 
 
 class TestFVector:
