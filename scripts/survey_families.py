@@ -15,7 +15,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from momentangle import (  # noqa: E402
     CyclicParams,
     borel_model,
-    face_ring,
     from_cyclic,
     from_polygon,
     min_relation_degree,
@@ -26,7 +25,7 @@ def survey_cyclic(d: int, n_max: int) -> None:
     print(f"cyclic family C(n,{d})")
     print(f"{'n':>3} {'|I|':>5} {'degrees':>12} {'rmin':>5} {'q_max':>6} {'spectrum':>20}")
     for n in range(d + 2, n_max + 1):
-        F = face_ring(from_cyclic(CyclicParams(n, d)))
+        F = from_cyclic(CyclicParams(n, d))
         if len(F.generators) < 2:
             print(f"{n:>3} {len(F.generators):>5} {'-':>12} {'-':>5} {'-':>6}")
             continue
@@ -41,7 +40,7 @@ def survey_polygons(m_max: int) -> None:
     print("polygon family")
     print(f"{'m':>3} {'|I|':>5} {'rmin':>5} {'q_max':>6} {'spectrum':>20}")
     for m in range(4, m_max + 1):
-        F = face_ring(from_polygon(m))
+        F = from_polygon(m)
         rmin, _ = min_relation_degree(F)
         model = borel_model(F, rmin)
         spectrum = ",".join(f"{k}:{v}" for k, v in sorted(model.spectrum.entries.items()))

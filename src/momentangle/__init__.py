@@ -1,17 +1,17 @@
 """Combinatorial rational-homotopy pipeline.
 
-From a cyclic polytope (or any small simplicial complex) this package derives
-the Stanley-Reisner presentation of its face ring, the minimal degree of a
-relation among the ideal generators, and the wedge-of-spheres model of the
-associated Borel space valid below that degree; on the other side it computes
-graded homology ranks of connected sums of sphere products and compares the
-two through the joint validity window.
+A simplicial complex is carried by one type, the Stanley-Reisner
+presentation of its face ring (one ideal generator per minimal non-face).
+From a cyclic polytope, a polygon or a complex file this package derives that
+presentation, the minimal degree of a relation among the ideal generators,
+and the wedge-of-spheres model of the associated Borel space valid below
+that degree; on the other side it computes graded homology ranks of
+connected sums of sphere products and compares the two through the joint
+validity window.
 """
 
 from .gale import (
-    Component,
     CyclicParams,
-    components,
     enumerate_faces,
     f_vector,
     is_face,
@@ -20,13 +20,10 @@ from .gale import (
 from .complexes import (
     FaceRingPresentation,
     Monomial,
-    SimplicialComplex,
-    face_ring,
     from_cyclic,
     from_facets,
     from_nonfaces,
     from_polygon,
-    minimal_nonfaces,
     parse_complex,
 )
 from .syzygy import (

@@ -55,19 +55,19 @@ def _resolve_source(tokens) -> tuple[FaceRingPresentation, dict]:
         if kind == "cyclic" and len(tokens) == 3:
             p = CyclicParams(int(tokens[1]), int(tokens[2]))
             descriptor = {"kind": "cyclic", "n": p.n, "d": p.d}
-            K = complexes.from_cyclic(p)
+            F = complexes.from_cyclic(p)
         elif kind == "polygon" and len(tokens) == 2:
             m = int(tokens[1])
-            K, descriptor = complexes.from_polygon(m), {"kind": "polygon", "m": m}
+            F, descriptor = complexes.from_polygon(m), {"kind": "polygon", "m": m}
         elif kind == "file" and len(tokens) == 2:
             path = tokens[1]
-            K = complexes.parse_complex(Path(path).read_text(), source=f"file:{path}")
+            F = complexes.parse_complex(Path(path).read_text())
             descriptor = {"kind": "file", "path": path}
         else:
             raise CliError(usage)
     except (ValueError, OSError) as exc:
         raise CliError(str(exc)) from exc
-    return complexes.face_ring(K), descriptor
+    return F, descriptor
 
 
 def _ideal_block(F: FaceRingPresentation) -> dict:

@@ -1,10 +1,11 @@
-"""Simplicial complexes and their Stanley-Reisner presentations.
+"""Simplicial complexes, carried by their Stanley-Reisner presentations.
 
-A complex on vertex set 1..m is carried by its minimal non-faces, which
-determine its membership predicate.  Facet lists are an input format:
-`from_facets` derives the minimal non-faces from them once.  The face ring
-presentation is the polynomial ring on degree-2 variables v_1..v_m modulo the
-squarefree monomial ideal generated by the minimal non-faces.
+A complex on vertex set 1..m is its minimal non-faces, and those are exactly
+the generators of its Stanley-Reisner ideal: the face ring is the polynomial
+ring on degree-2 variables v_1..v_m modulo the squarefree monomials on the
+minimal non-faces.  So one type, `FaceRingPresentation`, stands for both the
+complex and its face ring.  Facet lists are an input format: `from_facets`
+derives the generators from them once.
 """
 
 from __future__ import annotations
@@ -19,14 +20,11 @@ from .gale import is_face as _cyclic_is_face
 
 __all__ = [
     "Monomial",
-    "SimplicialComplex",
     "FaceRingPresentation",
     "from_facets",
     "from_nonfaces",
     "from_cyclic",
     "from_polygon",
-    "minimal_nonfaces",
-    "face_ring",
     "parse_complex",
 ]
 
@@ -54,23 +52,31 @@ class Monomial:
 
 
 @dataclass(frozen=True)
-class SimplicialComplex:
-    """Complex on 1..m carried by its minimal non-faces.
+class FaceRingPresentation:
+    """A complex on 1..m: variables v_1..v_m plus one ideal generator per
+    minimal non-face.
 
-    `nonfaces` is the sorted tuple of minimal non-faces, the generators of
-    the Stanley-Reisner ideal; facet lists are only an input format, turned
-    into generators by `from_facets`.  `source` records where the complex
-    came from.  Every vertex must be a face (no ghost vertices); the factory
-    functions enforce this.
+    Generators are lexicographically sorted and pairwise incomparable under
+    divisibility.  An empty generator list (full simplex) is legal but
+    flagged via `is_trivial`; downstream relation/wedge machinery refuses it.
+    Every vertex must be a face (no ghost vertices); the factory functions
+    enforce this.
     """
 
     m: int
-    nonfaces: tuple[tuple[int, ...], ...]
-    source: str = "explicit"
+    generators: tuple[Monomial, ...] = field(default=())
 
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError(f"vertex count must be positive, got {self.m}")
+        supports = [g.support for g in self.generators]
+        if supports != sorted(supports):
+            raise ValueError("generators must be lexicographically sorted")
+        for a, b in combinations(supports, 2):
+            if set(a).issubset(b) or set(b).issubset(a):
+                raise ValueError(f"generators must be incomparable: {a} vs {b}")
+        if supports and supports[-1][-1] > self.m:
+            raise ValueError("generator mentions a variable beyond v_m")
 
     def is_face(self, members) -> bool:
         """Membership test; validates that members lie in 1..m.
@@ -78,14 +84,14 @@ class SimplicialComplex:
         The empty set is always a face.
         """
         s = set(as_subset(members, self.m))
-        return all(not set(nf).issubset(s) for nf in self.nonfaces)
+        return not any(s.issuperset(g.support) for g in self.generators)
 
-    def dim(self) -> int:
-        """Dimension = max face cardinality - 1; a subset search, fine for m <= ~20."""
-        for k in range(self.m, 0, -1):
-            if any(self.is_face(c) for c in combinations(range(1, self.m + 1), k)):
-                return k - 1
-        return -1
+    @property
+    def is_trivial(self) -> bool:
+        return not self.generators
+
+    def degree_histogram(self) -> dict[int, int]:
+        return dict(sorted(Counter(g.degree for g in self.generators).items()))
 
 
 def _members(mask: int) -> tuple[int, ...]:
@@ -93,7 +99,11 @@ def _members(mask: int) -> tuple[int, ...]:
     return tuple(v for v in range(1, mask.bit_length() + 1) if mask >> (v - 1) & 1)
 
 
-def from_facets(m: int, facets, source: str = "facets") -> SimplicialComplex:
+def _presentation(m: int, supports) -> FaceRingPresentation:
+    return FaceRingPresentation(m, tuple(Monomial(s) for s in sorted(supports)))
+
+
+def from_facets(m: int, facets) -> FaceRingPresentation:
     """Build a complex from its facet list, deriving its minimal non-faces.
 
     Non-maximal and repeated entries are allowed; every vertex must appear in
@@ -129,10 +139,10 @@ def from_facets(m: int, facets, source: str = "facets") -> SimplicialComplex:
             s = f | 1 << v
             if s not in faces and all(s ^ b in faces for b in bits):
                 nonfaces.append(_members(s))
-    return SimplicialComplex(m=m, nonfaces=tuple(sorted(nonfaces)), source=source)
+    return _presentation(m, nonfaces)
 
 
-def from_nonfaces(m: int, nonfaces, source: str = "nonfaces") -> SimplicialComplex:
+def from_nonfaces(m: int, nonfaces) -> FaceRingPresentation:
     """Build a complex from a non-face list.
 
     The list is reduced to its minimal elements (the ideal generators).
@@ -148,10 +158,10 @@ def from_nonfaces(m: int, nonfaces, source: str = "nonfaces") -> SimplicialCompl
         nf for nf in nfs
         if not any(nf != other and set(other).issubset(nf) for other in nfs)
     ]
-    return SimplicialComplex(m=m, nonfaces=tuple(sorted(minimal)), source=source)
+    return _presentation(m, minimal)
 
 
-def from_cyclic(p: CyclicParams) -> SimplicialComplex:
+def from_cyclic(p: CyclicParams) -> FaceRingPresentation:
     """Boundary complex of C(n, d) on m = n vertices.
 
     Facets are the d-subsets passing the evenness criterion; faces are then
@@ -162,10 +172,10 @@ def from_cyclic(p: CyclicParams) -> SimplicialComplex:
     facets = [
         c for c in combinations(range(1, p.n + 1), p.d) if _cyclic_is_face(c, p)
     ]
-    return from_facets(p.n, facets, source=f"cyclic({p.n},{p.d})")
+    return from_facets(p.n, facets)
 
 
-def from_polygon(m: int) -> SimplicialComplex:
+def from_polygon(m: int) -> FaceRingPresentation:
     """The m-cycle: singletons and consecutive pairs {i, i+1 mod m} are faces.
 
     Minimal non-faces are the non-adjacent pairs.  Requires m >= 4 so the
@@ -174,53 +184,10 @@ def from_polygon(m: int) -> SimplicialComplex:
     if m < 4:
         raise ValueError(f"polygon complexes need m >= 4 vertices, got {m}")
     edges = [(i, i + 1) for i in range(1, m)] + [(1, m)]
-    return from_facets(m, edges, source=f"polygon({m})")
+    return from_facets(m, edges)
 
 
-def minimal_nonfaces(K: SimplicialComplex) -> list[tuple[int, ...]]:
-    """Minimal non-faces of K (the ideal generators), lexicographically sorted."""
-    return list(K.nonfaces)
-
-
-@dataclass(frozen=True)
-class FaceRingPresentation:
-    """Variables v_1..v_m plus the minimal-non-face generators of the ideal.
-
-    Generators are lexicographically sorted and pairwise incomparable under
-    divisibility.  An empty generator list (full simplex) is legal but
-    flagged via `is_trivial`; downstream relation/wedge machinery refuses it.
-    """
-
-    m: int
-    generators: tuple[Monomial, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"variable count must be positive, got {self.m}")
-        supports = [g.support for g in self.generators]
-        if supports != sorted(supports):
-            raise ValueError("generators must be lexicographically sorted")
-        for a, b in combinations(supports, 2):
-            if set(a).issubset(b) or set(b).issubset(a):
-                raise ValueError(f"generators must be incomparable: {a} vs {b}")
-        if supports and supports[-1][-1] > self.m:
-            raise ValueError("generator mentions a variable beyond v_m")
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.generators
-
-    def degree_histogram(self) -> dict[int, int]:
-        return dict(sorted(Counter(g.degree for g in self.generators).items()))
-
-
-def face_ring(K: SimplicialComplex) -> FaceRingPresentation:
-    """Stanley-Reisner presentation of K: one generator per minimal non-face."""
-    gens = tuple(Monomial(s) for s in minimal_nonfaces(K))
-    return FaceRingPresentation(m=K.m, generators=gens)
-
-
-def parse_complex(text: str, source: str = "text") -> SimplicialComplex:
+def parse_complex(text: str) -> FaceRingPresentation:
     """Parse the plain-text complex format.
 
     Header line `vertices m`, then a line `facets` or `nonfaces`, then one
@@ -248,5 +215,5 @@ def parse_complex(text: str, source: str = "text") -> SimplicialComplex:
         except ValueError:
             raise ValueError(f"bad subset line {ln!r}") from None
     if kind == "facets":
-        return from_facets(m, subsets, source=source)
-    return from_nonfaces(m, subsets, source=source)
+        return from_facets(m, subsets)
+    return from_nonfaces(m, subsets)

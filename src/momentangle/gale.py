@@ -22,9 +22,7 @@ __all__ = [
     "SUBSET_LIMIT",
     "check_subset_count",
     "CyclicParams",
-    "Component",
     "as_subset",
-    "components",
     "is_face",
     "enumerate_faces",
     "f_vector",
@@ -61,19 +59,6 @@ class CyclicParams:
             )
 
 
-@dataclass(frozen=True)
-class Component:
-    """A maximal run of consecutive indices inside a vertex subset.
-
-    `proper` means the run contains neither vertex 1 nor vertex n; `odd`
-    means the run has an odd number of members.
-    """
-
-    run: tuple[int, ...]
-    proper: bool
-    odd: bool
-
-
 def as_subset(members, n: int) -> tuple[int, ...]:
     """Normalize a vertex collection to a strictly increasing tuple in 1..n.
 
@@ -92,39 +77,11 @@ def as_subset(members, n: int) -> tuple[int, ...]:
     return xs
 
 
-def components(members, n: int) -> list[Component]:
-    """Split a vertex subset into its maximal consecutive runs.
-
-    The runs partition the subset in increasing order.
-
-    >>> [c.run for c in components({1, 3, 4, 5}, 8)]
-    [(1,), (3, 4, 5)]
-    >>> [(c.proper, c.odd) for c in components({2, 6, 8}, 8)]
-    [(True, True), (True, True), (False, True)]
-    """
-    xs = as_subset(members, n)
-    out: list[Component] = []
-    i = 0
-    while i < len(xs):
-        j = i
-        while j + 1 < len(xs) and xs[j + 1] == xs[j] + 1:
-            j += 1
-        run = xs[i : j + 1]
-        out.append(
-            Component(
-                run=run,
-                proper=(run[0] != 1 and run[-1] != n),
-                odd=(len(run) % 2 == 1),
-            )
-        )
-        i = j + 1
-    return out
-
-
 def is_face(members, p: CyclicParams) -> bool:
     """Decide whether a vertex subset spans a face of C(p.n, p.d).
 
-    The empty set counts as a face (standard simplicial convention).
+    One pass over the sorted subset counts its proper odd runs.  The empty
+    set counts as a face (standard simplicial convention).
 
     >>> is_face({1, 3, 5}, CyclicParams(8, 4))
     False
@@ -134,7 +91,13 @@ def is_face(members, p: CyclicParams) -> bool:
     xs = as_subset(members, p.n)
     if len(xs) > p.d:
         return False
-    proper_odd = sum(1 for c in components(xs, p.n) if c.proper and c.odd)
+    proper_odd = run = 0
+    for i, v in enumerate(xs):
+        run += 1
+        if i + 1 == len(xs) or xs[i + 1] != v + 1:  # v ends a run of `run` vertices
+            if run % 2 and v != run and v != p.n:  # v == run: the run starts at 1
+                proper_odd += 1
+            run = 0
     return proper_odd <= p.d - len(xs)
 
 

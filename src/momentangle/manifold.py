@@ -149,7 +149,7 @@ def connected_sum_homology(spec: ConnectedSumSpec) -> GradedRanks:
 
 def poincare_check(g: GradedRanks) -> bool:
     """True iff rank_k == rank_{top-k} for every degree (duality symmetry)."""
-    return all(g.rank(k) == g.rank(g.top - k) for k in range(g.top + 1))
+    return all(g.rank(g.top - k) == v for k, v in g.ranks.items())
 
 
 def euler_characteristic(g: GradedRanks) -> int:

@@ -7,19 +7,14 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from momentangle import CyclicParams, face_ring, from_cyclic, from_polygon  # noqa: E402
+from momentangle import CyclicParams, from_cyclic, from_polygon  # noqa: E402
 
 
 @pytest.fixture(scope="session")
-def c84():
+def c84_ring():
     return from_cyclic(CyclicParams(8, 4))
 
 
 @pytest.fixture(scope="session")
-def c84_ring(c84):
-    return face_ring(c84)
-
-
-@pytest.fixture(scope="session")
 def pentagon_ring():
-    return face_ring(from_polygon(5))
+    return from_polygon(5)

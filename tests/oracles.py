@@ -6,15 +6,18 @@ exponent vector by exponent vector instead of by the graded Witt formula,
 connected-sum homology is peeled one summand at a time via the collapse
 cofibration instead of multiplying punctured tables, the minimal relation
 degree is found by exhaustive multiset matching instead of the lcm shortcut,
-and minimal non-faces are found by scanning subsets against the facet list
-instead of extending bitmask faces.
+minimal non-faces are found by scanning subsets against the facet list (or
+the non-face list) instead of extending bitmask faces, and Gale's criterion
+splits a subset into run objects instead of counting runs in one pass.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from itertools import chain, combinations
 
+from momentangle.gale import as_subset
 from momentangle.hilton import moebius
 
 # The 16 minimal non-faces of the boundary complex of C(8,4); independently
@@ -50,6 +53,72 @@ def minimal_nonfaces_bruteforce(m: int, facets) -> list[tuple[int, ...]]:
             if not is_face(s) and all(is_face(s[:i] + s[i + 1 :]) for i in range(card)):
                 out.append(s)
     return sorted(out)
+
+
+def minimal_elements_bruteforce(m: int, nonfaces) -> list[tuple[int, ...]]:
+    """Minimal elements of a non-face list on 1..m, sorted.
+
+    Scans every subset of 1..m and keeps those that contain a listed set
+    while none of their one-vertex deletions does.
+    """
+    listed = [set(s) for s in nonfaces]
+
+    def covered(s) -> bool:
+        return any(t <= set(s) for t in listed)
+
+    out = []
+    for card in range(m + 1):
+        for s in combinations(range(1, m + 1), card):
+            if covered(s) and not any(covered(s[:i] + s[i + 1 :]) for i in range(card)):
+                out.append(s)
+    return sorted(out)
+
+
+# ---------------------------------------------------------------------------
+# Gale's evenness criterion: maximal runs as objects
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Component:
+    """A maximal run of consecutive indices inside a vertex subset.
+
+    `proper` means the run contains neither vertex 1 nor vertex n; `odd`
+    means the run has an odd number of members.
+    """
+
+    run: tuple[int, ...]
+    proper: bool
+    odd: bool
+
+
+def components(members, n: int) -> list[Component]:
+    """Split a vertex subset into its maximal consecutive runs, in increasing
+    order; the runs partition the subset."""
+    xs = as_subset(members, n)
+    out: list[Component] = []
+    i = 0
+    while i < len(xs):
+        j = i
+        while j + 1 < len(xs) and xs[j + 1] == xs[j] + 1:
+            j += 1
+        run = xs[i : j + 1]
+        out.append(
+            Component(
+                run=run,
+                proper=(run[0] != 1 and run[-1] != n),
+                odd=(len(run) % 2 == 1),
+            )
+        )
+        i = j + 1
+    return out
+
+
+def is_face_by_components(members, n: int, d: int) -> bool:
+    """Gale's criterion for C(n, d): a k-subset is a face iff k <= d and it
+    has at most d - k proper odd components."""
+    xs = as_subset(members, n)
+    proper_odd = sum(1 for c in components(xs, n) if c.proper and c.odd)
+    return len(xs) <= d and proper_odd <= d - len(xs)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ import time
 from itertools import combinations, combinations_with_replacement
 
 from momentangle.cli import main
-from momentangle.complexes import face_ring, from_cyclic, from_polygon, minimal_nonfaces
+from momentangle.complexes import from_cyclic, from_polygon
 from momentangle.gale import CyclicParams, enumerate_faces, f_vector, is_face
 from momentangle.hilton import wedge_spectrum
 from momentangle.manifold import (
@@ -185,10 +185,10 @@ def test_criterion_8_property_suites_headless():
                         assert is_face(sub, p)
         # generator incomparability
         for F in (
-            face_ring(from_cyclic(CyclicParams(8, 4))),
-            face_ring(from_cyclic(CyclicParams(7, 4))),
-            face_ring(from_polygon(5)),
-            face_ring(from_polygon(8)),
+            from_cyclic(CyclicParams(8, 4)),
+            from_cyclic(CyclicParams(7, 4)),
+            from_polygon(5),
+            from_polygon(8),
         ):
             for a, b in combinations(F.generators, 2):
                 assert not set(a.support).issubset(b.support)
@@ -205,5 +205,5 @@ def test_criterion_8_property_suites_headless():
 def test_complex_module_minimal_nonfaces_agree_with_gale_bruteforce():
     # The two routes to the C(8,4) ideal (complex search vs direct criterion)
     # must coincide; this pins the reconciliation at the library level too.
-    got = minimal_nonfaces(from_cyclic(CyclicParams(8, 4)))
+    got = [g.support for g in from_cyclic(CyclicParams(8, 4)).generators]
     assert got == CYCLIC_8_4_MINIMAL_NONFACES

@@ -164,6 +164,16 @@ class TestHomology:
         code, out, err = run_cli(capsys, "homology", "16*S5yS7")
         assert code == 1
 
+    def test_huge_dimension_is_fast(self, capsys):
+        start = time.perf_counter()
+        code, payload = run_json(capsys, "homology", "S1000000000000xS1000000000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        block = payload["manifold"]
+        assert block["ranks"] == {"0": 1, "1000000000000": 2, "2000000000000": 1}
+        assert block["poincare"] is True
+        assert block["euler"] == 4
+
 
 class TestVerdict:
     def test_not_equivalent(self, capsys):

@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 from momentangle.complexes import (
     FaceRingPresentation,
     Monomial,
-    face_ring,
     from_cyclic,
     from_facets,
     from_nonfaces,
     from_polygon,
-    minimal_nonfaces,
     parse_complex,
 )
 from momentangle.gale import CyclicParams, is_face as cyclic_is_face
@@ -22,8 +20,14 @@ from momentangle.gale import CyclicParams, is_face as cyclic_is_face
 from oracles import (
     CYCLIC_8_4_MINIMAL_NONFACES,
     PENTAGON_MINIMAL_NONFACES,
+    minimal_elements_bruteforce,
     minimal_nonfaces_bruteforce,
 )
+
+
+def supports(F):
+    """The generator supports of F: its minimal non-faces, sorted."""
+    return [g.support for g in F.generators]
 
 
 def all_subsets(m, max_card=None):
@@ -50,6 +54,17 @@ def random_facet_lists():
     ).map(build)
 
 
+def nonface_lists():
+    """(m, non-faces) with at least two vertices per entry; entries come in
+    any order, unsorted, and may repeat or contain one another."""
+
+    def draw(m):
+        entry = st.lists(st.integers(1, m), min_size=2, max_size=m, unique=True)
+        return st.tuples(st.just(m), st.lists(entry, max_size=8))
+
+    return st.integers(2, 7).flatmap(draw)
+
+
 class TestMonomial:
     def test_degree_doubles_support(self):
         assert Monomial((1, 3, 5)).degree == 6
@@ -70,7 +85,7 @@ class TestFactories:
     def test_facets_drop_nonmaximal(self):
         K = from_facets(3, [(1, 2), (1,), (3,)])
         assert K == from_facets(3, [(1, 2), (3,)])
-        assert K.nonfaces == ((1, 3), (2, 3))
+        assert supports(K) == [(1, 3), (2, 3)]
 
     def test_facets_reject_ghosts(self):
         with pytest.raises(ValueError):
@@ -106,17 +121,12 @@ class TestFactories:
 
     def test_nonfaces_minimalized(self):
         K = from_nonfaces(4, [(1, 2), (1, 2, 3), (3, 4)])
-        assert K.nonfaces == ((1, 2), (3, 4))
+        assert supports(K) == [(1, 2), (3, 4)]
 
     def test_is_face_validates_range(self):
         K = from_polygon(5)
         with pytest.raises(ValueError):
             K.is_face({0, 2})
-
-    def test_dim(self):
-        assert from_polygon(6).dim() == 1
-        assert from_cyclic(CyclicParams(8, 4)).dim() == 3
-        assert from_nonfaces(5, PENTAGON_MINIMAL_NONFACES).dim() == 1
 
 
 class TestFromCyclic:
@@ -143,13 +153,13 @@ class TestFromCyclic:
 
 class TestFromPolygon:
     def test_pentagon(self):
-        assert minimal_nonfaces(from_polygon(5)) == PENTAGON_MINIMAL_NONFACES
+        assert supports(from_polygon(5)) == PENTAGON_MINIMAL_NONFACES
 
     def test_square(self):
-        assert minimal_nonfaces(from_polygon(4)) == [(1, 3), (2, 4)]
+        assert supports(from_polygon(4)) == [(1, 3), (2, 4)]
 
     def test_hexagon_count(self):
-        assert len(minimal_nonfaces(from_polygon(6))) == 9
+        assert len(supports(from_polygon(6))) == 9
 
     def test_rejects_triangle(self):
         with pytest.raises(ValueError):
@@ -164,22 +174,21 @@ class TestFromPolygon:
 
 class TestMinimalNonfaces:
     def test_c84_matches_reference(self):
-        got = minimal_nonfaces(from_cyclic(CyclicParams(8, 4)))
+        got = supports(from_cyclic(CyclicParams(8, 4)))
         assert got == CYCLIC_8_4_MINIMAL_NONFACES
 
     def test_simplex_boundary_single_nonface(self):
-        got = minimal_nonfaces(from_cyclic(CyclicParams(5, 4)))
+        got = supports(from_cyclic(CyclicParams(5, 4)))
         assert got == [(1, 2, 3, 4, 5)]
 
     def test_deterministic(self):
-        K = from_cyclic(CyclicParams(7, 4))
-        assert minimal_nonfaces(K) == minimal_nonfaces(K)
+        assert from_cyclic(CyclicParams(7, 4)) == from_cyclic(CyclicParams(7, 4))
 
     @settings(max_examples=60, deadline=None)
     @given(random_facet_lists())
     def test_minimality_and_reconstruction(self, args):
         m, facets = args
-        gens = minimal_nonfaces(from_facets(m, facets))
+        gens = supports(from_facets(m, facets))
         for a, b in combinations(gens, 2):
             assert not set(a).issubset(b)
             assert not set(b).issubset(a)
@@ -192,8 +201,8 @@ class TestMinimalNonfaces:
     def test_from_facets_matches_bruteforce(self, args, data):
         m, facets = args
         repeated = data.draw(st.lists(st.sampled_from(facets), max_size=3))
-        got = from_facets(m, facets + repeated).nonfaces
-        assert list(got) == minimal_nonfaces_bruteforce(m, facets)
+        got = supports(from_facets(m, facets + repeated))
+        assert got == minimal_nonfaces_bruteforce(m, facets)
 
     @pytest.mark.parametrize(
         "n,d", [(n, d) for n in range(3, 12) for d in range(2, n)]
@@ -201,14 +210,28 @@ class TestMinimalNonfaces:
     def test_cyclic_matches_bruteforce(self, n, d):
         p = CyclicParams(n, d)
         facets = [c for c in combinations(range(1, n + 1), d) if cyclic_is_face(c, p)]
-        assert minimal_nonfaces(from_cyclic(p)) == minimal_nonfaces_bruteforce(n, facets)
+        assert supports(from_cyclic(p)) == minimal_nonfaces_bruteforce(n, facets)
+
+    @settings(max_examples=100, deadline=None)
+    @given(nonface_lists(), st.data())
+    def test_from_nonfaces_matches_bruteforce(self, args, data):
+        m, listed = args
+        if listed:
+            repeated = data.draw(st.lists(st.sampled_from(listed), max_size=3))
+            grown = data.draw(
+                st.lists(st.tuples(st.sampled_from(listed), st.integers(1, m)), max_size=3)
+            )
+            listed = listed + repeated + [s + [v] for s, v in grown if v not in s]
+        listed = data.draw(st.permutations(listed))
+        got = supports(from_nonfaces(m, listed))
+        assert got == minimal_elements_bruteforce(m, listed)
 
     @settings(max_examples=25, deadline=None)
     @given(st.tuples(st.integers(2, 5), st.integers(0, 4)))
     def test_cyclic_generators_respect_neighborliness(self, t):
         d, extra = t
         p = CyclicParams(d + 2 + extra, d)
-        gens = minimal_nonfaces(from_cyclic(p))
+        gens = supports(from_cyclic(p))
         assert all(len(g) >= p.d // 2 + 1 for g in gens)
 
 
@@ -224,7 +247,7 @@ class TestFaceRing:
         assert pentagon_ring.degree_histogram() == {4: 5}
 
     def test_full_simplex_is_trivial(self):
-        F = face_ring(from_facets(4, [(1, 2, 3, 4)]))
+        F = from_facets(4, [(1, 2, 3, 4)])
         assert F.is_trivial
         assert F.generators == ()
 
@@ -243,7 +266,7 @@ class TestParseComplex:
             " ".join(map(str, nf)) for nf in PENTAGON_MINIMAL_NONFACES
         )
         K = parse_complex(text)
-        assert minimal_nonfaces(K) == minimal_nonfaces(from_polygon(5))
+        assert supports(K) == supports(from_polygon(5))
 
     def test_facets_text(self):
         text = """
@@ -256,7 +279,20 @@ class TestParseComplex:
         4
         """
         K = parse_complex(text)
-        assert minimal_nonfaces(K) == [(1, 2, 3), (1, 4), (2, 4), (3, 4)]
+        assert supports(K) == [(1, 2, 3), (1, 4), (2, 4), (3, 4)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_facet_lists(), nonface_lists())
+    def test_sections_match_factories(self, facet_case, nonface_case):
+        def text(m, section, subsets):
+            return f"vertices {m}\n{section}\n" + "".join(
+                " ".join(map(str, s)) + "\n" for s in subsets
+            )
+
+        m, facets = facet_case
+        assert parse_complex(text(m, "facets", facets)) == from_facets(m, facets)
+        m, nonfaces = nonface_case
+        assert parse_complex(text(m, "nonfaces", nonfaces)) == from_nonfaces(m, nonfaces)
 
     def test_bad_header(self):
         with pytest.raises(ValueError):

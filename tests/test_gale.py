@@ -6,16 +6,16 @@ from hypothesis import strategies as st
 
 from momentangle.gale import (
     SUBSET_LIMIT,
-    Component,
     CyclicParams,
     as_subset,
     check_subset_count,
-    components,
     enumerate_faces,
     f_vector,
     is_face,
     is_q_neighborly,
 )
+
+from oracles import Component, components, is_face_by_components
 
 
 def small_params():
@@ -35,6 +35,8 @@ class TestParams:
 
 
 class TestComponents:
+    """The run splitter in tests/oracles.py, the reference for Gale's criterion."""
+
     def test_mixed_runs(self):
         got = components({1, 3, 4, 5}, 8)
         assert got == [
@@ -94,6 +96,14 @@ class TestIsFace:
 
     def test_too_large_subset(self):
         assert not is_face({1, 2, 3, 4, 5}, CyclicParams(8, 4))
+
+    @pytest.mark.parametrize("n", range(3, 12))
+    def test_matches_component_oracle(self, n):
+        subsets = [c for k in range(n + 1) for c in combinations(range(1, n + 1), k)]
+        for d in range(2, n):
+            p = CyclicParams(n, d)
+            for s in subsets:
+                assert is_face(s, p) == is_face_by_components(s, n, d), (s, n, d)
 
 
 class TestEnumerateFaces:

@@ -143,6 +143,16 @@ class TestPoincareAndEuler:
     def test_sphere_table_passes(self):
         assert poincare_check(GradedRanks({0: 1, 12: 1}, top=12))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 14).flatmap(lambda top: st.tuples(
+        st.just(top), st.dictionaries(st.integers(1, top), st.integers(0, 3))
+        if top else st.just({}))))
+    def test_matches_degree_walk(self, case):
+        top, ranks = case
+        g = GradedRanks({**ranks, 0: 1}, top=top)
+        walk = all(g.rank(k) == g.rank(top - k) for k in range(top + 1))
+        assert poincare_check(g) == walk
+
     def test_euler_values(self):
         assert euler_characteristic(connected_sum_homology(M_SPEC)) == 0
         assert euler_characteristic(product_homology(T66)) == 4

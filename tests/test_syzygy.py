@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from momentangle.complexes import (
     FaceRingPresentation,
     Monomial,
-    face_ring,
     from_cyclic,
     from_polygon,
 )
@@ -86,7 +85,7 @@ class TestMinRelationDegree:
             min_relation_degree(FaceRingPresentation(3))
 
     def test_witness_is_a_valid_relation(self, c84_ring, pentagon_ring):
-        for F in (c84_ring, pentagon_ring, face_ring(from_polygon(6))):
+        for F in (c84_ring, pentagon_ring, from_polygon(6)):
             _, witness = min_relation_degree(F)
             assert relation_holds(F, witness)
 
@@ -99,11 +98,11 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: face_ring(from_polygon(4)),
-            lambda: face_ring(from_polygon(5)),
-            lambda: face_ring(from_polygon(6)),
-            lambda: face_ring(from_cyclic(CyclicParams(6, 4))),
-            lambda: face_ring(from_cyclic(CyclicParams(7, 4))),
+            lambda: from_polygon(4),
+            lambda: from_polygon(5),
+            lambda: from_polygon(6),
+            lambda: from_cyclic(CyclicParams(6, 4)),
+            lambda: from_cyclic(CyclicParams(7, 4)),
         ],
     )
     def test_small_rings(self, make):
