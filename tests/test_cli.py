@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,8 +7,12 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from momentangle import cli
 from momentangle.cli import main
+from momentangle.manifold import parse_connected_sum
 
 from conftest import SRC
 from oracles import CYCLIC_8_4_MINIMAL_NONFACES, PENTAGON_MINIMAL_NONFACES
@@ -164,6 +170,23 @@ class TestHomology:
         code, out, err = run_cli(capsys, "homology", "16*S5yS7")
         assert code == 1
 
+    # Text starting with "-" is read as an option (`-h` would print help).
+    @settings(max_examples=100, deadline=None)
+    @given(st.text(max_size=30).filter(lambda t: not t.startswith("-")))
+    def test_garbage_spec_is_one_error_line(self, text):
+        try:
+            parse_connected_sum(text)
+        except ValueError:
+            pass
+        else:
+            return
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["homology", text])
+        assert code == 1
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
     def test_huge_dimension_is_fast(self, capsys):
         start = time.perf_counter()
         code, payload = run_json(capsys, "homology", "S1000000000000xS1000000000000")
@@ -286,3 +309,67 @@ class TestModuleInvocation:
             capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 1
+
+
+class TestInProcessCalls:
+    """Calls in one process share a parser and a face-ring cache; each must
+    print exactly what a fresh interpreter prints."""
+
+    SEQUENCE = [
+        ["ideal", "polygon", "5"],
+        ["verdict", "polygon", "5", "--vs", "5*S3xS4"],
+        ["--json", "verdict", "polygon", "5", "--vs", "5*S3xS4"],
+        ["verdict", "cyclic", "8", "4", "--vs", "16*S5xS7 # 15*S6xS6", "--q", "6"],
+        ["verdict", "cyclic", "8", "4", "--vs", "16*S5xS7 # 15*S6xS6", "--quiet"],
+        ["syzmin", "cyclic", "8", "4", "--json"],
+        ["wedge", "cyclic", "8", "4", "--ceiling", "9"],
+        ["ideal", "cyclic", "8", "3", "--json"],
+        ["ideal", "polygon", "3"],
+        ["ideal", "polygon", "3"],
+        ["ideal", "cyclic", "8", "4", "--bogus"],
+        ["verdict", "--help"],
+        ["--quiet", "counterexample"],
+        ["ideal", "polygon", "5", "--quiet"],
+    ]
+
+    @staticmethod
+    def call(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # --help
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_sequence_matches_fresh_interpreters(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal width
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        for argv in self.SEQUENCE:
+            proc = subprocess.run(
+                [sys.executable, "-m", "momentangle", *argv],
+                capture_output=True, text=True, env=env,
+            )
+            fresh = (proc.returncode, proc.stdout, proc.stderr)
+            assert self.call(capsys, argv) == fresh, argv
+
+    def test_edited_file_is_reread(self, capsys, tmp_path):
+        path = tmp_path / "complex.txt"
+        path.write_text("vertices 5\nnonfaces\n1 3\n1 4\n2 4\n2 5\n3 5\n")
+        code, payload = run_json(capsys, "ideal", "file", str(path))
+        assert code == 0 and payload["ideal"]["generators"] == [
+            [1, 3], [1, 4], [2, 4], [2, 5], [3, 5]
+        ]
+        path.write_text("vertices 4\nnonfaces\n1 3\n2 4\n")
+        code, payload = run_json(capsys, "ideal", "file", str(path))
+        assert code == 0 and payload["ideal"]["generators"] == [[1, 3], [2, 4]]
+
+    def test_missing_file_error_is_not_kept(self, capsys, tmp_path):
+        path = tmp_path / "later.txt"
+        code, out, err = run_cli(capsys, "ideal", "file", str(path))
+        assert code == 1 and err.startswith("error: ")
+        path.write_text("vertices 4\nnonfaces\n1 3\n2 4\n")
+        code, payload = run_json(capsys, "ideal", "file", str(path))
+        assert code == 0 and payload["ideal"]["generators"] == [[1, 3], [2, 4]]
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()

@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 
 import pytest
@@ -15,7 +16,12 @@ from momentangle.gale import (
     is_q_neighborly,
 )
 
-from oracles import Component, components, is_face_by_components
+from oracles import (
+    Component,
+    components,
+    is_face_by_components,
+    is_q_neighborly_bruteforce,
+)
 
 
 def small_params():
@@ -162,6 +168,15 @@ class TestFVector:
     def test_simplex(self):
         assert f_vector(CyclicParams(5, 4)) == (5, 10, 10, 5)
 
+    @pytest.mark.parametrize("n", range(3, 14))
+    def test_matches_enumeration(self, n):
+        for d in range(2, n):
+            p = CyclicParams(n, d)
+            counts = [0] * d
+            for face in enumerate_faces(p, d):
+                counts[len(face) - 1] += 1
+            assert f_vector(p) == tuple(counts), (n, d)
+
 
 class TestNeighborliness:
     def test_c84_two_neighborly(self):
@@ -181,6 +196,20 @@ class TestNeighborliness:
     @given(small_params())
     def test_half_dim_neighborly(self, p):
         assert is_q_neighborly(p, p.d // 2)
+
+    @pytest.mark.parametrize("n", range(3, 12))
+    def test_matches_definition(self, n):
+        for d in range(2, n):
+            for q in range(1, n + 2):
+                want = is_q_neighborly_bruteforce(n, d, q)
+                assert is_q_neighborly(CyclicParams(n, d), q) == want, (n, d, q)
+
+    def test_large_case_is_fast(self):
+        # C(60, 30) has 5.3e13 subsets of size 15; all of them are faces.
+        start = time.perf_counter()
+        assert is_q_neighborly(CyclicParams(60, 30), 15)
+        assert not is_q_neighborly(CyclicParams(60, 30), 16)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestDownwardClosure:

@@ -33,6 +33,25 @@ def dim12_specs():
     ).map(lambda s: ConnectedSumSpec(tuple(s)))
 
 
+def grammar_texts():
+    """Summands `k*S<m>xS<n>` in mixed case and spacing, `k*` optional; some
+    are rejected (factor below S^2, multiplicity 0, mixed total dimension)."""
+    summand = st.tuples(
+        st.sampled_from(["", "1*", "2 * ", "15*", "0*", "007*"]),
+        st.sampled_from(["S", "s", " S"]), st.integers(0, 9),
+        st.sampled_from(["x", "X", " x "]), st.sampled_from(["S", "s"]), st.integers(0, 9),
+    ).map(lambda parts: "".join(map(str, parts)))
+    return st.lists(summand, min_size=1, max_size=4).map(" # ".join)
+
+
+def spec_like_texts():
+    """Arbitrary text, text over the grammar's alphabet, and grammar_texts."""
+    alphabet = st.sampled_from(["S", "s", "x", "X", "*", "#", " ", "\t", "0", "1", "5", "12"])
+    return st.one_of(
+        st.text(max_size=40), st.lists(alphabet, max_size=20).map("".join), grammar_texts()
+    )
+
+
 class TestSphereProduct:
     def test_factors_are_sorted(self):
         t = SphereProduct(7, 5)
@@ -217,6 +236,25 @@ class TestGrammar:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_connected_sum(bad)
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec_like_texts())
+    def test_fuzz_raises_only_value_error(self, text):
+        try:
+            parse_connected_sum(text)
+        except ValueError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(grammar_texts(), spec_like_texts()))
+    def test_fuzz_accepted_specs_round_trip(self, text):
+        try:
+            spec = parse_connected_sum(text)
+        except ValueError:
+            return
+        canonical = format_connected_sum(spec)
+        assert parse_connected_sum(canonical) == spec
+        assert format_connected_sum(parse_connected_sum(canonical)) == canonical
 
     @settings(max_examples=40, deadline=None)
     @given(dim12_specs(), st.randoms(use_true_random=False))
