@@ -50,7 +50,6 @@ from .manifold import (
     hurewicz_window,
     parse_connected_sum,
     poincare_check,
-    product_homology,
     rational_homotopy_rank,
 )
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import complexes, hilton, manifold, syzygy
 from .complexes import FaceRingPresentation, Monomial
-from .gale import CyclicParams, enumerate_faces
+from .gale import CyclicParams, enumerate_faces, f_vector
 
 __all__ = ["VerdictReport", "CliError", "build_verdict_report", "main", "run"]
 
@@ -284,10 +284,10 @@ def _finish_report(report: VerdictReport, args) -> int:
 def cmd_faces(args) -> int:
     p = CyclicParams(args.n, args.d)
     max_card = args.max_card if args.max_card is not None else p.d
-    faces = enumerate_faces(p, max_card)
-    counts = {str(k): 0 for k in range(1, max_card + 1)}
-    for face in faces:
-        counts[str(len(face))] += 1
+    if not 0 <= max_card <= p.d:
+        raise ValueError(f"max_card must lie in 0..{p.d}, got {max_card}")
+    faces = [] if args.count else enumerate_faces(p, max_card)
+    counts = {str(k): f for k, f in enumerate(f_vector(p)[:max_card], start=1)}
     if args.json:
         payload = {
             "input": {"kind": "cyclic", "n": p.n, "d": p.d, "max_card": max_card},
@@ -301,7 +301,7 @@ def cmd_faces(args) -> int:
         print(f"faces of C({p.n},{p.d}) with at most {max_card} vertices")
     for k, c in counts.items():
         print(f"cardinality {k}: {c}")
-    if not args.count and not args.quiet:
+    if not args.quiet:
         for face in faces:
             print(" ".join(map(str, face)))
     return 0

@@ -128,10 +128,18 @@ def f_vector(p: CyclicParams) -> tuple[int, ...]:
     symmetry h_i = h_{d-i} (upper bound theorem), and
     f_{j-1} = sum_{i<=j} C(d-i, j-i) h_i.
 
+    The sum takes O(d^2) big-integer binomials, so a dimension with
+    (d+1)^2 above SUBSET_LIMIT is refused with ValueError at once.
+
     >>> f_vector(CyclicParams(8, 4))
     (8, 28, 40, 20)
     """
     n, d = p.n, p.d
+    if (d + 1) ** 2 > SUBSET_LIMIT:
+        raise ValueError(
+            f"the f-vector of C({n},{d}) needs (d+1)^2 = {(d + 1) ** 2} binomials, "
+            f"above the limit of {SUBSET_LIMIT}"
+        )
     h = [comb(n - d - 1 + min(i, d - i), min(i, d - i)) for i in range(d + 1)]
     return tuple(
         sum(comb(d - i, j - i) * h[i] for i in range(j + 1)) for j in range(1, d + 1)

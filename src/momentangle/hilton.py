@@ -78,6 +78,8 @@ class SphereSpectrum:
     ceiling: int
 
     def __post_init__(self) -> None:
+        if self.ceiling < 0:
+            raise ValueError(f"the ceiling must be nonnegative, got {self.ceiling}")
         for dim, mult in self.entries.items():
             if dim % 2 == 0 or dim < 3:
                 raise ValueError(f"sphere dimensions must be odd and >= 3, got {dim}")
@@ -155,7 +157,6 @@ class WedgeModel:
     spectrum: SphereSpectrum
     m: int
     q_max: int
-    min_relation_degree: int
 
     def rank(self, q: int) -> int:
         """Rational homotopy rank in degree q, for q inside the valid window."""
@@ -164,9 +165,6 @@ class WedgeModel:
                 f"wedge model is valid for 3 <= q <= {self.q_max}, got q={q}"
             )
         return rational_rank_wedge(self.spectrum, q)
-
-    def rank_table(self) -> dict[int, int]:
-        return {q: self.rank(q) for q in range(3, self.q_max + 1)}
 
 
 def borel_model(F: FaceRingPresentation, rmin: int) -> WedgeModel:
@@ -186,4 +184,4 @@ def borel_model(F: FaceRingPresentation, rmin: int) -> WedgeModel:
     q_max = rmin - 2
     dims = [g.degree - 1 for g in F.generators]
     spectrum = wedge_spectrum(dims, ceiling=q_max)
-    return WedgeModel(spectrum=spectrum, m=F.m, q_max=q_max, min_relation_degree=rmin)
+    return WedgeModel(spectrum=spectrum, m=F.m, q_max=q_max)

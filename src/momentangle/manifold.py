@@ -17,7 +17,6 @@ __all__ = [
     "SphereProduct",
     "ConnectedSumSpec",
     "GradedRanks",
-    "product_homology",
     "connected_sum_homology",
     "poincare_check",
     "euler_characteristic",
@@ -107,34 +106,16 @@ class GradedRanks:
     def rank(self, k: int) -> int:
         return self.ranks.get(k, 0)
 
-    def reduced(self) -> dict[int, int]:
-        """Reduced ranks: degree 0 dropped."""
-        return {k: v for k, v in sorted(self.ranks.items()) if k > 0}
-
-
-def product_homology(t: SphereProduct, punctured: bool = False) -> GradedRanks:
-    """Homology ranks of S^m x S^n by Kuenneth; `punctured` removes the top
-    class (the product minus an open disk).
-
-    >>> product_homology(SphereProduct(6, 6)).ranks
-    {0: 1, 6: 2, 12: 1}
-    >>> product_homology(SphereProduct(6, 6), punctured=True).ranks
-    {0: 1, 6: 2}
-    """
-    ranks = {0: 1}
-    ranks[t.m] = ranks.get(t.m, 0) + 1
-    ranks[t.n] = ranks.get(t.n, 0) + 1
-    if not punctured:
-        ranks[t.total_dim] = ranks.get(t.total_dim, 0) + 1
-    return GradedRanks(ranks=ranks, top=t.total_dim)
-
 
 def connected_sum_homology(spec: ConnectedSumSpec) -> GradedRanks:
     """Homology ranks of a connected sum of sphere products.
 
-    Middle-degree reduced ranks are the sums of the summands' punctured
-    reduced ranks; degrees 0 and D carry rank 1.
+    Degrees 0 and D carry rank 1, and each summand S^m x S^n adds its
+    multiplicity to the ranks in degrees m and n.  A single product is the
+    one-summand sum.
 
+    >>> connected_sum_homology(parse_connected_sum("S6xS6")).ranks
+    {0: 1, 6: 2, 12: 1}
     >>> spec = parse_connected_sum("16*S5xS7 # 15*S6xS6")
     >>> connected_sum_homology(spec).ranks
     {0: 1, 5: 16, 6: 30, 7: 16, 12: 1}
@@ -142,8 +123,8 @@ def connected_sum_homology(spec: ConnectedSumSpec) -> GradedRanks:
     D = spec.total_dim
     ranks = {0: 1, D: 1}
     for mult, factor in spec.summands:
-        for k, v in product_homology(factor, punctured=True).reduced().items():
-            ranks[k] = ranks.get(k, 0) + mult * v
+        for k in (factor.m, factor.n):
+            ranks[k] = ranks.get(k, 0) + mult
     return GradedRanks(ranks=dict(sorted(ranks.items())), top=D)
 
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from momentangle import cli
 from momentangle.cli import main
+from momentangle.gale import CyclicParams, enumerate_faces, f_vector
 from momentangle.manifold import parse_connected_sum
 
 from conftest import SRC
@@ -50,6 +52,34 @@ class TestFaces:
         code, out, err = run_cli(capsys, "faces", "8", "4", "--max-card", "5")
         assert code == 1
         assert "max_card" in err
+
+    @pytest.mark.parametrize("n", range(3, 14))
+    def test_counts_match_enumeration(self, capsys, n):
+        for d in range(2, n):
+            faces = enumerate_faces(CyclicParams(n, d), d)
+            for max_card in range(d + 1):
+                listed = [f for f in faces if len(f) <= max_card]
+                want = {str(k): sum(len(f) == k for f in listed)
+                        for k in range(1, max_card + 1)}
+                text = [f"cardinality {k}: {c}\n" for k, c in want.items()]
+                argv = ["faces", str(n), str(d), "--max-card", str(max_card)]
+                for count in ([], ["--count"]):
+                    code, payload = run_json(capsys, *argv, *count)
+                    assert code == 0 and payload["counts"] == want, (argv, count)
+                    want_faces = None if count else [list(f) for f in listed]
+                    assert payload.get("faces") == want_faces, (argv, count)
+                    code, out, err = run_cli(capsys, "--quiet", *argv, *count)
+                    assert (code, out, err) == (0, "".join(text), ""), (argv, count)
+
+    def test_count_is_closed_form(self, capsys):
+        start = time.perf_counter()
+        code, payload = run_json(capsys, "faces", "60", "30", "--count")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        f = f_vector(CyclicParams(60, 30))
+        assert payload["counts"] == {str(k): f[k - 1] for k in range(1, 31)}
+        code, out, err = run_cli(capsys, "faces", "60", "30")
+        assert code == 1 and out == "" and "above the limit" in err
 
 
 class TestIdeal:
@@ -101,7 +131,7 @@ class TestInputLimits:
         "argv,text",
         [
             (["ideal", "cyclic", "24", "12"], None),
-            (["faces", "60", "30", "--count"], None),
+            (["faces", "20000", "10000", "--count"], None),
             (["ideal", "file"], "vertices 25\nfacets\n" + " ".join(map(str, range(1, 26)))),
             (["ideal", "file"], "vertices 1000000000\nfacets\n1 2\n"),
         ],
@@ -155,6 +185,17 @@ class TestWedge:
         wedge = payload["wedge"]
         assert wedge["spectrum"] == {"5": 16, "9": 120}
         assert any("q_max" in note for note in wedge["notes"])
+
+    def test_negative_ceiling_errors(self, capsys):
+        code, out, err = run_cli(capsys, "wedge", "polygon", "4", "--ceiling", "-3")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "ceiling" in err
+
+    def test_small_ceilings_give_empty_spectra(self, capsys):
+        for ceiling in ("0", "1", "2"):
+            code, payload = run_json(capsys, "wedge", "polygon", "4", "--ceiling", ceiling)
+            assert code == 0 and payload["wedge"]["spectrum"] == {}
 
 
 class TestHomology:
@@ -373,3 +414,16 @@ class TestInProcessCalls:
 
     def test_parser_is_built_once(self):
         assert cli._build_parser() is cli._build_parser()
+
+
+class TestReadme:
+    def test_cli_examples_run(self, capsys):
+        """Every `momentangle ...` line of the README's CLI block exits 0 or 2
+        with output and without an error line."""
+        text = (SRC.parent / "README.md").read_text()
+        block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [ln for ln in block.splitlines() if ln.startswith("momentangle ")]
+        assert len(lines) >= 5
+        for line in lines:
+            code, out, err = run_cli(capsys, *shlex.split(line, comments=True)[1:])
+            assert code in (0, 2) and out and err == "", line

@@ -177,6 +177,11 @@ class TestFVector:
                 counts[len(face) - 1] += 1
             assert f_vector(p) == tuple(counts), (n, d)
 
+    def test_refuses_oversized_dimension(self):
+        # d = 1024 is the first dimension with (d+1)^2 above SUBSET_LIMIT = 1024^2.
+        with pytest.raises(ValueError, match="1050625 binomials, above the limit"):
+            f_vector(CyclicParams(1025, 1024))
+
 
 class TestNeighborliness:
     def test_c84_two_neighborly(self):
@@ -209,6 +214,12 @@ class TestNeighborliness:
         start = time.perf_counter()
         assert is_q_neighborly(CyclicParams(60, 30), 15)
         assert not is_q_neighborly(CyclicParams(60, 30), 16)
+        assert time.perf_counter() - start < 1.0
+
+    def test_oversized_dimension_fails_fast(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="f-vector of C\\(20000,10000\\)"):
+            is_q_neighborly(CyclicParams(20000, 10000), 2)
         assert time.perf_counter() - start < 1.0
 
 

@@ -117,6 +117,8 @@ class TestWedgeSpectrum:
 
     def test_ceiling_below_bottom_gives_empty(self):
         assert wedge_spectrum([5] * 4, 4).entries == {}
+        for ceiling in (0, 1, 2):
+            assert wedge_spectrum([3] * 4, ceiling).entries == {}
 
 
 class TestMixedWedgeSpectrum:
@@ -234,6 +236,12 @@ class TestSphereSpectrum:
         with pytest.raises(ValueError):
             SphereSpectrum({5: 0}, ceiling=10)
 
+    def test_rejects_negative_ceiling(self):
+        with pytest.raises(ValueError, match="ceiling"):
+            SphereSpectrum({}, ceiling=-1)
+        with pytest.raises(ValueError, match="ceiling"):
+            wedge_spectrum([5] * 4, -3)
+
 
 class TestBorelModel:
     def test_c84(self, c84_ring):
@@ -241,7 +249,7 @@ class TestBorelModel:
         assert model.q_max == 6
         assert model.m == 8
         assert model.spectrum.entries == {5: 16}
-        assert model.rank_table() == {3: 0, 4: 0, 5: 16, 6: 0}
+        assert {q: model.rank(q) for q in range(3, 7)} == {3: 0, 4: 0, 5: 16, 6: 0}
 
     def test_pentagon(self, pentagon_ring):
         model = borel_model(pentagon_ring, 6)
