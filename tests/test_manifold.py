@@ -103,6 +103,12 @@ class TestConnectedSumHomology:
         g = connected_sum_homology(M_SPEC)
         assert g.ranks == {0: 1, 5: 16, 6: 30, 7: 16, 12: 1}
 
+    def test_single_summand_is_the_product(self):
+        """One summand gives the Kuenneth ranks of S^m x S^n."""
+        for t in (T57, T66, T39):
+            spec = ConnectedSumSpec(((1, t),))
+            assert connected_sum_homology(spec).ranks == connected_sum_ranks_peeling(spec)
+
     def test_two_t66(self):
         g = connected_sum_homology(ConnectedSumSpec(((2, T66),)))
         assert g.ranks == {0: 1, 6: 4, 12: 1}
