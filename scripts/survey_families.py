@@ -30,10 +30,10 @@ def survey_cyclic(d: int, n_max: int) -> None:
             print(f"{n:>3} {len(F.generators):>5} {'-':>12} {'-':>5} {'-':>6}")
             continue
         rmin, _ = min_relation_degree(F)
-        model = borel_model(F, rmin)
+        wedge = borel_model(F, rmin)
         hist = ",".join(f"{deg}:{cnt}" for deg, cnt in F.degree_histogram().items())
-        spectrum = ",".join(f"{k}:{v}" for k, v in sorted(model.spectrum.entries.items()))
-        print(f"{n:>3} {len(F.generators):>5} {hist:>12} {rmin:>5} {model.q_max:>6} {spectrum:>20}")
+        spectrum = ",".join(f"{k}:{v}" for k, v in sorted(wedge.entries.items()))
+        print(f"{n:>3} {len(F.generators):>5} {hist:>12} {rmin:>5} {wedge.ceiling:>6} {spectrum:>20}")
 
 
 def survey_polygons(m_max: int) -> None:
@@ -42,9 +42,9 @@ def survey_polygons(m_max: int) -> None:
     for m in range(4, m_max + 1):
         F = from_polygon(m)
         rmin, _ = min_relation_degree(F)
-        model = borel_model(F, rmin)
-        spectrum = ",".join(f"{k}:{v}" for k, v in sorted(model.spectrum.entries.items()))
-        print(f"{m:>3} {len(F.generators):>5} {rmin:>5} {model.q_max:>6} {spectrum:>20}")
+        wedge = borel_model(F, rmin)
+        spectrum = ",".join(f"{k}:{v}" for k, v in sorted(wedge.entries.items()))
+        print(f"{m:>3} {len(F.generators):>5} {rmin:>5} {wedge.ceiling:>6} {spectrum:>20}")
 
 
 if __name__ == "__main__":

@@ -4,10 +4,11 @@ A simplicial complex is carried by one type, the Stanley-Reisner
 presentation of its face ring (one ideal generator per minimal non-face).
 From a cyclic polytope, a polygon or a complex file this package derives that
 presentation, the minimal degree of a relation among the ideal generators,
-and the wedge-of-spheres model of the associated Borel space valid below
-that degree; on the other side it computes graded homology ranks of
-connected sums of sphere products and compares the two through the joint
-validity window.
+and the wedge-of-spheres model of the associated Borel space, a sphere
+spectrum truncated at the model's window (`borel_model`).  On the other side
+it computes graded homology ranks of connected sums of sphere products, which
+are rational homotopy ranks up to `hurewicz_window`; the CLI compares the two
+degree by degree where both windows hold.
 """
 
 from .gale import (
@@ -34,10 +35,8 @@ from .syzygy import (
 )
 from .hilton import (
     SphereSpectrum,
-    WedgeModel,
     borel_model,
     moebius,
-    rational_rank_wedge,
     wedge_spectrum,
 )
 from .manifold import (
@@ -50,7 +49,6 @@ from .manifold import (
     hurewicz_window,
     parse_connected_sum,
     poincare_check,
-    rational_homotopy_rank,
 )
 
 __version__ = "0.1.0"

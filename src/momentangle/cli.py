@@ -107,12 +107,12 @@ def _witness_block(F: FaceRingPresentation, rel: syzygy.RelationAmongRelations) 
     }
 
 
-def _wedge_block(shown: hilton.SphereSpectrum, model: hilton.WedgeModel) -> dict:
+def _wedge_block(shown: hilton.SphereSpectrum, q_max: int, m: int) -> dict:
     return {
         "spectrum": {str(k): v for k, v in sorted(shown.entries.items())},
         "ceiling": shown.ceiling,
-        "q_max": model.q_max,
-        "pi2_rank": model.m,
+        "q_max": q_max,
+        "pi2_rank": m,
     }
 
 
@@ -132,14 +132,14 @@ def build_verdict_report(source_tokens, manifold_text: str, q: int | None = None
     if F.is_trivial:
         raise CliError("the ideal is empty (full simplex): nothing to compare")
     rmin_degree, witness = syzygy.min_relation_degree(F)
-    model = hilton.borel_model(F, rmin_degree)
+    wedge = hilton.borel_model(F, rmin_degree)
     spec = manifold.parse_connected_sum(manifold_text)
     g = manifold.connected_sum_homology(spec)
     hur_max = manifold.hurewicz_window(g)
 
-    q_low, q_high = 3, min(model.q_max, hur_max)
+    q_low, q_high = 3, min(wedge.ceiling, hur_max)
     notes = [
-        f"wedge model valid for 3 <= q <= {model.q_max}",
+        f"wedge model valid for 3 <= q <= {wedge.ceiling}",
         f"homology determines homotopy ranks for q <= {hur_max}",
         *extra_notes,
     ]
@@ -147,7 +147,7 @@ def build_verdict_report(source_tokens, manifold_text: str, q: int | None = None
         if not q_low <= q <= q_high:
             raise CliError(
                 f"q={q} outside the joint validity window: the wedge model needs "
-                f"3 <= q <= {model.q_max}, the homology side needs q <= {hur_max}"
+                f"3 <= q <= {wedge.ceiling}, the homology side needs q <= {hur_max}"
             )
         degrees = [q]
     elif q_high < q_low:
@@ -157,12 +157,8 @@ def build_verdict_report(source_tokens, manifold_text: str, q: int | None = None
         degrees = list(range(q_low, q_high + 1))
 
     table = [
-        {
-            "q": degree,
-            "wedge_rank": model.rank(degree),
-            "manifold_rank": manifold.rational_homotopy_rank(g, degree),
-        }
-        for degree in degrees
+        {"q": d, "wedge_rank": wedge.entries.get(d, 0), "manifold_rank": g.rank(d)}
+        for d in degrees
     ]
     first_diff = next(
         (row["q"] for row in table if row["wedge_rank"] != row["manifold_rank"]), None
@@ -179,7 +175,7 @@ def build_verdict_report(source_tokens, manifold_text: str, q: int | None = None
         input={"source": descriptor, "manifold": manifold.format_connected_sum(spec)},
         ideal=_ideal_block(F),
         rmin={"degree": rmin_degree, "witness": _witness_block(F, witness)},
-        wedge=_wedge_block(model.spectrum, model),
+        wedge=_wedge_block(wedge, wedge.ceiling, F.m),
         manifold=_manifold_block(spec, g),
         comparison=comparison,
         verdict=verdict,
@@ -347,30 +343,28 @@ def cmd_syzmin(args) -> int:
 def cmd_wedge(args) -> int:
     F, descriptor = _resolve_source(args.source)
     rmin_degree, _ = syzygy.min_relation_degree(F)
-    model = hilton.borel_model(F, rmin_degree)
-    shown = model.spectrum
+    shown = hilton.borel_model(F, rmin_degree)
+    q_max = shown.ceiling
     if args.ceiling is not None:
         dims = [g.degree - 1 for g in F.generators]
         shown = hilton.wedge_spectrum(dims, args.ceiling)
     notes = []
-    if shown.ceiling > model.q_max:
-        notes.append(
-            f"entries above q_max={model.q_max} lie outside the validated window"
-        )
+    if shown.ceiling > q_max:
+        notes.append(f"entries above q_max={q_max} lie outside the validated window")
     if args.json:
         _emit_json(
             {
                 "input": {"source": descriptor},
                 "ideal": _ideal_block(F),
                 "rmin": {"degree": rmin_degree},
-                "wedge": {**_wedge_block(shown, model), "notes": notes},
+                "wedge": {**_wedge_block(shown, q_max, F.m), "notes": notes},
             }
         )
         return 0
     print(f"wedge model for {_describe_source(descriptor)}")
     print(f"  sphere spectrum (ceiling {shown.ceiling}): "
           + (", ".join(f"S^{k} x{v}" for k, v in sorted(shown.entries.items())) or "(none)"))
-    print(f"  valid window: 3 <= q <= {model.q_max}; degree-2 rank: {model.m}")
+    print(f"  valid window: 3 <= q <= {q_max}; degree-2 rank: {F.m}")
     for note in notes:
         print(f"  note: {note}")
     return 0

@@ -110,8 +110,13 @@ def enumerate_faces(p: CyclicParams, max_card: int) -> list[tuple[int, ...]]:
     """
     if not 0 <= max_card <= p.d:
         raise ValueError(f"max_card must lie in 0..{p.d}, got {max_card}")
-    n_subsets = sum(comb(p.n, k) for k in range(max_card + 1))
-    check_subset_count(n_subsets, f"enumerating the faces of C({p.n},{p.d})")
+    n_subsets = 0
+    for k in range(max_card + 1):  # stop once past the limit: the full sum can be huge
+        n_subsets += comb(p.n, k)
+        if n_subsets > SUBSET_LIMIT:
+            break
+    what = f"enumerating the faces of C({p.n},{p.d}) with at most {k} vertices"
+    check_subset_count(n_subsets, what)
     out: list[tuple[int, ...]] = []
     for k in range(1, max_card + 1):
         out.extend(
@@ -126,10 +131,9 @@ def f_vector(p: CyclicParams) -> tuple[int, ...]:
     Closed form, no enumeration: the h-vector of C(n, d) is
     h_i = C(n-d-1+i, i) for i <= d/2, extended by the Dehn-Sommerville
     symmetry h_i = h_{d-i} (upper bound theorem), and
-    f_{j-1} = sum_{i<=j} C(d-i, j-i) h_i.
-
-    The sum takes O(d^2) big-integer binomials, so a dimension with
-    (d+1)^2 above SUBSET_LIMIT is refused with ValueError at once.
+    sum_j f_{j-1} t^(d-j) = sum_i h_i (1+t)^(d-i), evaluated by Horner's
+    rule P <- P*(1+t) + h_i in O(d^2) additions.  A dimension with (d+1)^2
+    above SUBSET_LIMIT is refused with ValueError at once.
 
     >>> f_vector(CyclicParams(8, 4))
     (8, 28, 40, 20)
@@ -140,10 +144,11 @@ def f_vector(p: CyclicParams) -> tuple[int, ...]:
             f"the f-vector of C({n},{d}) needs (d+1)^2 = {(d + 1) ** 2} binomials, "
             f"above the limit of {SUBSET_LIMIT}"
         )
-    h = [comb(n - d - 1 + min(i, d - i), min(i, d - i)) for i in range(d + 1)]
-    return tuple(
-        sum(comb(d - i, j - i) * h[i] for i in range(j + 1)) for j in range(1, d + 1)
-    )
+    P: list[int] = []  # coefficients of t^0, t^1, ...
+    for i in range(d + 1):
+        P = [a + b for a, b in zip(P + [0], [0] + P)]
+        P[0] += comb(n - d - 1 + min(i, d - i), min(i, d - i))
+    return tuple(reversed(P[:d]))
 
 
 def is_q_neighborly(p: CyclicParams, q: int) -> bool:

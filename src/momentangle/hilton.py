@@ -14,7 +14,7 @@ S^(D+1):
 For k copies of S^3 (a = k t^2) it gives the Witt number
 W(k, w) = (1/w) * sum over d | w of mu(d) * k^(w/d) at n = 2w.  Everything
 here is exact integer arithmetic; spectra are always truncated at an explicit
-ceiling so that out-of-range degrees fail loudly instead of answering wrongly.
+ceiling, above which multiplicities are unknown rather than zero.
 """
 
 from __future__ import annotations
@@ -25,10 +25,8 @@ from .complexes import FaceRingPresentation
 
 __all__ = [
     "SphereSpectrum",
-    "WedgeModel",
     "moebius",
     "wedge_spectrum",
-    "rational_rank_wedge",
     "borel_model",
 ]
 
@@ -131,48 +129,14 @@ def wedge_spectrum(dims, ceiling: int) -> SphereSpectrum:
     return SphereSpectrum(entries=entries, ceiling=ceiling)
 
 
-def rational_rank_wedge(s: SphereSpectrum, q: int) -> int:
-    """Rank of the q-th rational homotopy group of the spectrum's wedge model.
+def borel_model(F: FaceRingPresentation, rmin: int) -> SphereSpectrum:
+    """Sphere spectrum of the wedge model of a face ring's Borel space,
+    truncated at the model's window top q_max = rmin - 2.
 
-    Rationally an odd sphere S^D contributes rank 1 in degree D and nothing
-    else, so the rank is just the multiplicity at q.  Degrees above the
-    truncation ceiling are refused.
-    """
-    if q > s.ceiling:
-        raise ValueError(
-            f"degree {q} is beyond the spectrum's truncation ceiling {s.ceiling}"
-        )
-    return s.entries.get(q, 0)
-
-
-@dataclass(frozen=True)
-class WedgeModel:
-    """Wedge-of-spheres model of the Borel space of a face ring.
-
-    Valid window: the model computes rational homotopy ranks for degrees
-    3 <= q <= q_max where q_max = (minimal relation degree) - 2.  The rank in
-    degree 2 is the variable count `m`, tracked apart from the spectrum.
-    """
-
-    spectrum: SphereSpectrum
-    m: int
-    q_max: int
-
-    def rank(self, q: int) -> int:
-        """Rational homotopy rank in degree q, for q inside the valid window."""
-        if not 3 <= q <= self.q_max:
-            raise ValueError(
-                f"wedge model is valid for 3 <= q <= {self.q_max}, got q={q}"
-            )
-        return rational_rank_wedge(self.spectrum, q)
-
-
-def borel_model(F: FaceRingPresentation, rmin: int) -> WedgeModel:
-    """Build the wedge model for a face ring presentation.
-
-    Each ideal generator r contributes a sphere of dimension deg(r) - 1 (odd,
-    since generators have even degree); `rmin` is the minimal relation degree
-    and caps the window at q_max = rmin - 2.
+    Each ideal generator r contributes a sphere S^(deg(r) - 1), odd since
+    generators have even degree.  For 3 <= q <= q_max, with `rmin` the
+    minimal relation degree, the rational rank of pi_q is the multiplicity
+    at q; the rank in degree 2 is the variable count `F.m`.
     """
     if F.is_trivial:
         raise ValueError("the ideal is empty (full simplex): no wedge model")
@@ -181,7 +145,4 @@ def borel_model(F: FaceRingPresentation, rmin: int) -> WedgeModel:
             "the wedge model needs a minimal relation degree, "
             "which needs at least two ideal generators"
         )
-    q_max = rmin - 2
-    dims = [g.degree - 1 for g in F.generators]
-    spectrum = wedge_spectrum(dims, ceiling=q_max)
-    return WedgeModel(spectrum=spectrum, m=F.m, q_max=q_max)
+    return wedge_spectrum([g.degree - 1 for g in F.generators], ceiling=rmin - 2)

@@ -21,7 +21,6 @@ __all__ = [
     "poincare_check",
     "euler_characteristic",
     "hurewicz_window",
-    "rational_homotopy_rank",
     "parse_connected_sum",
     "format_connected_sum",
 ]
@@ -143,29 +142,17 @@ def hurewicz_window(g: GradedRanks) -> int:
 
     For a simply connected space whose first nonzero reduced homology sits in
     degree r, rational homotopy and homology ranks agree through degree
-    2r - 2.  Callers guarantee simple connectivity.
+    2r - 2, so inside the window the rank of pi_q tensor Q is `g.rank(q)`.
+    Callers guarantee simple connectivity.
+
+    >>> M = connected_sum_homology(parse_connected_sum("16*S5xS7 # 15*S6xS6"))
+    >>> hurewicz_window(M), M.rank(6)
+    (8, 30)
     """
     positive = [k for k in g.ranks if k > 0]
     if not positive:
         return g.top  # contractible-looking table: everything vanishes anyway
     return 2 * min(positive) - 2
-
-
-def rational_homotopy_rank(g: GradedRanks, q: int) -> int:
-    """Rank of pi_q tensor Q inside the rational-Hurewicz window.
-
-    >>> M = connected_sum_homology(parse_connected_sum("16*S5xS7 # 15*S6xS6"))
-    >>> rational_homotopy_rank(M, 6)
-    30
-    """
-    if q <= 0:
-        raise ValueError(f"homotopy degrees are positive, got q={q}")
-    window = hurewicz_window(g)
-    if q > window:
-        raise ValueError(
-            f"degree {q} is beyond the rational-Hurewicz window (q <= {window})"
-        )
-    return g.rank(q)
 
 
 _SUMMAND = re.compile(r"^(?:(\d+)\*)?S(\d+)xS(\d+)$", re.IGNORECASE)

@@ -10,7 +10,8 @@ minimal non-faces are found by scanning subsets against the facet list (or
 the non-face list) instead of extending bitmask faces, Gale's criterion
 splits a subset into run objects instead of counting runs in one pass, and
 neighborliness tests every q-subset instead of reading the closed-form
-f-vector.
+f-vector, and the f-vector itself is summed from binomials instead of by
+Horner's rule.
 """
 
 from __future__ import annotations
@@ -126,6 +127,16 @@ def is_face_by_components(members, n: int, d: int) -> bool:
 def is_q_neighborly_bruteforce(n: int, d: int, q: int) -> bool:
     """The definition: every q-subset of 1..n spans a face of C(n, d)."""
     return all(is_face_by_components(c, n, d) for c in combinations(range(1, n + 1), q))
+
+
+def f_vector_binomial(n: int, d: int) -> tuple[int, ...]:
+    """Face counts of the boundary of C(n, d) by the binomial sum
+    f_{j-1} = sum_{i<=j} C(d-i, j-i) h_i over the cyclic h-vector
+    h_i = C(n-d-1+min(i, d-i), min(i, d-i)), instead of Horner's rule."""
+    h = [math.comb(n - d - 1 + min(i, d - i), min(i, d - i)) for i in range(d + 1)]
+    return tuple(
+        sum(math.comb(d - i, j - i) * h[i] for i in range(j + 1)) for j in range(1, d + 1)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from momentangle import cli
 from momentangle.cli import main
 from momentangle.gale import CyclicParams, enumerate_faces, f_vector
-from momentangle.manifold import parse_connected_sum
+from momentangle.manifold import hurewicz_window, parse_connected_sum
 
 from conftest import SRC
 from oracles import CYCLIC_8_4_MINIMAL_NONFACES, PENTAGON_MINIMAL_NONFACES
@@ -134,6 +134,7 @@ class TestInputLimits:
             (["faces", "20000", "10000", "--count"], None),
             (["ideal", "file"], "vertices 25\nfacets\n" + " ".join(map(str, range(1, 26)))),
             (["ideal", "file"], "vertices 1000000000\nfacets\n1 2\n"),
+            (["faces", "20000", "10000"], None),
         ],
     )
     def test_exits_one_quickly(self, capsys, tmp_path, argv, text):
@@ -262,13 +263,14 @@ class TestVerdict:
         ]
 
     def test_out_of_window_lists_both_bounds(self, capsys):
-        code, out, err = run_cli(
-            capsys, "verdict", "cyclic", "8", "4",
-            "--vs", "16*S5xS7 # 15*S6xS6", "--q", "9",
-        )
-        assert code == 1
-        assert "3 <= q <= 6" in err
-        assert "q <= 8" in err
+        for q in ("9", "2"):
+            code, out, err = run_cli(
+                capsys, "verdict", "cyclic", "8", "4",
+                "--vs", "16*S5xS7 # 15*S6xS6", "--q", q,
+            )
+            assert code == 1
+            assert "3 <= q <= 6" in err
+            assert "q <= 8" in err
 
     def test_agreeing_candidate_is_inconclusive(self, capsys):
         # 16*S5xS7 alone matches the wedge ranks in the whole window 3..6.
@@ -427,3 +429,16 @@ class TestReadme:
         for line in lines:
             code, out, err = run_cli(capsys, *shlex.split(line, comments=True)[1:])
             assert code in (0, 2) and out and err == "", line
+
+    def test_library_example(self):
+        """The README's Library block runs and gives the values its comments
+        state."""
+        text = (SRC.parent / "README.md").read_text()
+        block = text.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        ns: dict = {}
+        exec(block, ns)
+        assert len(ns["F"].generators) == 16 and ns["F"].is_face({1, 3, 8})
+        assert ns["rmin"] == 8
+        assert ns["wedge"].entries == {5: 16} and ns["wedge"].ceiling == 6
+        assert hurewicz_window(ns["g"]) == 8
+        assert (ns["wedge"].entries.get(6, 0), ns["g"].rank(6)) == (0, 30)

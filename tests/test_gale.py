@@ -19,6 +19,7 @@ from momentangle.gale import (
 from oracles import (
     Component,
     components,
+    f_vector_binomial,
     is_face_by_components,
     is_q_neighborly_bruteforce,
 )
@@ -176,6 +177,19 @@ class TestFVector:
             for face in enumerate_faces(p, d):
                 counts[len(face) - 1] += 1
             assert f_vector(p) == tuple(counts), (n, d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 64), st.integers(1, 200))
+    def test_matches_binomial_oracle(self, d, extra):
+        p = CyclicParams(d + extra, d)
+        assert f_vector(p) == f_vector_binomial(p.n, p.d)
+
+    def test_largest_admitted_dimension_is_fast(self):
+        # d = 1023 is the largest dimension the (d+1)^2 guard admits.
+        start = time.perf_counter()
+        f = f_vector(CyclicParams(1024, 1023))
+        assert time.perf_counter() - start < 1.0
+        assert f[:2] == (1024, 1024 * 1023 // 2)
 
     def test_refuses_oversized_dimension(self):
         # d = 1024 is the first dimension with (d+1)^2 above SUBSET_LIMIT = 1024^2.

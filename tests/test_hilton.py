@@ -10,7 +10,6 @@ from momentangle.hilton import (
     SphereSpectrum,
     borel_model,
     moebius,
-    rational_rank_wedge,
     wedge_spectrum,
 )
 
@@ -205,22 +204,20 @@ class TestPBWIdentity:
 
 
 class TestRationalRankWedge:
+    """Rationally an odd sphere S^D has rank 1 in degree D only, so the rank
+    of the wedge model in degree q is the spectrum's multiplicity at q."""
+
     def test_bottom_degree(self):
         s = wedge_spectrum([5] * 16, 9)
-        assert rational_rank_wedge(s, 5) == 16
+        assert s.entries.get(5, 0) == 16
 
     def test_gap_degree_is_zero(self):
         s = wedge_spectrum([5] * 16, 9)
-        assert rational_rank_wedge(s, 6) == 0
+        assert s.entries.get(6, 0) == 0
 
     def test_weight_two_degree(self):
         s = wedge_spectrum([5] * 16, 9)
-        assert rational_rank_wedge(s, 9) == 120
-
-    def test_beyond_ceiling_errors(self):
-        s = wedge_spectrum([5] * 16, 9)
-        with pytest.raises(ValueError, match="ceiling"):
-            rational_rank_wedge(s, 10)
+        assert s.entries.get(9, 0) == 120
 
 
 class TestSphereSpectrum:
@@ -244,25 +241,21 @@ class TestSphereSpectrum:
 
 
 class TestBorelModel:
+    """The wedge model is its spectrum truncated at q_max = rmin - 2."""
+
     def test_c84(self, c84_ring):
-        model = borel_model(c84_ring, 8)
-        assert model.q_max == 6
-        assert model.m == 8
-        assert model.spectrum.entries == {5: 16}
-        assert {q: model.rank(q) for q in range(3, 7)} == {3: 0, 4: 0, 5: 16, 6: 0}
+        spectrum = borel_model(c84_ring, 8)
+        assert spectrum.ceiling == 6
+        assert c84_ring.m == 8
+        assert spectrum.entries == {5: 16}
+        ranks = {q: spectrum.entries.get(q, 0) for q in range(3, 7)}
+        assert ranks == {3: 0, 4: 0, 5: 16, 6: 0}
 
     def test_pentagon(self, pentagon_ring):
-        model = borel_model(pentagon_ring, 6)
-        assert model.q_max == 4
-        assert model.spectrum.entries == {3: 5}
-        assert model.rank(3) == 5
-
-    def test_window_is_enforced(self, c84_ring):
-        model = borel_model(c84_ring, 8)
-        with pytest.raises(ValueError):
-            model.rank(2)
-        with pytest.raises(ValueError):
-            model.rank(7)
+        spectrum = borel_model(pentagon_ring, 6)
+        assert spectrum.ceiling == 4
+        assert spectrum.entries == {3: 5}
+        assert spectrum.entries.get(3, 0) == 5
 
     def test_rejects_trivial_ideal(self):
         with pytest.raises(ValueError):
