@@ -65,6 +65,8 @@ class FaceRingPresentation:
 
     m: int
     generators: tuple[Monomial, ...] = field(default=())
+    # One vertex bitmask per generator (bit v-1 for vertex v), derived here.
+    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -72,9 +74,16 @@ class FaceRingPresentation:
         supports = [g.support for g in self.generators]
         if supports != sorted(supports):
             raise ValueError("generators must be lexicographically sorted")
-        for a, b in combinations(supports, 2):
-            if set(a).issubset(b) or set(b).issubset(a):
-                raise ValueError(f"generators must be incomparable: {a} vs {b}")
+        masks = tuple(map(_mask, supports))
+        object.__setattr__(self, "masks", masks)
+        if _has_comparable_pair(masks):
+            i, j = next(
+                (i, j) for i, j in combinations(range(len(masks)), 2)
+                if masks[i] & masks[j] in (masks[i], masks[j])
+            )
+            raise ValueError(
+                f"generators must be incomparable: {supports[i]} vs {supports[j]}"
+            )
         if supports and supports[-1][-1] > self.m:
             raise ValueError("generator mentions a variable beyond v_m")
 
@@ -83,8 +92,8 @@ class FaceRingPresentation:
 
         The empty set is always a face.
         """
-        s = set(as_subset(members, self.m))
-        return not any(s.issuperset(g.support) for g in self.generators)
+        x = _mask(as_subset(members, self.m))
+        return not any(x & g == g for g in self.masks)
 
     @property
     def is_trivial(self) -> bool:
@@ -92,6 +101,33 @@ class FaceRingPresentation:
 
     def degree_histogram(self) -> dict[int, int]:
         return dict(sorted(Counter(g.degree for g in self.generators).items()))
+
+
+def _mask(members) -> int:
+    """The bitmask of a vertex collection: bit v-1 stands for vertex v."""
+    return sum(1 << (v - 1) for v in members)
+
+
+def _has_comparable_pair(masks) -> bool:
+    """Whether two masks are equal or one properly contains the other.
+
+    A proper containment needs a strictly smaller popcount, so only masks of
+    different sizes are compared, smaller against larger.  Equal-size masks
+    are only ever compared through the duplicate count.
+    """
+    if len(set(masks)) != len(masks):
+        return True
+    by_size: dict[int, list[int]] = {}
+    for x in masks:
+        by_size.setdefault(x.bit_count(), []).append(x)
+    sizes = sorted(by_size)
+    return any(
+        a & b == a
+        for k, small in enumerate(sizes)
+        for big in sizes[k + 1 :]
+        for b in by_size[big]
+        for a in by_size[small]
+    )
 
 
 def _members(mask: int) -> tuple[int, ...]:
@@ -112,7 +148,7 @@ def from_facets(m: int, facets) -> FaceRingPresentation:
     the non-faces all of whose other one-vertex deletions are faces, finds
     every generator exactly once.  Faces are vertex bitmasks.
     """
-    masks = {sum(1 << (v - 1) for v in as_subset(f, m)) for f in facets}
+    masks = {_mask(as_subset(f, m)) for f in facets}
     if 0 in masks:
         raise ValueError("facets must be nonempty")
     covered = 0
@@ -154,9 +190,10 @@ def from_nonfaces(m: int, nonfaces) -> FaceRingPresentation:
     if any(len(nf) == 1 for nf in nfs):
         bad = [nf[0] for nf in nfs if len(nf) == 1]
         raise ValueError(f"singleton non-faces would leave ghost vertices: {bad}")
+    masks = list(map(_mask, nfs))
     minimal = [
-        nf for nf in nfs
-        if not any(nf != other and set(other).issubset(nf) for other in nfs)
+        nf for nf, a in zip(nfs, masks)
+        if not any(a & b == b and a != b for b in masks)
     ]
     return _presentation(m, minimal)
 

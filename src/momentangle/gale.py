@@ -132,16 +132,18 @@ def f_vector(p: CyclicParams) -> tuple[int, ...]:
     h_i = C(n-d-1+i, i) for i <= d/2, extended by the Dehn-Sommerville
     symmetry h_i = h_{d-i} (upper bound theorem), and
     sum_j f_{j-1} t^(d-j) = sum_i h_i (1+t)^(d-i), evaluated by Horner's
-    rule P <- P*(1+t) + h_i in O(d^2) additions.  A dimension with (d+1)^2
-    above SUBSET_LIMIT is refused with ValueError at once.
+    rule P <- P*(1+t) + h_i: d+1 binomials and (d+1)(d+2)/2 additions.  A
+    dimension whose addition count is above SUBSET_LIMIT (d >= 1447) is
+    refused with ValueError at once.
 
     >>> f_vector(CyclicParams(8, 4))
     (8, 28, 40, 20)
     """
     n, d = p.n, p.d
-    if (d + 1) ** 2 > SUBSET_LIMIT:
+    additions = (d + 1) * (d + 2) // 2
+    if additions > SUBSET_LIMIT:
         raise ValueError(
-            f"the f-vector of C({n},{d}) needs (d+1)^2 = {(d + 1) ** 2} binomials, "
+            f"the f-vector of C({n},{d}) needs (d+1)(d+2)/2 = {additions} additions, "
             f"above the limit of {SUBSET_LIMIT}"
         )
     P: list[int] = []  # coefficients of t^0, t^1, ...

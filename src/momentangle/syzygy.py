@@ -61,18 +61,19 @@ def min_relation_degree(
 ) -> tuple[int, RelationAmongRelations]:
     """Smallest degree of a relation among relations, with a witness.
 
-    Scans unordered generator pairs; the degree contributed by a pair is
-    2 * |support union| (the lcm degree), and the witness multipliers are the
-    lcm quotients.  Ties go to the lexicographically first index pair.
+    Scans unordered generator pairs on their vertex bitmasks; the degree
+    contributed by a pair is 2 * popcount(a | b) (the lcm degree), and the
+    witness multipliers are the lcm quotients.  Ties go to the
+    lexicographically first index pair.
     """
-    gens = F.generators
+    gens, masks = F.generators, F.masks
     if len(gens) < 2:
         raise ValueError(
             "no relations: the ideal needs at least two generators"
         )
     best: tuple[int, int, int] | None = None
-    for i, j in combinations(range(len(gens)), 2):
-        deg = 2 * len(set(gens[i].support) | set(gens[j].support))
+    for i, j in combinations(range(len(masks)), 2):
+        deg = 2 * (masks[i] | masks[j]).bit_count()
         if best is None or deg < best[0]:
             best = (deg, i, j)
     deg, i, j = best

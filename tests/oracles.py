@@ -10,8 +10,9 @@ minimal non-faces are found by scanning subsets against the facet list (or
 the non-face list) instead of extending bitmask faces, Gale's criterion
 splits a subset into run objects instead of counting runs in one pass, and
 neighborliness tests every q-subset instead of reading the closed-form
-f-vector, and the f-vector itself is summed from binomials instead of by
-Horner's rule.
+f-vector, the f-vector itself is summed from binomials instead of by
+Horner's rule, and generator pairs are compared and joined as Python sets
+instead of as vertex bitmasks.
 """
 
 from __future__ import annotations
@@ -75,6 +76,31 @@ def minimal_elements_bruteforce(m: int, nonfaces) -> list[tuple[int, ...]]:
             if covered(s) and not any(covered(s[:i] + s[i + 1 :]) for i in range(card)):
                 out.append(s)
     return sorted(out)
+
+
+# ---------------------------------------------------------------------------
+# generator-pair scans: every pair, on vertex sets
+# ---------------------------------------------------------------------------
+
+def first_comparable_pair(supports):
+    """The first pair of supports, in `combinations` order, one of which
+    contains the other (equal supports included); None for an antichain."""
+    for a, b in combinations(supports, 2):
+        if set(a).issubset(b) or set(b).issubset(a):
+            return a, b
+    return None
+
+
+def min_relation_pair_by_sets(F) -> tuple[int, int, int]:
+    """(degree, i, j) for the first generator pair, in `combinations` order,
+    whose support union is smallest; the degree is 2 * |union|."""
+    gens = [g.support for g in F.generators]
+    best = None
+    for i, j in combinations(range(len(gens)), 2):
+        deg = 2 * len(set(gens[i]) | set(gens[j]))
+        if best is None or deg < best[0]:
+            best = (deg, i, j)
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from momentangle.gale import CyclicParams, is_face as cyclic_is_face
 from oracles import (
     CYCLIC_8_4_MINIMAL_NONFACES,
     PENTAGON_MINIMAL_NONFACES,
+    first_comparable_pair,
     minimal_elements_bruteforce,
     minimal_nonfaces_bruteforce,
 )
@@ -51,6 +52,23 @@ def random_facet_lists():
     return st.tuples(
         st.integers(3, 7),
         st.lists(st.sets(st.integers(1, 7), min_size=1, max_size=4), max_size=6),
+    ).map(build)
+
+
+def generator_lists():
+    """(m, supports): supports of mixed sizes on 1..9, so duplicates, proper
+    containments across sizes and variables beyond v_m all occur; sorted
+    unless the drawn flag says otherwise."""
+
+    def build(args):
+        m, raw, keep_order = args
+        supports = [tuple(sorted(s)) for s in raw]
+        return m, supports if keep_order else sorted(supports)
+
+    return st.tuples(
+        st.integers(1, 9),
+        st.lists(st.sets(st.integers(1, 9), min_size=1, max_size=5), max_size=10),
+        st.booleans(),
     ).map(build)
 
 
@@ -258,6 +276,73 @@ class TestFaceRing:
     def test_presentation_rejects_unsorted(self):
         with pytest.raises(ValueError):
             FaceRingPresentation(4, (Monomial((2, 3)), Monomial((1, 2))))
+
+    def test_presentation_rejects_duplicates(self):
+        with pytest.raises(ValueError, match=r"incomparable: \(1, 2\) vs \(1, 2\)$"):
+            FaceRingPresentation(4, (Monomial((1, 2)), Monomial((1, 2))))
+
+    def test_masks_are_derived_not_compared(self, c84_ring):
+        assert c84_ring.masks[0] == 0b10101  # v1*v3*v5
+        assert "masks" not in repr(c84_ring)
+        twin = FaceRingPresentation(8, c84_ring.generators)
+        assert twin == c84_ring and hash(twin) == hash(c84_ring)
+
+    @settings(max_examples=300, deadline=None)
+    @given(generator_lists())
+    def test_constructor_matches_pairwise_oracle(self, args):
+        m, sups = args
+        if sups != sorted(sups):
+            want = "generators must be lexicographically sorted"
+        elif (pair := first_comparable_pair(sups)) is not None:
+            want = f"generators must be incomparable: {pair[0]} vs {pair[1]}"
+        elif sups and sups[-1][-1] > m:
+            want = "generator mentions a variable beyond v_m"
+        else:
+            want = None
+        gens = tuple(Monomial(s) for s in sups)
+        if want is None:
+            F = FaceRingPresentation(m, gens)
+            assert F.masks == tuple(sum(1 << (v - 1) for v in s) for s in sups)
+        else:
+            with pytest.raises(ValueError) as info:
+                FaceRingPresentation(m, gens)
+            assert str(info.value) == want
+
+
+class TestIncomparabilityScaling:
+    """The incomparability check compares only masks of different sizes, so
+    a one-size generator list costs a duplicate count, not a pair scan."""
+
+    @staticmethod
+    def timed_build(m, sups):
+        gens = tuple(Monomial(s) for s in sorted(sups))
+        start = time.perf_counter()
+        F = FaceRingPresentation(m, gens)
+        assert time.perf_counter() - start < 1.0
+        return F
+
+    def test_one_size(self):
+        # 2,925 generators: about 4.3 million pairs for a pairwise check.
+        F = self.timed_build(27, combinations(range(1, 28), 3))
+        assert len(F.generators) == comb(27, 3)
+
+    def test_two_sizes(self):
+        sups = [*combinations(range(1, 15), 3), *combinations(range(15, 28), 5)]
+        F = self.timed_build(27, sups)
+        assert F.degree_histogram() == {6: comb(14, 3), 10: comb(13, 5)}
+
+    def test_violation_across_sizes_is_caught(self):
+        # The only comparable pair is (1, 2, 3) < (1, 2, 3, 15), across sizes.
+        sups = [
+            *combinations(range(1, 15), 3),
+            *combinations(range(15, 28), 5),
+            (1, 2, 3, 15),
+        ]
+        gens = tuple(Monomial(s) for s in sorted(sups))
+        with pytest.raises(
+            ValueError, match=r"incomparable: \(1, 2, 3\) vs \(1, 2, 3, 15\)$"
+        ):
+            FaceRingPresentation(27, gens)
 
 
 class TestParseComplex:

@@ -185,16 +185,20 @@ class TestFVector:
         assert f_vector(p) == f_vector_binomial(p.n, p.d)
 
     def test_largest_admitted_dimension_is_fast(self):
-        # d = 1023 is the largest dimension the (d+1)^2 guard admits.
+        # d = 1446 is the largest dimension whose (d+1)(d+2)/2 Horner
+        # additions stay within SUBSET_LIMIT = 2^20 (1447 * 1448 / 2 = 1047628).
         start = time.perf_counter()
-        f = f_vector(CyclicParams(1024, 1023))
+        f = f_vector(CyclicParams(1447, 1446))
         assert time.perf_counter() - start < 1.0
-        assert f[:2] == (1024, 1024 * 1023 // 2)
+        assert f[:2] == (1447, 1447 * 1446 // 2)
 
     def test_refuses_oversized_dimension(self):
-        # d = 1024 is the first dimension with (d+1)^2 above SUBSET_LIMIT = 1024^2.
-        with pytest.raises(ValueError, match="1050625 binomials, above the limit"):
-            f_vector(CyclicParams(1025, 1024))
+        # d = 1447 is the first dimension with (d+1)(d+2)/2 above SUBSET_LIMIT.
+        with pytest.raises(
+            ValueError,
+            match=r"needs \(d\+1\)\(d\+2\)/2 = 1049076 additions, above the limit",
+        ):
+            f_vector(CyclicParams(1448, 1447))
 
 
 class TestNeighborliness:

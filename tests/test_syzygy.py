@@ -13,7 +13,7 @@ from momentangle.complexes import (
 from momentangle.gale import CyclicParams
 from momentangle.syzygy import lcm_support, min_relation_degree, relation_holds
 
-from oracles import min_relation_degree_bruteforce
+from oracles import min_relation_degree_bruteforce, min_relation_pair_by_sets
 
 
 def presentations():
@@ -122,6 +122,34 @@ class TestOracleEquivalence:
         degree, witness = min_relation_degree(F)
         assert relation_holds(F, witness)
         assert degree == min_relation_degree_bruteforce(F, max_multiplier_size=4)
+
+
+class TestPairScanOracle:
+    """The bitmask pair scan against the set-union scan: same degree and the
+    same witness pair, which pins the tie-break as well as the minimum."""
+
+    @staticmethod
+    def scan(F):
+        degree, witness = min_relation_degree(F)
+        return degree, witness.i, witness.j
+
+    @settings(max_examples=200, deadline=None)
+    @given(presentations())
+    def test_random_presentations(self, F):
+        assert self.scan(F) == min_relation_pair_by_sets(F)
+
+    # d = n - 1 is a simplex boundary: one generator, so no pair to scan.
+    @pytest.mark.parametrize(
+        "n,d", [(n, d) for n in range(3, 12) for d in range(2, n - 1)]
+    )
+    def test_cyclic(self, n, d):
+        F = from_cyclic(CyclicParams(n, d))
+        assert self.scan(F) == min_relation_pair_by_sets(F)
+
+    @pytest.mark.parametrize("m", range(4, 13))
+    def test_polygons(self, m):
+        F = from_polygon(m)
+        assert self.scan(F) == min_relation_pair_by_sets(F)
 
 
 class TestInvariance:
