@@ -1,14 +1,15 @@
 """Command-line pipeline: complex -> face ring -> minimal relation degree ->
 wedge model, compared degree by degree against a candidate connected sum of
-sphere products.  Text or JSON reports; exit code 0 means NOT_EQUIVALENT was
-established, 2 means INCONCLUSIVE, 1 means error."""
+sphere products.  Each subcommand builds one report, the dict that `--json`
+prints; its text is a view of that dict.  Exit code 0 means NOT_EQUIVALENT
+was established (or no verdict was asked for), 2 means INCONCLUSIVE, 1 means
+error."""
 
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from functools import cache, lru_cache
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from . import complexes, hilton, manifold, syzygy
 from .complexes import FaceRingPresentation, Monomial
 from .gale import CyclicParams, enumerate_faces, f_vector
 
-__all__ = ["VerdictReport", "CliError", "build_verdict_report", "main", "run"]
+__all__ = ["CliError", "build_verdict_report", "main", "run"]
 
 COUNTEREXAMPLE_SOURCE = ("cyclic", "8", "4")
 COUNTEREXAMPLE_MANIFOLD = "16*S5xS7 # 15*S6xS6"
@@ -32,19 +33,6 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); keep 2 for INCONCLUSIVE
         raise CliError(message)
-
-
-@dataclass(frozen=True)
-class VerdictReport:
-    """Everything one comparison run established, in emission order."""
-
-    input: dict
-    ideal: dict
-    rmin: dict
-    wedge: dict
-    manifold: dict
-    comparison: dict
-    verdict: str
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +115,7 @@ def _manifold_block(spec: manifold.ConnectedSumSpec, g: manifold.GradedRanks) ->
 
 
 def build_verdict_report(source_tokens, manifold_text: str, q: int | None = None,
-                         extra_notes: tuple[str, ...] = ()) -> VerdictReport:
+                         extra_notes: tuple[str, ...] = ()) -> dict:
     F, descriptor = _resolve_source(source_tokens)
     if F.is_trivial:
         raise CliError("the ideal is empty (full simplex): nothing to compare")
@@ -171,24 +159,20 @@ def build_verdict_report(source_tokens, manifold_text: str, q: int | None = None
         "first_difference": first_diff,
         "notes": notes,
     }
-    return VerdictReport(
-        input={"source": descriptor, "manifold": manifold.format_connected_sum(spec)},
-        ideal=_ideal_block(F),
-        rmin={"degree": rmin_degree, "witness": _witness_block(F, witness)},
-        wedge=_wedge_block(wedge, wedge.ceiling, F.m),
-        manifold=_manifold_block(spec, g),
-        comparison=comparison,
-        verdict=verdict,
-    )
+    return {
+        "input": {"source": descriptor, "manifold": manifold.format_connected_sum(spec)},
+        "ideal": _ideal_block(F),
+        "rmin": {"degree": rmin_degree, "witness": _witness_block(F, witness)},
+        "wedge": _wedge_block(wedge, wedge.ceiling, F.m),
+        "manifold": _manifold_block(spec, g),
+        "comparison": comparison,
+        "verdict": verdict,
+    }
 
 
 # ---------------------------------------------------------------------------
-# rendering
+# text views: each reads only its subcommand's report and yields lines
 # ---------------------------------------------------------------------------
-
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
-
 
 def _witness_text(witness: dict) -> str:
     gi, gj, mi, mj = (
@@ -198,10 +182,10 @@ def _witness_text(witness: dict) -> str:
     return f"({gi}) * {mi} == ({gj}) * {mj}"
 
 
-def _print_generators(supports, per_row: int = 4) -> None:
+def _generator_rows(supports, per_row: int = 4):
     gens = [str(Monomial(tuple(s))) for s in supports]
     for i in range(0, len(gens), per_row):
-        print("  " + "  ".join(gens[i : i + per_row]))
+        yield "  " + "  ".join(gens[i : i + per_row])
 
 
 def _describe_source(descriptor: dict) -> str:
@@ -213,134 +197,143 @@ def _describe_source(descriptor: dict) -> str:
     return f"complex from {descriptor['path']}"
 
 
-def _print_report(report: VerdictReport, quiet: bool) -> None:
-    comparison = report.comparison
+def text_faces(report: dict, quiet: bool):
+    inp = report["input"]
     if not quiet:
-        print(f"input complex: {_describe_source(report.input['source'])}")
-        print(f"candidate manifold: {report.input['manifold']}")
-        print()
-        ideal = report.ideal
-        print(f"face ring: {ideal['m']} variables, |I| = {ideal['size']} generators")
-        _print_generators(ideal["generators"])
-        print(f"minimal relation degree: {report.rmin['degree']}")
-        print(f"  witness: {_witness_text(report.rmin['witness'])}")
-        wedge = report.wedge
-        print(
+        yield f"faces of C({inp['n']},{inp['d']}) with at most {inp['max_card']} vertices"
+    for k, c in report["counts"].items():
+        yield f"cardinality {k}: {c}"
+    if not quiet:
+        for face in report.get("faces", ()):
+            yield " ".join(map(str, face))
+
+
+def text_ideal(report: dict, quiet: bool):
+    ideal = report["ideal"]
+    yield (
+        f"face ring of {_describe_source(report['input']['source'])}: "
+        f"{ideal['m']} variables, |I| = {ideal['size']}"
+    )
+    if not ideal["size"]:
+        yield "  (empty ideal: the complex is a full simplex)"
+    elif not quiet:
+        hist = ", ".join(f"degree {d}: {c}" for d, c in ideal["degree_histogram"].items())
+        yield f"degree histogram: {hist}"
+        yield from _generator_rows(ideal["generators"])
+
+
+def text_syzmin(report: dict, quiet: bool):
+    rmin = report["rmin"]
+    source = _describe_source(report["input"]["source"])
+    yield f"minimal relation degree for {source}: {rmin['degree']}"
+    if not quiet:
+        yield f"  witness: {_witness_text(rmin['witness'])}"
+
+
+def text_wedge(report: dict, quiet: bool):
+    wedge = report["wedge"]
+    yield f"wedge model for {_describe_source(report['input']['source'])}"
+    spheres = ", ".join(f"S^{k} x{v}" for k, v in wedge["spectrum"].items())
+    yield f"  sphere spectrum (ceiling {wedge['ceiling']}): {spheres or '(none)'}"
+    yield f"  valid window: 3 <= q <= {wedge['q_max']}; degree-2 rank: {wedge['pi2_rank']}"
+    for note in wedge["notes"]:
+        yield f"  note: {note}"
+
+
+def text_homology(report: dict, quiet: bool):
+    block = report["manifold"]
+    yield f"homology ranks of {block['spec']} (top dimension {block['top']})"
+    for k, v in block["ranks"].items():
+        yield f"  degree {k}: {v}"
+    yield f"Poincare symmetric: {'yes' if block['poincare'] else 'no'}"
+    yield f"Euler characteristic: {block['euler']}"
+
+
+def text_verdict(report: dict, quiet: bool):
+    comparison = report["comparison"]
+    if not quiet:
+        yield f"input complex: {_describe_source(report['input']['source'])}"
+        yield f"candidate manifold: {report['input']['manifold']}"
+        yield ""
+        ideal = report["ideal"]
+        yield f"face ring: {ideal['m']} variables, |I| = {ideal['size']} generators"
+        yield from _generator_rows(ideal["generators"])
+        yield f"minimal relation degree: {report['rmin']['degree']}"
+        yield f"  witness: {_witness_text(report['rmin']['witness'])}"
+        wedge = report["wedge"]
+        yield (
             f"wedge model: spheres {wedge['spectrum']}, "
             f"valid window 3 <= q <= {wedge['q_max']}, degree-2 rank {wedge['pi2_rank']}"
         )
-        print()
-        mfd = report.manifold
+        yield ""
+        mfd = report["manifold"]
         ranks = "  ".join(f"{k}:{v}" for k, v in mfd["ranks"].items())
-        print(f"manifold homology ranks: {ranks}")
-        print(
+        yield f"manifold homology ranks: {ranks}"
+        yield (
             f"  Poincare symmetric: {'yes' if mfd['poincare'] else 'no'}   "
             f"Euler characteristic: {mfd['euler']}"
         )
-        print()
+        yield ""
         for note in comparison["notes"]:
-            print(f"note: {note}")
+            yield f"note: {note}"
         if comparison["table"]:
-            print()
-            print("  q   wedge side   manifold side")
+            yield ""
+            yield "  q   wedge side   manifold side"
             for row in comparison["table"]:
                 marker = "   <-- differs" if row["wedge_rank"] != row["manifold_rank"] else ""
-                print(
+                yield (
                     f"  {row['q']:<3} {row['wedge_rank']:<12} "
                     f"{row['manifold_rank']:<13}{marker}"
                 )
-        print()
+        yield ""
     if comparison["first_difference"] is not None:
         q = comparison["first_difference"]
         row = next(r for r in comparison["table"] if r["q"] == q)
-        print(
+        yield (
             f"verdict: NOT_EQUIVALENT (rational homotopy ranks differ in degree {q}: "
             f"{row['wedge_rank']} vs {row['manifold_rank']})"
         )
     else:
-        print(
+        yield (
             "verdict: INCONCLUSIVE (ranks agree at every admissible degree; "
             "agreement does not establish equivalence)"
         )
 
 
-def _finish_report(report: VerdictReport, args) -> int:
-    """Emit the report as JSON or text; the exit code carries the verdict."""
-    if args.json:
-        _emit_json(vars(report))
-    else:
-        _print_report(report, quiet=args.quiet)
-    return 0 if report.verdict == "NOT_EQUIVALENT" else 2
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its report
 # ---------------------------------------------------------------------------
 
-def cmd_faces(args) -> int:
+def cmd_faces(args) -> dict:
     p = CyclicParams(args.n, args.d)
     max_card = args.max_card if args.max_card is not None else p.d
     if not 0 <= max_card <= p.d:
         raise ValueError(f"max_card must lie in 0..{p.d}, got {max_card}")
-    faces = [] if args.count else enumerate_faces(p, max_card)
-    counts = {str(k): f for k, f in enumerate(f_vector(p)[:max_card], start=1)}
-    if args.json:
-        payload = {
-            "input": {"kind": "cyclic", "n": p.n, "d": p.d, "max_card": max_card},
-            "counts": counts,
-        }
-        if not args.count:
-            payload["faces"] = [list(face) for face in faces]
-        _emit_json(payload)
-        return 0
-    if not args.quiet:
-        print(f"faces of C({p.n},{p.d}) with at most {max_card} vertices")
-    for k, c in counts.items():
-        print(f"cardinality {k}: {c}")
-    if not args.quiet:
-        for face in faces:
-            print(" ".join(map(str, face)))
-    return 0
+    report = {
+        "input": {"kind": "cyclic", "n": p.n, "d": p.d, "max_card": max_card},
+        "counts": {str(k): f for k, f in enumerate(f_vector(p)[:max_card], start=1)},
+    }
+    if not args.count:
+        report["faces"] = [list(face) for face in enumerate_faces(p, max_card)]
+    return report
 
 
-def cmd_ideal(args) -> int:
+def cmd_ideal(args) -> dict:
     F, descriptor = _resolve_source(args.source)
-    if args.json:
-        _emit_json({"input": {"source": descriptor}, "ideal": _ideal_block(F)})
-        return 0
-    print(
-        f"face ring of {_describe_source(descriptor)}: "
-        f"{F.m} variables, |I| = {len(F.generators)}"
-    )
-    if F.is_trivial:
-        print("  (empty ideal: the complex is a full simplex)")
-        return 0
-    if not args.quiet:
-        hist = ", ".join(f"degree {d}: {c}" for d, c in F.degree_histogram().items())
-        print(f"degree histogram: {hist}")
-        _print_generators(g.support for g in F.generators)
-    return 0
+    return {"input": {"source": descriptor}, "ideal": _ideal_block(F)}
 
 
-def cmd_syzmin(args) -> int:
+def cmd_syzmin(args) -> dict:
     F, descriptor = _resolve_source(args.source)
     degree, witness = syzygy.min_relation_degree(F)
-    if args.json:
-        _emit_json(
-            {
-                "input": {"source": descriptor},
-                "ideal": _ideal_block(F),
-                "rmin": {"degree": degree, "witness": _witness_block(F, witness)},
-            }
-        )
-        return 0
-    print(f"minimal relation degree for {_describe_source(descriptor)}: {degree}")
-    if not args.quiet:
-        print(f"  witness: {_witness_text(_witness_block(F, witness))}")
-    return 0
+    return {
+        "input": {"source": descriptor},
+        "ideal": _ideal_block(F),
+        "rmin": {"degree": degree, "witness": _witness_block(F, witness)},
+    }
 
 
-def cmd_wedge(args) -> int:
+def cmd_wedge(args) -> dict:
     F, descriptor = _resolve_source(args.source)
     rmin_degree, _ = syzygy.min_relation_degree(F)
     shown = hilton.borel_model(F, rmin_degree)
@@ -351,54 +344,31 @@ def cmd_wedge(args) -> int:
     notes = []
     if shown.ceiling > q_max:
         notes.append(f"entries above q_max={q_max} lie outside the validated window")
-    if args.json:
-        _emit_json(
-            {
-                "input": {"source": descriptor},
-                "ideal": _ideal_block(F),
-                "rmin": {"degree": rmin_degree},
-                "wedge": {**_wedge_block(shown, q_max, F.m), "notes": notes},
-            }
-        )
-        return 0
-    print(f"wedge model for {_describe_source(descriptor)}")
-    print(f"  sphere spectrum (ceiling {shown.ceiling}): "
-          + (", ".join(f"S^{k} x{v}" for k, v in sorted(shown.entries.items())) or "(none)"))
-    print(f"  valid window: 3 <= q <= {q_max}; degree-2 rank: {F.m}")
-    for note in notes:
-        print(f"  note: {note}")
-    return 0
+    return {
+        "input": {"source": descriptor},
+        "ideal": _ideal_block(F),
+        "rmin": {"degree": rmin_degree},
+        "wedge": {**_wedge_block(shown, q_max, F.m), "notes": notes},
+    }
 
 
-def cmd_homology(args) -> int:
+def cmd_homology(args) -> dict:
     spec = manifold.parse_connected_sum(args.spec)
-    g = manifold.connected_sum_homology(spec)
-    block = _manifold_block(spec, g)
-    if args.json:
-        _emit_json({"manifold": block})
-        return 0
-    print(f"homology ranks of {block['spec']} (top dimension {block['top']})")
-    for k, v in block["ranks"].items():
-        print(f"  degree {k}: {v}")
-    print(f"Poincare symmetric: {'yes' if block['poincare'] else 'no'}")
-    print(f"Euler characteristic: {block['euler']}")
-    return 0
+    return {"manifold": _manifold_block(spec, manifold.connected_sum_homology(spec))}
 
 
-def cmd_verdict(args) -> int:
-    report = build_verdict_report(args.source, args.vs, q=args.q)
-    return _finish_report(report, args)
+def cmd_verdict(args) -> dict:
+    return build_verdict_report(args.source, args.vs, q=args.q)
 
 
-def cmd_counterexample(args) -> int:
-    report = build_verdict_report(
+def cmd_counterexample(args) -> dict:
+    return build_verdict_report(
         COUNTEREXAMPLE_SOURCE,
         COUNTEREXAMPLE_MANIFOLD,
         extra_notes=(
             "cyclic parameters normalized to n=8 vertices in dimension d=4",
         ),
     )
-    return _finish_report(report, args)
 
 
 # ---------------------------------------------------------------------------
@@ -434,29 +404,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-card", type=int, default=None,
                    help="largest face cardinality to list (default d)")
     p.add_argument("--count", action="store_true", help="print counts only")
-    p.set_defaults(func=cmd_faces)
+    p.set_defaults(func=cmd_faces, text=text_faces)
 
     p = sub.add_parser("ideal", parents=[shared],
                        help="minimal non-face generators of the face ring")
     p.add_argument("source", nargs="+", help=src_help)
-    p.set_defaults(func=cmd_ideal)
+    p.set_defaults(func=cmd_ideal, text=text_ideal)
 
     p = sub.add_parser("syzmin", parents=[shared],
                        help="minimal relation-among-relations degree")
     p.add_argument("source", nargs="+", help=src_help)
-    p.set_defaults(func=cmd_syzmin)
+    p.set_defaults(func=cmd_syzmin, text=text_syzmin)
 
     p = sub.add_parser("wedge", parents=[shared],
                        help="sphere spectrum of the wedge model")
     p.add_argument("source", nargs="+", help=src_help)
     p.add_argument("--ceiling", type=int, default=None,
                    help="truncation ceiling for the displayed spectrum")
-    p.set_defaults(func=cmd_wedge)
+    p.set_defaults(func=cmd_wedge, text=text_wedge)
 
     p = sub.add_parser("homology", parents=[shared],
                        help="graded homology ranks of a connected sum")
     p.add_argument("spec", help="e.g. '16*S5xS7 # 15*S6xS6'")
-    p.set_defaults(func=cmd_homology)
+    p.set_defaults(func=cmd_homology, text=text_homology)
 
     p = sub.add_parser("verdict", parents=[shared],
                        help="compare wedge-side and manifold-side homotopy ranks")
@@ -465,23 +435,33 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="candidate connected sum, e.g. '16*S5xS7 # 15*S6xS6'")
     p.add_argument("--q", type=int, default=None,
                    help="compare a single degree instead of scanning")
-    p.set_defaults(func=cmd_verdict)
+    p.set_defaults(func=cmd_verdict, text=text_verdict)
 
     p = sub.add_parser("counterexample", parents=[shared],
                        help="run the full C(8,4) pipeline with all artifacts")
-    p.set_defaults(func=cmd_counterexample)
+    p.set_defaults(func=cmd_counterexample, text=text_verdict)
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and print its report as JSON or as its text view.
+
+    The report is built, and its text rendered, before anything is printed,
+    so a failing command prints only its error line."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        report = args.func(args)
+        if args.json:
+            out = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        else:
+            out = "".join(f"{line}\n" for line in args.text(report, args.quiet))
+        sys.stdout.write(out)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 2 if report.get("verdict") == "INCONCLUSIVE" else 0
 
 
 def run() -> None:

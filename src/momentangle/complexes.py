@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations, islice
 from math import comb
+from operator import or_
 
 from .gale import CyclicParams, as_subset, check_subset_count
 from .gale import is_face as _cyclic_is_face
@@ -76,15 +78,13 @@ class FaceRingPresentation:
             raise ValueError("generators must be lexicographically sorted")
         masks = tuple(map(_mask, supports))
         object.__setattr__(self, "masks", masks)
-        if _has_comparable_pair(masks):
-            i, j = next(
-                (i, j) for i, j in combinations(range(len(masks)), 2)
-                if masks[i] & masks[j] in (masks[i], masks[j])
-            )
+        pair = min(map(sorted, _comparable_pairs(masks)), default=None)
+        if pair is not None:
+            i, j = pair
             raise ValueError(
                 f"generators must be incomparable: {supports[i]} vs {supports[j]}"
             )
-        if supports and supports[-1][-1] > self.m:
+        if reduce(or_, masks, 0).bit_length() > self.m:
             raise ValueError("generator mentions a variable beyond v_m")
 
     def is_face(self, members) -> bool:
@@ -108,26 +108,31 @@ def _mask(members) -> int:
     return sum(1 << (v - 1) for v in members)
 
 
-def _has_comparable_pair(masks) -> bool:
-    """Whether two masks are equal or one properly contains the other.
+def _comparable_pairs(masks):
+    """Yield index pairs (i, j) with masks[i] contained in masks[j]: each
+    repeated mask with its first copy (i < j), found through a dict, and
+    every proper containment among first copies.
 
-    A proper containment needs a strictly smaller popcount, so only masks of
-    different sizes are compared, smaller against larger.  Equal-size masks
-    are only ever compared through the duplicate count.
+    A proper containment needs a strictly smaller popcount, so only a
+    smaller-popcount bucket is tested against a larger one: a one-size list
+    costs one pass.  The smallest comparable pair in `combinations` order is
+    always among those yielded.
     """
-    if len(set(masks)) != len(masks):
-        return True
-    by_size: dict[int, list[int]] = {}
-    for x in masks:
-        by_size.setdefault(x.bit_count(), []).append(x)
+    first: dict[int, int] = {}
+    by_size: dict[int, list[tuple[int, int]]] = {}
+    for j, x in enumerate(masks):
+        i = first.setdefault(x, j)
+        if i != j:
+            yield i, j
+        else:
+            by_size.setdefault(x.bit_count(), []).append((j, x))
     sizes = sorted(by_size)
-    return any(
-        a & b == a
-        for k, small in enumerate(sizes)
-        for big in sizes[k + 1 :]
-        for b in by_size[big]
-        for a in by_size[small]
-    )
+    for k, small in enumerate(sizes):
+        for big in sizes[k + 1 :]:
+            for j, b in by_size[big]:
+                for i, a in by_size[small]:
+                    if a & b == a:
+                        yield i, j
 
 
 def _members(mask: int) -> tuple[int, ...]:
@@ -190,12 +195,8 @@ def from_nonfaces(m: int, nonfaces) -> FaceRingPresentation:
     if any(len(nf) == 1 for nf in nfs):
         bad = [nf[0] for nf in nfs if len(nf) == 1]
         raise ValueError(f"singleton non-faces would leave ghost vertices: {bad}")
-    masks = list(map(_mask, nfs))
-    minimal = [
-        nf for nf, a in zip(nfs, masks)
-        if not any(a & b == b and a != b for b in masks)
-    ]
-    return _presentation(m, minimal)
+    containers = {j for _, j in _comparable_pairs(list(map(_mask, nfs)))}
+    return _presentation(m, (nf for j, nf in enumerate(nfs) if j not in containers))
 
 
 def from_cyclic(p: CyclicParams) -> FaceRingPresentation:

@@ -442,3 +442,119 @@ class TestReadme:
         assert ns["wedge"].entries == {5: 16} and ns["wedge"].ceiling == 6
         assert hurewicz_window(ns["g"]) == 8
         assert (ns["wedge"].entries.get(6, 0), ns["g"].rank(6)) == (0, 30)
+
+
+class TestTextRendering:
+    """The exact text of each subcommand, plain and `--quiet`; each one is a
+    view of the report that `--json` prints."""
+
+    FACES_6_3_COUNTS = (
+        "cardinality 1: 6\n"
+        "cardinality 2: 12\n"
+        "cardinality 3: 8\n"
+    )
+    FACES_6_3_LISTING = (
+        "1\n2\n3\n4\n5\n6\n"
+        "1 2\n1 3\n1 4\n1 5\n1 6\n2 3\n2 6\n3 4\n3 6\n4 5\n4 6\n5 6\n"
+        "1 2 3\n1 2 6\n1 3 4\n1 4 5\n1 5 6\n2 3 6\n3 4 6\n4 5 6\n"
+    )
+    WEDGE_8_4_CEILING_9 = (
+        "wedge model for cyclic polytope C(8,4)\n"
+        "  sphere spectrum (ceiling 9): S^5 x16, S^9 x120\n"
+        "  valid window: 3 <= q <= 6; degree-2 rank: 8\n"
+        "  note: entries above q_max=6 lie outside the validated window\n"
+    )
+    HOMOLOGY_HEADLINE = (
+        "homology ranks of 16*S5xS7 # 15*S6xS6 (top dimension 12)\n"
+        "  degree 0: 1\n"
+        "  degree 5: 16\n"
+        "  degree 6: 30\n"
+        "  degree 7: 16\n"
+        "  degree 12: 1\n"
+        "Poincare symmetric: yes\n"
+        "Euler characteristic: 0\n"
+    )
+    PENTAGON_VERDICT = (
+        "verdict: NOT_EQUIVALENT (rational homotopy ranks differ in degree 4: 0 vs 5)\n"
+    )
+
+    @staticmethod
+    def both(capsys, *argv):
+        """(plain stdout, --quiet stdout), each checked for exit 0 and no stderr."""
+        outs = []
+        for quiet in ([], ["--quiet"]):
+            code, out, err = run_cli(capsys, *argv, *quiet)
+            assert (code, err) == (0, ""), (argv, quiet)
+            outs.append(out)
+        return tuple(outs)
+
+    def test_faces_listing(self, capsys):
+        plain, quiet = self.both(capsys, "faces", "6", "3")
+        header = "faces of C(6,3) with at most 3 vertices\n"
+        assert plain == header + self.FACES_6_3_COUNTS + self.FACES_6_3_LISTING
+        assert quiet == self.FACES_6_3_COUNTS
+
+    def test_faces_count(self, capsys):
+        plain, quiet = self.both(capsys, "faces", "6", "3", "--count")
+        header = "faces of C(6,3) with at most 3 vertices\n"
+        assert plain == header + self.FACES_6_3_COUNTS
+        assert quiet == self.FACES_6_3_COUNTS
+
+    def test_ideal_pentagon(self, capsys):
+        plain, quiet = self.both(capsys, "ideal", "polygon", "5")
+        head = "face ring of dual of the 5-gon: 5 variables, |I| = 5\n"
+        assert plain == head + (
+            "degree histogram: degree 4: 5\n"
+            "  v1*v3  v1*v4  v2*v4  v2*v5\n"
+            "  v3*v5\n"
+        )
+        assert quiet == head
+
+    def test_ideal_full_simplex(self, capsys, tmp_path):
+        path = tmp_path / "simplex.txt"
+        path.write_text("vertices 3\nfacets\n1 2 3\n")
+        plain, quiet = self.both(capsys, "ideal", "file", str(path))
+        assert plain == quiet == (
+            f"face ring of complex from {path}: 3 variables, |I| = 0\n"
+            "  (empty ideal: the complex is a full simplex)\n"
+        )
+
+    def test_syzmin_c84(self, capsys):
+        plain, quiet = self.both(capsys, "syzmin", "cyclic", "8", "4")
+        head = "minimal relation degree for cyclic polytope C(8,4): 8\n"
+        assert plain == head + "  witness: (v1*v3*v5) * v6 == (v1*v3*v6) * v5\n"
+        assert quiet == head
+
+    def test_wedge_c84_ceiling(self, capsys):
+        plain, quiet = self.both(capsys, "wedge", "cyclic", "8", "4", "--ceiling", "9")
+        assert plain == quiet == self.WEDGE_8_4_CEILING_9
+
+    def test_homology_headline(self, capsys):
+        plain, quiet = self.both(capsys, "homology", "16*S5xS7 # 15*S6xS6")
+        assert plain == quiet == self.HOMOLOGY_HEADLINE
+
+    def test_verdict_pentagon(self, capsys):
+        plain, quiet = self.both(capsys, "verdict", "polygon", "5", "--vs", "5*S3xS4")
+        assert plain == (
+            "input complex: dual of the 5-gon\n"
+            "candidate manifold: 5*S3xS4\n"
+            "\n"
+            "face ring: 5 variables, |I| = 5 generators\n"
+            "  v1*v3  v1*v4  v2*v4  v2*v5\n"
+            "  v3*v5\n"
+            "minimal relation degree: 6\n"
+            "  witness: (v1*v3) * v4 == (v1*v4) * v3\n"
+            "wedge model: spheres {'3': 5}, valid window 3 <= q <= 4, degree-2 rank 5\n"
+            "\n"
+            "manifold homology ranks: 0:1  3:5  4:5  7:1\n"
+            "  Poincare symmetric: yes   Euler characteristic: 0\n"
+            "\n"
+            "note: wedge model valid for 3 <= q <= 4\n"
+            "note: homology determines homotopy ranks for q <= 4\n"
+            "\n"
+            "  q   wedge side   manifold side\n"
+            "  3   5            5            \n"
+            "  4   0            5               <-- differs\n"
+            "\n"
+        ) + self.PENTAGON_VERDICT
+        assert quiet == self.PENTAGON_VERDICT

@@ -1,5 +1,5 @@
 import time
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 import pytest
@@ -287,6 +287,11 @@ class TestFaceRing:
         twin = FaceRingPresentation(8, c84_ring.generators)
         assert twin == c84_ring and hash(twin) == hash(c84_ring)
 
+    def test_presentation_checks_every_generator_range(self):
+        # The lexicographically last generator, (2, 3), lies inside 1..5.
+        with pytest.raises(ValueError, match="beyond v_m$"):
+            FaceRingPresentation(5, (Monomial((1, 9)), Monomial((2, 3))))
+
     @settings(max_examples=300, deadline=None)
     @given(generator_lists())
     def test_constructor_matches_pairwise_oracle(self, args):
@@ -295,7 +300,7 @@ class TestFaceRing:
             want = "generators must be lexicographically sorted"
         elif (pair := first_comparable_pair(sups)) is not None:
             want = f"generators must be incomparable: {pair[0]} vs {pair[1]}"
-        elif sups and sups[-1][-1] > m:
+        elif sups and max(s[-1] for s in sups) > m:
             want = "generator mentions a variable beyond v_m"
         else:
             want = None
@@ -311,7 +316,8 @@ class TestFaceRing:
 
 class TestIncomparabilityScaling:
     """The incomparability check compares only masks of different sizes, so
-    a one-size generator list costs a duplicate count, not a pair scan."""
+    a one-size generator list costs a duplicate count, not a pair scan, on
+    the accepting and on the refusing path alike."""
 
     @staticmethod
     def timed_build(m, sups):
@@ -343,6 +349,25 @@ class TestIncomparabilityScaling:
             ValueError, match=r"incomparable: \(1, 2, 3\) vs \(1, 2, 3, 15\)$"
         ):
             FaceRingPresentation(27, gens)
+
+    def test_trailing_duplicate_is_refused_quickly(self):
+        sups = [*combinations(range(1, 28), 3), (25, 26, 27)]
+        gens = tuple(Monomial(s) for s in sups)
+        start = time.perf_counter()
+        with pytest.raises(
+            ValueError, match=r"incomparable: \(25, 26, 27\) vs \(25, 26, 27\)$"
+        ):
+            FaceRingPresentation(27, gens)
+        assert time.perf_counter() - start < 1.0
+
+    def test_one_size_nonface_list(self):
+        # 3,000 listed 3-subsets of 1..29: about 4.5 million pairs for a
+        # pairwise minimality filter.
+        nonfaces = list(islice(combinations(range(1, 30), 3), 3000))
+        start = time.perf_counter()
+        F = from_nonfaces(29, nonfaces)
+        assert time.perf_counter() - start < 1.0
+        assert supports(F) == nonfaces
 
 
 class TestParseComplex:

@@ -1,8 +1,10 @@
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 SURVEY_D4_N8_M6 = """\
 cyclic family C(n,4)
@@ -27,3 +29,36 @@ def test_survey_families_table():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == SURVEY_D4_N8_M6
+
+
+def byte_sweep(parent, change):
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / "byte_sweep.py"),
+         "--parent", str(parent), "--change", str(change)],
+        capture_output=True, text=True,
+    )
+
+
+def test_byte_sweep_of_a_tree_against_itself():
+    proc = byte_sweep(ROOT, ROOT)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1 and lines[0].endswith(" calls, 0 differ")
+    assert int(lines[0].split()[0]) >= 4374
+
+
+def test_byte_sweep_names_a_changed_text_line(tmp_path):
+    change = tmp_path / "change"
+    shutil.copytree(ROOT / "src", change / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = change / "src" / "momentangle" / "cli.py"
+    text = cli.read_text()
+    assert text.count('f"homology ranks of {') == 1
+    cli.write_text(text.replace('f"homology ranks of {', 'f"homology ranks for {'))
+    proc = byte_sweep(ROOT, change)
+    assert proc.returncode == 1, proc.stderr
+    head, *named = proc.stdout.splitlines()
+    assert head.endswith(f" calls, {len(named)} differ")
+    assert "differs: homology '16*S5xS7 # 15*S6xS6'" in named
+    assert "differs: homology '16*S5xS7 # 15*S6xS6' --quiet" in named
+    assert all(line.startswith("differs: homology ") for line in named)
