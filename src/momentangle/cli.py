@@ -284,7 +284,7 @@ def text_verdict(report: dict, quiet: bool):
                 yield (
                     f"  {row['q']:<3} {row['wedge_rank']:<12} "
                     f"{row['manifold_rank']:<13}{marker}"
-                )
+                ).rstrip()
         yield ""
     if comparison["first_difference"] is not None:
         q = comparison["first_difference"]

@@ -553,7 +553,7 @@ class TestTextRendering:
             "note: homology determines homotopy ranks for q <= 4\n"
             "\n"
             "  q   wedge side   manifold side\n"
-            "  3   5            5            \n"
+            "  3   5            5\n"
             "  4   0            5               <-- differs\n"
             "\n"
         ) + self.PENTAGON_VERDICT
