@@ -14,8 +14,12 @@ with n <= 10 and 1 <= d <= n, the file sources of `perfbench/expected.json`,
 six edge-case files, a missing file and a bad source; `counterexample`, six
 `homology` specs, `faces` for n <= 9 (plain, `--count`, `--max-card 2`,
 `--max-card 99`), and help and argument errors; every call plain, `--json`
-and `--quiet`.  The files go to one temporary directory shared by both
-trees, so paths in the output agree; nothing is written under `perfbench/`.
+and `--quiet`.  Larger rings add `ideal` and `syzmin`, with `--json` only:
+every `face_ladder` rung of `perfbench/workloads.py`, the probe rings
+C(16,6), C(20,4) and C(14,8), the rings C(19,9) and C(21,8) just inside the
+subset limit, and C(20,10), C(22,11) and C(24,12), which are refused.  The
+files go to one temporary directory shared by both trees, so paths in the
+output agree; nothing is written under `perfbench/`.
 
 Prints the number of calls and each argv whose stdout, stderr or exit code
 differs, and exits 1 on any difference.
@@ -34,6 +38,14 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import FACE_LADDER_IDEALS  # noqa: E402
+
+LARGE_RINGS = [
+    *FACE_LADDER_IDEALS, (16, 6), (20, 4), (14, 8),
+    (19, 9), (21, 8), (20, 10), (22, 11), (24, 12),
+]
 
 SPECS = ["16*S5xS7 # 15*S6xS6", "16*S5xS7", "5*S3xS4", "2*S3xS3"]
 HOMOLOGY_SPECS = [
@@ -107,7 +119,10 @@ def call_set(workdir: Path) -> list[list[str]]:
             base += [faces, [*faces, "--count"]]
             base += [[*faces, "--max-card", c] for c in ("2", "99")]
     base += MISC_CALLS
-    return [argv + mode for argv in base for mode in ([], ["--json"], ["--quiet"])]
+    calls = [argv + mode for argv in base for mode in ([], ["--json"], ["--quiet"])]
+    for n, d in LARGE_RINGS:
+        calls += [[cmd, "cyclic", str(n), str(d), "--json"] for cmd in ("ideal", "syzmin")]
+    return calls
 
 
 def sweep(tree: Path, calls, workdir: Path) -> list:

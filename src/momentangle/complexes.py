@@ -4,8 +4,10 @@ A complex on vertex set 1..m is its minimal non-faces, and those are exactly
 the generators of its Stanley-Reisner ideal: the face ring is the polynomial
 ring on degree-2 variables v_1..v_m modulo the squarefree monomials on the
 minimal non-faces.  So one type, `FaceRingPresentation`, stands for both the
-complex and its face ring.  Facet lists are an input format: `from_facets`
-derives the generators from them once.
+complex and its face ring.  Facet lists are an input format: cyclic, polygon
+and file facets all go through one pass on vertex bitmasks that builds the
+downward closure with an extension mask per face and reads the generators
+off those masks.
 """
 
 from __future__ import annotations
@@ -13,12 +15,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import combinations, islice
+from itertools import islice
 from math import comb
 from operator import or_
 
 from .gale import CyclicParams, as_subset, check_subset_count
-from .gale import is_face as _cyclic_is_face
 
 __all__ = [
     "Monomial",
@@ -137,7 +138,12 @@ def _comparable_pairs(masks):
 
 def _members(mask: int) -> tuple[int, ...]:
     """The vertices of a bitmask (bit v-1 stands for vertex v), increasing."""
-    return tuple(v for v in range(1, mask.bit_length() + 1) if mask >> (v - 1) & 1)
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return tuple(out)
 
 
 def _presentation(m: int, supports) -> FaceRingPresentation:
@@ -148,17 +154,27 @@ def from_facets(m: int, facets) -> FaceRingPresentation:
     """Build a complex from its facet list, deriving its minimal non-faces.
 
     Non-maximal and repeated entries are allowed; every vertex must appear in
-    some facet.  Dropping the largest vertex of a minimal non-face leaves a
-    face, so extending every face by each vertex above its own, and keeping
-    the non-faces all of whose other one-vertex deletions are faces, finds
-    every generator exactly once.  Faces are vertex bitmasks.
+    some facet, and the sum of 2**|facet| over the distinct facets may not
+    pass the subset limit.
     """
-    masks = {_mask(as_subset(f, m)) for f in facets}
+    return _from_facet_masks(m, {_mask(as_subset(f, m)) for f in facets})
+
+
+def _from_facet_masks(m: int, masks) -> FaceRingPresentation:
+    """The complex whose faces lie under the distinct vertex bitmasks `masks`.
+
+    The downward closure is built level by level, from the largest faces
+    down, as a map from each face f to its extension mask ext[f]: the union
+    of f and the faces one vertex larger than f, so for v outside f bit v-1
+    is set iff f | v is a face.  Each face is visited once per vertex it
+    contains.  Dropping the largest vertex v of a minimal non-face leaves a
+    face f, and the other one-vertex deletions are faces iff v lies in every
+    ext[f ^ b], b a vertex of f; so the generators come from a few ANDs per
+    face, each exactly once.
+    """
     if 0 in masks:
         raise ValueError("facets must be nonempty")
-    covered = 0
-    for mask in masks:
-        covered |= mask
+    covered = reduce(or_, masks, 0)
     n_missing = m - covered.bit_count()
     if n_missing > 0:
         missing = (v for v in range(1, m + 1) if not covered >> (v - 1) & 1)
@@ -167,19 +183,39 @@ def from_facets(m: int, facets) -> FaceRingPresentation:
         raise ValueError(f"ghost vertices (in no facet): [{shown}{more}")
     closure = sum(1 << mask.bit_count() for mask in masks)
     check_subset_count(closure, "the downward closure of the facet list")
-    faces = {0}
+    ext = {}
+    depth = max((mask.bit_count() for mask in masks), default=0)
+    levels = [[] for _ in range(depth + 1)]
     for mask in masks:
-        sub = mask
-        while sub:
-            faces.add(sub)
-            sub = (sub - 1) & mask
+        ext[mask] = mask
+        levels[mask.bit_count()].append(mask)
+    for k in range(len(levels) - 1, 0, -1):
+        below = levels[k - 1]
+        for g in levels[k]:
+            x = g
+            while x:
+                low = x & -x
+                x ^= low
+                f = g ^ low
+                e = ext.get(f)
+                if e is None:
+                    ext[f] = g
+                    below.append(f)
+                else:
+                    ext[f] = e | g
     nonfaces = []
-    for f in faces:
-        bits = [1 << (u - 1) for u in _members(f)]
-        for v in range(f.bit_length(), m):
-            s = f | 1 << v
-            if s not in faces and all(s ^ b in faces for b in bits):
-                nonfaces.append(_members(s))
+    for f, e in ext.items():
+        top = f.bit_length()
+        new = covered >> top << top & ~e  # covered is every vertex here
+        x = f
+        while x and new:
+            low = x & -x
+            x ^= low
+            new &= ext[f ^ low]
+        while new:
+            low = new & -new
+            new ^= low
+            nonfaces.append(_members(f | low))
     return _presentation(m, nonfaces)
 
 
@@ -199,18 +235,36 @@ def from_nonfaces(m: int, nonfaces) -> FaceRingPresentation:
     return _presentation(m, (nf for j, nf in enumerate(nfs) if j not in containers))
 
 
+def _pairings(lo: int, hi: int, k: int) -> list[int]:
+    """Bitmasks of the ways to pick k disjoint pairs {i, i+1} inside lo..hi."""
+    if k == 0:
+        return [0]
+    return [
+        3 << (i - 1) | rest
+        for i in range(lo, hi - 2 * k + 2)
+        for rest in _pairings(i + 2, hi, k - 1)
+    ]
+
+
 def from_cyclic(p: CyclicParams) -> FaceRingPresentation:
     """Boundary complex of C(n, d) on m = n vertices.
 
-    Facets are the d-subsets passing the evenness criterion; faces are then
-    exactly the criterion's faces (polytope boundaries are pure and closed
-    under subsets).
+    The facets come straight from Gale's evenness condition: for even d they
+    are the unions of d/2 disjoint cyclic pairs {i, i+1}, {n, 1} included;
+    for odd d, {1} or {n} plus (d-1)/2 disjoint pairs on the other vertices.
+    No candidate search runs; the C(n, d) guard is an input-size limit, and
+    admits exactly the inputs whose d-subsets could all be tested.
     """
-    check_subset_count(comb(p.n, p.d), f"the facet search of C({p.n},{p.d})")
-    facets = [
-        c for c in combinations(range(1, p.n + 1), p.d) if _cyclic_is_face(c, p)
-    ]
-    return from_facets(p.n, facets)
+    n, d = p.n, p.d
+    check_subset_count(comb(n, d), f"the facet search of C({n},{d})")
+    k, last = d // 2, 1 << (n - 1)
+    if d % 2:
+        facets = [1 | x for x in _pairings(2, n, k)]
+        facets += [last | x for x in _pairings(1, n - 1, k)]
+    else:
+        facets = _pairings(1, n, k)
+        facets += [1 | last | x for x in _pairings(2, n - 1, k - 1)]
+    return _from_facet_masks(n, facets)
 
 
 def from_polygon(m: int) -> FaceRingPresentation:

@@ -7,7 +7,9 @@ connected-sum homology is peeled one summand at a time via the collapse
 cofibration instead of multiplying punctured tables, the minimal relation
 degree is found by exhaustive multiset matching instead of the lcm shortcut,
 minimal non-faces are found by scanning subsets against the facet list (or
-the non-face list) instead of extending bitmask faces, Gale's criterion
+the non-face list) instead of reading per-face extension masks, the facets
+of a cyclic polytope are found by testing every d-subset against Gale's
+criterion instead of being built as unions of cyclic pairs, Gale's criterion
 splits a subset into run objects instead of counting runs in one pass, and
 neighborliness tests every q-subset instead of reading the closed-form
 f-vector, the f-vector itself is summed from binomials instead of by
@@ -21,7 +23,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain, combinations
 
-from momentangle.gale import as_subset
+from momentangle.gale import CyclicParams, as_subset, is_face
 from momentangle.hilton import moebius
 
 # The 16 minimal non-faces of the boundary complex of C(8,4); independently
@@ -57,6 +59,13 @@ def minimal_nonfaces_bruteforce(m: int, facets) -> list[tuple[int, ...]]:
             if not is_face(s) and all(is_face(s[:i] + s[i + 1 :]) for i in range(card)):
                 out.append(s)
     return sorted(out)
+
+
+def cyclic_facets_by_filter(n: int, d: int) -> list[tuple[int, ...]]:
+    """Facets of the boundary of C(n, d): the d-subsets of 1..n that pass
+    Gale's criterion, in `combinations` order."""
+    p = CyclicParams(n, d)
+    return [c for c in combinations(range(1, n + 1), d) if is_face(c, p)]
 
 
 def minimal_elements_bruteforce(m: int, nonfaces) -> list[tuple[int, ...]]:

@@ -15,11 +15,12 @@ from momentangle.complexes import (
     from_polygon,
     parse_complex,
 )
-from momentangle.gale import CyclicParams, is_face as cyclic_is_face
+from momentangle.gale import CyclicParams, f_vector, is_face as cyclic_is_face
 
 from oracles import (
     CYCLIC_8_4_MINIMAL_NONFACES,
     PENTAGON_MINIMAL_NONFACES,
+    cyclic_facets_by_filter,
     first_comparable_pair,
     minimal_elements_bruteforce,
     minimal_nonfaces_bruteforce,
@@ -38,8 +39,10 @@ def all_subsets(m, max_card=None):
 
 
 def random_facet_lists():
-    """(m, facets) for small ghost-free complexes; singletons patch uncovered
-    vertices, so non-maximal entries are common, and a drawn facet may repeat."""
+    """(m, facets) for small ghost-free complexes on up to 10 vertices, with
+    facets of 1 to 6 vertices, so most lists are impure; singletons patch
+    uncovered vertices, so non-maximal entries are common, and a drawn facet
+    may repeat."""
 
     def build(args):
         m, raw = args
@@ -50,8 +53,8 @@ def random_facet_lists():
         return m, [f for f in facets if f]
 
     return st.tuples(
-        st.integers(3, 7),
-        st.lists(st.sets(st.integers(1, 7), min_size=1, max_size=4), max_size=6),
+        st.integers(3, 10),
+        st.lists(st.sets(st.integers(1, 10), min_size=1, max_size=6), max_size=8),
     ).map(build)
 
 
@@ -133,6 +136,21 @@ class TestFactories:
         with pytest.raises(ValueError, match=f"{comb(24, 12)} subsets"):
             from_cyclic(CyclicParams(24, 12))
 
+    @pytest.mark.parametrize("n,d", [(22, 11), (20, 10)])
+    def test_cyclic_refuses_oversized_closure_at_once(self, n, d):
+        # Admitted by the C(n, d) guard; each of the f_(d-1) facets has
+        # 2**d subsets, so the closure guard refuses.
+        p = CyclicParams(n, d)
+        closure = f_vector(p)[-1] << d
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            from_cyclic(p)
+        assert time.perf_counter() - start < 1.0
+        assert str(info.value) == (
+            f"the downward closure of the facet list would visit {closure} "
+            "subsets, above the limit of 1048576"
+        )
+
     def test_nonfaces_reject_singletons(self):
         with pytest.raises(ValueError):
             from_nonfaces(3, [(2,)])
@@ -148,6 +166,14 @@ class TestFactories:
 
 
 class TestFromCyclic:
+    @pytest.mark.parametrize(
+        "n,d", [(n, d) for n in range(3, 14) for d in range(2, n)]
+    )
+    def test_facets_match_subset_filter(self, n, d):
+        # Equal complexes have equal facets.
+        facets = cyclic_facets_by_filter(n, d)
+        assert from_cyclic(CyclicParams(n, d)) == from_facets(n, facets)
+
     def test_c84_triangle_count(self):
         K = from_cyclic(CyclicParams(8, 4))
         triangles = [c for c in combinations(range(1, 9), 3) if K.is_face(c)]
@@ -226,9 +252,9 @@ class TestMinimalNonfaces:
         "n,d", [(n, d) for n in range(3, 12) for d in range(2, n)]
     )
     def test_cyclic_matches_bruteforce(self, n, d):
-        p = CyclicParams(n, d)
-        facets = [c for c in combinations(range(1, n + 1), d) if cyclic_is_face(c, p)]
-        assert supports(from_cyclic(p)) == minimal_nonfaces_bruteforce(n, facets)
+        facets = cyclic_facets_by_filter(n, d)
+        got = supports(from_cyclic(CyclicParams(n, d)))
+        assert got == minimal_nonfaces_bruteforce(n, facets)
 
     @settings(max_examples=100, deadline=None)
     @given(nonface_lists(), st.data())
