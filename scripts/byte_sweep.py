@@ -17,9 +17,12 @@ six edge-case files, a missing file and a bad source; `counterexample`, six
 and `--quiet`.  Larger rings add `ideal` and `syzmin`, with `--json` only:
 every `face_ladder` rung of `perfbench/workloads.py`, the probe rings
 C(16,6), C(20,4) and C(14,8), the rings C(19,9) and C(21,8) just inside the
-subset limit, and C(20,10), C(22,11) and C(24,12), which are refused.  The
-files go to one temporary directory shared by both trees, so paths in the
-output agree; nothing is written under `perfbench/`.
+subset limit, and C(20,10), C(22,11) and C(24,12), which are refused; and
+`ideal cyclic 1001 1000 --json` and `syzmin cyclic 999 998 --json`, whose
+facets hold about 500 pairs each.  The files go to one temporary directory
+shared by both trees, so paths in the output agree; nothing is written under
+`perfbench/`.  An exception that escapes `cli.main` counts as exit code 1
+with its traceback on stderr, as the interpreter would print it.
 
 Prints the number of calls and each argv whose stdout, stderr or exit code
 differs, and exits 1 on any difference.
@@ -61,6 +64,10 @@ EDGE_FILES = {
     "singleton": "vertices 4\nnonfaces\n1\n2 3\n",
     "bad_token": "# comment only\nvertices 4\nfacets\n1 x\n",
 }
+DEEP_CALLS = [
+    ["ideal", "cyclic", "1001", "1000", "--json"],
+    ["syzmin", "cyclic", "999", "998", "--json"],
+]
 MISC_CALLS = [
     ["counterexample"],
     ["--help"],
@@ -74,7 +81,7 @@ MISC_CALLS = [
 
 # Runs in the subprocess: argv lists on stdin, one [code, out, err] each on stdout.
 WORKER = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, traceback
 from momentangle import cli
 results = []
 for argv in json.load(sys.stdin):
@@ -84,6 +91,9 @@ for argv in json.load(sys.stdin):
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
+        except Exception:
+            code = 1
+            traceback.print_exc()
     results.append([code, out.getvalue(), err.getvalue()])
 json.dump({"module": cli.__file__, "results": results}, sys.stdout)
 """
@@ -122,7 +132,7 @@ def call_set(workdir: Path) -> list[list[str]]:
     calls = [argv + mode for argv in base for mode in ([], ["--json"], ["--quiet"])]
     for n, d in LARGE_RINGS:
         calls += [[cmd, "cyclic", str(n), str(d), "--json"] for cmd in ("ideal", "syzmin")]
-    return calls
+    return calls + DEEP_CALLS
 
 
 def sweep(tree: Path, calls, workdir: Path) -> list:

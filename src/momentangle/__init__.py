@@ -1,10 +1,11 @@
 """Combinatorial rational-homotopy pipeline.
 
 A simplicial complex is carried by one type, the Stanley-Reisner
-presentation of its face ring (one ideal generator per minimal non-face).
-From a cyclic polytope, a polygon or a complex file this package derives that
-presentation, the minimal degree of a relation among the ideal generators,
-and the wedge-of-spheres model of the associated Borel space, a sphere
+presentation of its face ring (one ideal generator per minimal non-face,
+each the strictly increasing tuple of its vertices).  From a cyclic polytope,
+a polygon or a complex file this package derives that presentation, the
+minimal degree of a relation among the ideal generators with the generator
+pair that reaches it, and the wedge-of-spheres model of the associated Borel space, a sphere
 spectrum truncated at the model's window (`borel_model`).  On the other side
 it computes graded homology ranks of connected sums of sphere products, which
 are rational homotopy ranks up to `hurewicz_window`; the CLI compares the two
@@ -20,19 +21,13 @@ from .gale import (
 )
 from .complexes import (
     FaceRingPresentation,
-    Monomial,
     from_cyclic,
     from_facets,
     from_nonfaces,
     from_polygon,
     parse_complex,
 )
-from .syzygy import (
-    RelationAmongRelations,
-    lcm_support,
-    min_relation_degree,
-    relation_holds,
-)
+from .syzygy import min_relation_degree
 from .hilton import (
     SphereSpectrum,
     borel_model,

@@ -14,7 +14,7 @@ from functools import cache, lru_cache
 from pathlib import Path
 
 from . import complexes, hilton, manifold, syzygy
-from .complexes import FaceRingPresentation, Monomial
+from .complexes import FaceRingPresentation
 from .gale import CyclicParams, enumerate_faces, f_vector
 
 __all__ = ["CliError", "build_verdict_report", "main", "run"]
@@ -78,20 +78,24 @@ def _ideal_block(F: FaceRingPresentation) -> dict:
     return {
         "m": F.m,
         "size": len(F.generators),
-        "generators": [list(g.support) for g in F.generators],
+        "generators": [list(g) for g in F.generators],
         "degree_histogram": {str(d): c for d, c in F.degree_histogram().items()},
     }
 
 
-def _witness_block(F: FaceRingPresentation, rel: syzygy.RelationAmongRelations) -> dict:
+def _witness_block(F: FaceRingPresentation, degree: int, pair: tuple[int, int]) -> dict:
+    """The relation g_i * multiplier_i == g_j * multiplier_j of degree
+    `degree`; each multiplier is the other generator's vertices less its own."""
+    i, j = pair
+    gi, gj = F.generators[i], F.generators[j]
     return {
-        "i": rel.i,
-        "j": rel.j,
-        "generator_i": list(F.generators[rel.i].support),
-        "generator_j": list(F.generators[rel.j].support),
-        "multiplier_i": list(rel.multiplier_i.support),
-        "multiplier_j": list(rel.multiplier_j.support),
-        "degree": rel.degree,
+        "i": i,
+        "j": j,
+        "generator_i": list(gi),
+        "generator_j": list(gj),
+        "multiplier_i": [v for v in gj if v not in gi],
+        "multiplier_j": [v for v in gi if v not in gj],
+        "degree": degree,
     }
 
 
@@ -119,7 +123,7 @@ def build_verdict_report(source_tokens, manifold_text: str, q: int | None = None
     F, descriptor = _resolve_source(source_tokens)
     if F.is_trivial:
         raise CliError("the ideal is empty (full simplex): nothing to compare")
-    rmin_degree, witness = syzygy.min_relation_degree(F)
+    rmin_degree, pair = syzygy.min_relation_degree(F)
     wedge = hilton.borel_model(F, rmin_degree)
     spec = manifold.parse_connected_sum(manifold_text)
     g = manifold.connected_sum_homology(spec)
@@ -162,7 +166,7 @@ def build_verdict_report(source_tokens, manifold_text: str, q: int | None = None
     return {
         "input": {"source": descriptor, "manifold": manifold.format_connected_sum(spec)},
         "ideal": _ideal_block(F),
-        "rmin": {"degree": rmin_degree, "witness": _witness_block(F, witness)},
+        "rmin": {"degree": rmin_degree, "witness": _witness_block(F, rmin_degree, pair)},
         "wedge": _wedge_block(wedge, wedge.ceiling, F.m),
         "manifold": _manifold_block(spec, g),
         "comparison": comparison,
@@ -174,16 +178,21 @@ def build_verdict_report(source_tokens, manifold_text: str, q: int | None = None
 # text views: each reads only its subcommand's report and yields lines
 # ---------------------------------------------------------------------------
 
+def _monomial(support) -> str:
+    """The text of a squarefree monomial: v1*v3*v5 for the support 1, 3, 5."""
+    return "*".join(f"v{i}" for i in support)
+
+
 def _witness_text(witness: dict) -> str:
     gi, gj, mi, mj = (
-        str(Monomial(tuple(witness[key])))
+        _monomial(witness[key])
         for key in ("generator_i", "generator_j", "multiplier_i", "multiplier_j")
     )
     return f"({gi}) * {mi} == ({gj}) * {mj}"
 
 
 def _generator_rows(supports, per_row: int = 4):
-    gens = [str(Monomial(tuple(s))) for s in supports]
+    gens = [_monomial(s) for s in supports]
     for i in range(0, len(gens), per_row):
         yield "  " + "  ".join(gens[i : i + per_row])
 
@@ -325,11 +334,11 @@ def cmd_ideal(args) -> dict:
 
 def cmd_syzmin(args) -> dict:
     F, descriptor = _resolve_source(args.source)
-    degree, witness = syzygy.min_relation_degree(F)
+    degree, pair = syzygy.min_relation_degree(F)
     return {
         "input": {"source": descriptor},
         "ideal": _ideal_block(F),
-        "rmin": {"degree": degree, "witness": _witness_block(F, witness)},
+        "rmin": {"degree": degree, "witness": _witness_block(F, degree, pair)},
     }
 
 
@@ -339,7 +348,7 @@ def cmd_wedge(args) -> dict:
     shown = hilton.borel_model(F, rmin_degree)
     q_max = shown.ceiling
     if args.ceiling is not None:
-        dims = [g.degree - 1 for g in F.generators]
+        dims = [2 * len(g) - 1 for g in F.generators]
         shown = hilton.wedge_spectrum(dims, args.ceiling)
     notes = []
     if shown.ceiling > q_max:

@@ -4,10 +4,11 @@ A complex on vertex set 1..m is its minimal non-faces, and those are exactly
 the generators of its Stanley-Reisner ideal: the face ring is the polynomial
 ring on degree-2 variables v_1..v_m modulo the squarefree monomials on the
 minimal non-faces.  So one type, `FaceRingPresentation`, stands for both the
-complex and its face ring.  Facet lists are an input format: cyclic, polygon
-and file facets all go through one pass on vertex bitmasks that builds the
-downward closure with an extension mask per face and reads the generators
-off those masks.
+complex and its face ring, and carries each generator once, as the strictly
+increasing tuple of its vertices, with a vertex bitmask derived from it.
+Facet lists are an input format: cyclic, polygon and file facets all go
+through one pass on vertex bitmasks that builds the downward closure with an
+extension mask per face and reads the generators off those masks.
 """
 
 from __future__ import annotations
@@ -15,14 +16,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import islice
+from itertools import combinations, islice
 from math import comb
 from operator import or_
 
 from .gale import CyclicParams, as_subset, check_subset_count
 
 __all__ = [
-    "Monomial",
     "FaceRingPresentation",
     "from_facets",
     "from_nonfaces",
@@ -33,32 +33,12 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Monomial:
-    """Squarefree monomial in v_1..v_m, recorded by its support; |v_i| = 2."""
-
-    support: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.support:
-            raise ValueError("squarefree monomials here have nonempty support")
-        if list(self.support) != sorted(set(self.support)):
-            raise ValueError(f"support must be strictly increasing, got {self.support}")
-        if self.support[0] < 1:
-            raise ValueError(f"variable indices start at 1, got {self.support}")
-
-    @property
-    def degree(self) -> int:
-        return 2 * len(self.support)
-
-    def __str__(self) -> str:
-        return "*".join(f"v{i}" for i in self.support)
-
-
-@dataclass(frozen=True)
 class FaceRingPresentation:
     """A complex on 1..m: variables v_1..v_m plus one ideal generator per
     minimal non-face.
 
+    A generator is the squarefree monomial on a strictly increasing, nonempty
+    vertex tuple; its degree is twice its length, since |v_i| = 2.
     Generators are lexicographically sorted and pairwise incomparable under
     divisibility.  An empty generator list (full simplex) is legal but
     flagged via `is_trivial`; downstream relation/wedge machinery refuses it.
@@ -67,24 +47,30 @@ class FaceRingPresentation:
     """
 
     m: int
-    generators: tuple[Monomial, ...] = field(default=())
+    generators: tuple[tuple[int, ...], ...] = field(default=())
     # One vertex bitmask per generator (bit v-1 for vertex v), derived here.
     masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # Support checks come first: a vertex below 1 has no bitmask.
+        for g in self.generators:
+            if not g:
+                raise ValueError("squarefree monomials here have nonempty support")
+            if list(g) != sorted(set(g)):
+                raise ValueError(f"support must be strictly increasing, got {g}")
+            if g[0] < 1:
+                raise ValueError(f"variable indices start at 1, got {g}")
         if self.m < 1:
             raise ValueError(f"vertex count must be positive, got {self.m}")
-        supports = [g.support for g in self.generators]
-        if supports != sorted(supports):
+        gens = self.generators
+        if list(gens) != sorted(gens):
             raise ValueError("generators must be lexicographically sorted")
-        masks = tuple(map(_mask, supports))
+        masks = tuple(map(_mask, gens))
         object.__setattr__(self, "masks", masks)
         pair = min(map(sorted, _comparable_pairs(masks)), default=None)
         if pair is not None:
             i, j = pair
-            raise ValueError(
-                f"generators must be incomparable: {supports[i]} vs {supports[j]}"
-            )
+            raise ValueError(f"generators must be incomparable: {gens[i]} vs {gens[j]}")
         if reduce(or_, masks, 0).bit_length() > self.m:
             raise ValueError("generator mentions a variable beyond v_m")
 
@@ -101,7 +87,7 @@ class FaceRingPresentation:
         return not self.generators
 
     def degree_histogram(self) -> dict[int, int]:
-        return dict(sorted(Counter(g.degree for g in self.generators).items()))
+        return dict(sorted(Counter(2 * len(g) for g in self.generators).items()))
 
 
 def _mask(members) -> int:
@@ -147,7 +133,7 @@ def _members(mask: int) -> tuple[int, ...]:
 
 
 def _presentation(m: int, supports) -> FaceRingPresentation:
-    return FaceRingPresentation(m, tuple(Monomial(s) for s in sorted(supports)))
+    return FaceRingPresentation(m, tuple(sorted(supports)))
 
 
 def from_facets(m: int, facets) -> FaceRingPresentation:
@@ -236,14 +222,24 @@ def from_nonfaces(m: int, nonfaces) -> FaceRingPresentation:
 
 
 def _pairings(lo: int, hi: int, k: int) -> list[int]:
-    """Bitmasks of the ways to pick k disjoint pairs {i, i+1} inside lo..hi."""
-    if k == 0:
-        return [0]
-    return [
-        3 << (i - 1) | rest
-        for i in range(lo, hi - 2 * k + 2)
-        for rest in _pairings(i + 2, hi, k - 1)
-    ]
+    """Bitmasks of the ways to pick k disjoint pairs {i, i+1} inside lo..hi.
+
+    Read lo..hi as a word of k pairs and s = hi - lo + 1 - 2k singles: a
+    pairing is the interval less its singles, and the c-th single (from 0)
+    at letter t is vertex lo + 2t - c.  Nothing recurses, so any k is built.
+    """
+    s = hi - lo + 1 - 2 * k
+    if s < 0:
+        return []
+    interval = ((1 << (hi - lo + 1)) - 1) << (lo - 1)
+    bits = [1 << v for v in range(lo - 1, hi)]  # bits[j] stands for vertex lo + j
+    out = []
+    for singles in combinations(range(k + s), s):
+        x = interval
+        for c, t in enumerate(singles):
+            x ^= bits[2 * t - c]
+        out.append(x)
+    return out
 
 
 def from_cyclic(p: CyclicParams) -> FaceRingPresentation:

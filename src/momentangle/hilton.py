@@ -145,4 +145,4 @@ def borel_model(F: FaceRingPresentation, rmin: int) -> SphereSpectrum:
             "the wedge model needs a minimal relation degree, "
             "which needs at least two ideal generators"
         )
-    return wedge_spectrum([g.degree - 1 for g in F.generators], ceiling=rmin - 2)
+    return wedge_spectrum([2 * len(g) - 1 for g in F.generators], ceiling=rmin - 2)

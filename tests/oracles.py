@@ -13,8 +13,10 @@ criterion instead of being built as unions of cyclic pairs, Gale's criterion
 splits a subset into run objects instead of counting runs in one pass, and
 neighborliness tests every q-subset instead of reading the closed-form
 f-vector, the f-vector itself is summed from binomials instead of by
-Horner's rule, and generator pairs are compared and joined as Python sets
-instead of as vertex bitmasks.
+Horner's rule, generator pairs are compared and joined as Python sets
+instead of as vertex bitmasks, relation multipliers are set differences
+instead of filtered generator tuples, and a report's witness is checked by
+multiplying it out.
 """
 
 from __future__ import annotations
@@ -88,6 +90,38 @@ def minimal_elements_bruteforce(m: int, nonfaces) -> list[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
+# presentation constructor: each refusal, in the order it is made
+# ---------------------------------------------------------------------------
+
+def presentation_refusal(m: int, supports) -> str | None:
+    """The message with which `FaceRingPresentation(m, supports)` refuses its
+    input, or None if it accepts it.
+
+    Each support is checked in turn as a squarefree monomial (nonempty,
+    strictly increasing, vertices from 1), then the vertex count, the
+    lexicographic order, the first comparable pair in `combinations` order,
+    and the range of every vertex.
+    """
+    for s in supports:
+        if not s:
+            return "squarefree monomials here have nonempty support"
+        if any(a >= b for a, b in zip(s, s[1:])):
+            return f"support must be strictly increasing, got {s}"
+        if s[0] < 1:
+            return f"variable indices start at 1, got {s}"
+    if m < 1:
+        return f"vertex count must be positive, got {m}"
+    if list(supports) != sorted(supports):
+        return "generators must be lexicographically sorted"
+    pair = first_comparable_pair(supports)
+    if pair is not None:
+        return f"generators must be incomparable: {pair[0]} vs {pair[1]}"
+    if any(s[-1] > m for s in supports):
+        return "generator mentions a variable beyond v_m"
+    return None
+
+
+# ---------------------------------------------------------------------------
 # generator-pair scans: every pair, on vertex sets
 # ---------------------------------------------------------------------------
 
@@ -100,10 +134,27 @@ def first_comparable_pair(supports):
     return None
 
 
+def lcm_quotients(a, b) -> tuple[list[int], list[int]]:
+    """The multipliers that take the supports a and b to their lcm: the
+    vertices of b missing from a, and the other way round, as set
+    differences."""
+    return sorted(set(b) - set(a)), sorted(set(a) - set(b))
+
+
+def relation_holds(rmin: dict) -> bool:
+    """Check a report's `rmin` block: its witness, generator_i times
+    multiplier_i and generator_j times multiplier_j, is one monomial (the
+    same multiset of variables) whose degree is the reported one."""
+    w = rmin["witness"]
+    left = sorted(w["generator_i"] + w["multiplier_i"])
+    right = sorted(w["generator_j"] + w["multiplier_j"])
+    return left == right and 2 * len(left) == w["degree"] == rmin["degree"]
+
+
 def min_relation_pair_by_sets(F) -> tuple[int, int, int]:
     """(degree, i, j) for the first generator pair, in `combinations` order,
     whose support union is smallest; the degree is 2 * |union|."""
-    gens = [g.support for g in F.generators]
+    gens = F.generators
     best = None
     for i, j in combinations(range(len(gens)), 2):
         deg = 2 * len(set(gens[i]) | set(gens[j]))
@@ -347,7 +398,7 @@ def min_relation_degree_bruteforce(F, max_multiplier_size: int | None = None) ->
     variables).  The bound defaults to the largest generator support plus
     one, which covers every lcm quotient.
     """
-    gens = [g.support for g in F.generators]
+    gens = F.generators
     if max_multiplier_size is None:
         max_multiplier_size = max(len(g) for g in gens) + 1
     universe = range(1, F.m + 1)

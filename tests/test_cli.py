@@ -438,7 +438,8 @@ class TestReadme:
         ns: dict = {}
         exec(block, ns)
         assert len(ns["F"].generators) == 16 and ns["F"].is_face({1, 3, 8})
-        assert ns["rmin"] == 8
+        assert ns["F"].generators[0] == (1, 3, 5)
+        assert (ns["rmin"], ns["i"], ns["j"]) == (8, 0, 1)
         assert ns["wedge"].entries == {5: 16} and ns["wedge"].ceiling == 6
         assert hurewicz_window(ns["g"]) == 8
         assert (ns["wedge"].entries.get(6, 0), ns["g"].rank(6)) == (0, 30)

@@ -1,19 +1,27 @@
+import json
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentangle.complexes import (
-    FaceRingPresentation,
-    Monomial,
-    from_cyclic,
-    from_polygon,
-)
+from momentangle.cli import _witness_block, main
+from momentangle.complexes import FaceRingPresentation, from_cyclic, from_polygon
 from momentangle.gale import CyclicParams
-from momentangle.syzygy import lcm_support, min_relation_degree, relation_holds
+from momentangle.syzygy import min_relation_degree
 
-from oracles import min_relation_degree_bruteforce, min_relation_pair_by_sets
+from oracles import (
+    lcm_quotients,
+    min_relation_degree_bruteforce,
+    min_relation_pair_by_sets,
+    relation_holds,
+)
+
+
+def rmin_block(F):
+    """The `rmin` block a report gives for F."""
+    degree, pair = min_relation_degree(F)
+    return {"degree": degree, "witness": _witness_block(F, degree, pair)}
 
 
 def presentations():
@@ -28,9 +36,7 @@ def presentations():
         ]
         if len(antichain) < 2:
             antichain = [(1, 2), (1, 3)]
-        return FaceRingPresentation(
-            m, tuple(Monomial(s) for s in sorted(antichain))
-        )
+        return FaceRingPresentation(m, tuple(sorted(antichain)))
 
     return st.integers(4, 7).flatmap(
         lambda m: st.lists(
@@ -42,41 +48,40 @@ def presentations():
 
 
 class TestLcm:
+    """The witness multipliers are the lcm quotients of its generators."""
+
     def test_overlapping_triples(self):
-        got = lcm_support(Monomial((1, 3, 5)), Monomial((1, 3, 6)))
-        assert got.support == (1, 3, 5, 6)
+        w = rmin_block(FaceRingPresentation(6, ((1, 3, 5), (1, 3, 6))))["witness"]
+        assert (w["multiplier_i"], w["multiplier_j"]) == ([6], [5])
+        assert (w["multiplier_i"], w["multiplier_j"]) == lcm_quotients((1, 3, 5), (1, 3, 6))
 
     def test_disjoint_pairs(self):
-        got = lcm_support(Monomial((1, 3)), Monomial((2, 4)))
-        assert got.support == (1, 2, 3, 4)
-
-    def test_idempotent(self):
-        a = Monomial((2, 5, 7))
-        assert lcm_support(a, a) == a
+        w = rmin_block(FaceRingPresentation(4, ((1, 3), (2, 4))))["witness"]
+        assert (w["multiplier_i"], w["multiplier_j"]) == ([2, 4], [1, 3])
+        assert (w["multiplier_i"], w["multiplier_j"]) == lcm_quotients((1, 3), (2, 4))
 
 
 class TestMinRelationDegree:
     def test_c84(self, c84_ring):
-        degree, witness = min_relation_degree(c84_ring)
-        assert degree == 8
-        assert (witness.i, witness.j) == (0, 1)
-        assert c84_ring.generators[witness.i].support == (1, 3, 5)
-        assert c84_ring.generators[witness.j].support == (1, 3, 6)
-        assert witness.multiplier_i.support == (6,)
-        assert witness.multiplier_j.support == (5,)
+        degree, (i, j) = min_relation_degree(c84_ring)
+        assert (degree, i, j) == (8, 0, 1)
+        assert c84_ring.generators[i] == (1, 3, 5)
+        assert c84_ring.generators[j] == (1, 3, 6)
+        w = rmin_block(c84_ring)["witness"]
+        assert (w["multiplier_i"], w["multiplier_j"]) == ([6], [5])
 
     def test_pentagon(self, pentagon_ring):
         # The showcased relation between the disjoint generators v1*v3 and
         # v2*v4 has degree 8, but overlapping pairs do better: v1*v3 and
         # v1*v4 meet at v1*v3*v4, giving degree 6.  Exhaustive search below
         # (oracle tests) confirms nothing smaller exists.
-        degree, witness = min_relation_degree(pentagon_ring)
+        degree, (i, j) = min_relation_degree(pentagon_ring)
         assert degree == 6
-        assert pentagon_ring.generators[witness.i].support == (1, 3)
-        assert pentagon_ring.generators[witness.j].support == (1, 4)
+        assert pentagon_ring.generators[i] == (1, 3)
+        assert pentagon_ring.generators[j] == (1, 4)
 
     def test_single_generator_errors(self):
-        F = FaceRingPresentation(3, (Monomial((1, 2)),))
+        F = FaceRingPresentation(3, ((1, 2),))
         with pytest.raises(ValueError, match="at least two"):
             min_relation_degree(F)
 
@@ -86,8 +91,7 @@ class TestMinRelationDegree:
 
     def test_witness_is_a_valid_relation(self, c84_ring, pentagon_ring):
         for F in (c84_ring, pentagon_ring, from_polygon(6)):
-            _, witness = min_relation_degree(F)
-            assert relation_holds(F, witness)
+            assert relation_holds(rmin_block(F))
 
     def test_degree_is_even(self, c84_ring):
         degree, _ = min_relation_degree(c84_ring)
@@ -119,37 +123,51 @@ class TestOracleEquivalence:
     @settings(max_examples=40, deadline=None)
     @given(presentations())
     def test_random_presentations(self, F):
-        degree, witness = min_relation_degree(F)
-        assert relation_holds(F, witness)
-        assert degree == min_relation_degree_bruteforce(F, max_multiplier_size=4)
+        rmin = rmin_block(F)
+        assert relation_holds(rmin)
+        assert rmin["degree"] == min_relation_degree_bruteforce(F, max_multiplier_size=4)
 
 
 class TestPairScanOracle:
     """The bitmask pair scan against the set-union scan: same degree and the
-    same witness pair, which pins the tie-break as well as the minimum."""
+    same witness pair, which pins the tie-break as well as the minimum.  The
+    report's witness block for that pair multiplies out to one monomial of
+    that degree, with the set differences as its multipliers."""
 
     @staticmethod
-    def scan(F):
-        degree, witness = min_relation_degree(F)
-        return degree, witness.i, witness.j
+    def check(F, rmin):
+        w = rmin["witness"]
+        assert (rmin["degree"], w["i"], w["j"]) == min_relation_pair_by_sets(F)
+        assert relation_holds(rmin)
+        assert w["generator_i"] == list(F.generators[w["i"]])
+        assert w["generator_j"] == list(F.generators[w["j"]])
+        assert (w["multiplier_i"], w["multiplier_j"]) == lcm_quotients(
+            w["generator_i"], w["generator_j"]
+        )
+
+    @staticmethod
+    def report(capsys, *source):
+        """The `rmin` block of `syzmin SOURCE --json`."""
+        assert main(["syzmin", *source, "--json"]) == 0
+        return json.loads(capsys.readouterr().out)["rmin"]
 
     @settings(max_examples=200, deadline=None)
     @given(presentations())
     def test_random_presentations(self, F):
-        assert self.scan(F) == min_relation_pair_by_sets(F)
+        self.check(F, rmin_block(F))
 
     # d = n - 1 is a simplex boundary: one generator, so no pair to scan.
     @pytest.mark.parametrize(
         "n,d", [(n, d) for n in range(3, 12) for d in range(2, n - 1)]
     )
-    def test_cyclic(self, n, d):
+    def test_cyclic(self, capsys, n, d):
         F = from_cyclic(CyclicParams(n, d))
-        assert self.scan(F) == min_relation_pair_by_sets(F)
+        assert len(F.generators) >= 2
+        self.check(F, self.report(capsys, "cyclic", str(n), str(d)))
 
     @pytest.mark.parametrize("m", range(4, 13))
-    def test_polygons(self, m):
-        F = from_polygon(m)
-        assert self.scan(F) == min_relation_pair_by_sets(F)
+    def test_polygons(self, capsys, m):
+        self.check(from_polygon(m), self.report(capsys, "polygon", str(m)))
 
 
 class TestInvariance:
@@ -159,10 +177,8 @@ class TestInvariance:
         degree, _ = min_relation_degree(F)
         perm = list(range(1, F.m + 1))
         rng.shuffle(perm)
-        relabeled = sorted(
-            tuple(sorted(perm[v - 1] for v in g.support)) for g in F.generators
-        )
-        G = FaceRingPresentation(F.m, tuple(Monomial(s) for s in relabeled))
+        relabeled = sorted(tuple(sorted(perm[v - 1] for v in g)) for g in F.generators)
+        G = FaceRingPresentation(F.m, tuple(relabeled))
         assert min_relation_degree(G)[0] == degree
 
     @settings(max_examples=40, deadline=None)
@@ -170,11 +186,11 @@ class TestInvariance:
     def test_degree_band(self, F):
         degree, _ = min_relation_degree(F)
         pair_degrees = [
-            2 * len(set(a.support) | set(b.support))
+            2 * len(set(a) | set(b))
             for a, b in combinations(F.generators, 2)
         ]
         assert degree == min(pair_degrees)
         for (a, b), d in zip(combinations(F.generators, 2), pair_degrees):
-            lo = 2 * (max(len(a.support), len(b.support)) + 1)
-            hi = 2 * (len(a.support) + len(b.support))
+            lo = 2 * (max(len(a), len(b)) + 1)
+            hi = 2 * (len(a) + len(b))
             assert lo <= d <= hi
