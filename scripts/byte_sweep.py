@@ -17,9 +17,10 @@ six edge-case files, a missing file and a bad source; `counterexample`, six
 and `--quiet`.  Larger rings add `ideal` and `syzmin`, with `--json` only:
 every `face_ladder` rung of `perfbench/workloads.py`, the probe rings
 C(16,6), C(20,4) and C(14,8), the rings C(19,9) and C(21,8) just inside the
-subset limit, and C(20,10), C(22,11) and C(24,12), which are refused; and
-`ideal cyclic 1001 1000 --json` and `syzmin cyclic 999 998 --json`, whose
-facets hold about 500 pairs each.  The files go to one temporary directory
+subset limit, C(20,10), C(22,11) and C(24,12), which are refused, and
+polygons 13..30; and `ideal cyclic 1001 1000 --json`, `syzmin cyclic 999 998
+--json`, `ideal cyclic 1000 998 --json` and `ideal cyclic 999 997 --json`,
+refused inputs whose facets would hold about 500 pairs each.  The files go to one temporary directory
 shared by both trees, so paths in the output agree; nothing is written under
 `perfbench/`.  An exception that escapes `cli.main` counts as exit code 1
 with its traceback on stderr, as the interpreter would print it.
@@ -67,6 +68,8 @@ EDGE_FILES = {
 DEEP_CALLS = [
     ["ideal", "cyclic", "1001", "1000", "--json"],
     ["syzmin", "cyclic", "999", "998", "--json"],
+    ["ideal", "cyclic", "1000", "998", "--json"],
+    ["ideal", "cyclic", "999", "997", "--json"],
 ]
 MISC_CALLS = [
     ["counterexample"],
@@ -132,6 +135,8 @@ def call_set(workdir: Path) -> list[list[str]]:
     calls = [argv + mode for argv in base for mode in ([], ["--json"], ["--quiet"])]
     for n, d in LARGE_RINGS:
         calls += [[cmd, "cyclic", str(n), str(d), "--json"] for cmd in ("ideal", "syzmin")]
+    for m in range(13, 31):
+        calls += [[cmd, "polygon", str(m), "--json"] for cmd in ("ideal", "syzmin")]
     return calls + DEEP_CALLS
 
 

@@ -6,9 +6,13 @@ ring on degree-2 variables v_1..v_m modulo the squarefree monomials on the
 minimal non-faces.  So one type, `FaceRingPresentation`, stands for both the
 complex and its face ring, and carries each generator once, as the strictly
 increasing tuple of its vertices, with a vertex bitmask derived from it.
-Facet lists are an input format: cyclic, polygon and file facets all go
-through one pass on vertex bitmasks that builds the downward closure with an
-extension mask per face and reads the generators off those masks.
+
+The boundary of C(n, d), polygons C(m, 2) included, has its generators in
+closed form by Gale's evenness condition (Ziegler, Lectures on Polytopes, Thm
+0.7; proof at `from_cyclic`): 1..n if n = d+1; else, for d = 2k, the
+(k+1)-subsets of 1..n with no two cyclically consecutive vertices, and for
+d = 2k+1 those of 2..n-1 with no two consecutive plus {1, n} with each such
+k-subset of 3..n-2.  Only file facets take the closure pass (`from_facets`).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations, islice
 from math import comb
-from operator import or_
+from operator import add, or_
 
 from .gale import CyclicParams, as_subset, check_subset_count
 
@@ -132,10 +136,6 @@ def _members(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _presentation(m: int, supports) -> FaceRingPresentation:
-    return FaceRingPresentation(m, tuple(sorted(supports)))
-
-
 def from_facets(m: int, facets) -> FaceRingPresentation:
     """Build a complex from its facet list, deriving its minimal non-faces.
 
@@ -202,7 +202,7 @@ def _from_facet_masks(m: int, masks) -> FaceRingPresentation:
             low = new & -new
             new ^= low
             nonfaces.append(_members(f | low))
-    return _presentation(m, nonfaces)
+    return FaceRingPresentation(m, tuple(sorted(nonfaces)))
 
 
 def from_nonfaces(m: int, nonfaces) -> FaceRingPresentation:
@@ -218,61 +218,61 @@ def from_nonfaces(m: int, nonfaces) -> FaceRingPresentation:
         bad = [nf[0] for nf in nfs if len(nf) == 1]
         raise ValueError(f"singleton non-faces would leave ghost vertices: {bad}")
     containers = {j for _, j in _comparable_pairs(list(map(_mask, nfs)))}
-    return _presentation(m, (nf for j, nf in enumerate(nfs) if j not in containers))
+    return FaceRingPresentation(m, tuple(nf for j, nf in enumerate(nfs) if j not in containers))
 
 
-def _pairings(lo: int, hi: int, k: int) -> list[int]:
-    """Bitmasks of the ways to pick k disjoint pairs {i, i+1} inside lo..hi.
+def _independent(lo: int, hi: int, k: int):
+    """The k-subsets of lo..hi with no two consecutive members, lexicographic."""
+    return (tuple(map(add, c, range(k))) for c in combinations(range(lo, hi - k + 2), k))
 
-    Read lo..hi as a word of k pairs and s = hi - lo + 1 - 2k singles: a
-    pairing is the interval less its singles, and the c-th single (from 0)
-    at letter t is vertex lo + 2t - c.  Nothing recurses, so any k is built.
-    """
-    s = hi - lo + 1 - 2 * k
-    if s < 0:
-        return []
-    interval = ((1 << (hi - lo + 1)) - 1) << (lo - 1)
-    bits = [1 << v for v in range(lo - 1, hi)]  # bits[j] stands for vertex lo + j
-    out = []
-    for singles in combinations(range(k + s), s):
-        x = interval
-        for c, t in enumerate(singles):
-            x ^= bits[2 * t - c]
-        out.append(x)
-    return out
+
+def _cyclic_facet_count(n: int, d: int) -> int:
+    """f_(d-1) of C(n, d): the facet count of Gale's evenness condition."""
+    k = d // 2
+    return 2 * comb(n - k - 1, k) if d % 2 else comb(n - k, k) + comb(n - k - 1, k - 1)
+
+
+def _cyclic_ring(n: int, d: int) -> FaceRingPresentation:
+    """The closed-form generators of C(n, d), those with vertex 1 first: sorted."""
+    k = d // 2
+    if n == d + 1:
+        gens = [tuple(range(1, n + 1))]
+    elif d % 2:
+        gens = [(1, *s, n) for s in _independent(3, n - 2, k)]
+        gens += _independent(2, n - 1, k + 1)
+    else:
+        gens = [(1, *s) for s in _independent(3, n - 1, k)]
+        gens += _independent(2, n, k + 1)
+    return FaceRingPresentation(n, tuple(gens))
 
 
 def from_cyclic(p: CyclicParams) -> FaceRingPresentation:
-    """Boundary complex of C(n, d) on m = n vertices.
+    """Boundary complex of C(n, d) on n vertices, its generators in the
+    closed form of the module docstring.  No facet is built, but both guards
+    still bound the input: C(n, d) for a facet search, 2**d per facet for a
+    downward closure.
 
-    The facets come straight from Gale's evenness condition: for even d they
-    are the unions of d/2 disjoint cyclic pairs {i, i+1}, {n, 1} included;
-    for odd d, {1} or {n} plus (d-1)/2 disjoint pairs on the other vertices.
-    No candidate search runs; the C(n, d) guard is an input-size limit, and
-    admits exactly the inputs whose d-subsets could all be tested.
+    Why (Ziegler, Lectures on Polytopes, Thm 0.7): for d = 2k, n >= d+2,
+    Gale's condition is invariant under rotation, and S (not 1..n) is a face
+    iff its cyclic runs, of lengths L, have sum ceil(L/2) = (|S| + #odd
+    runs)/2 <= k.  Alternate vertices of the runs are that many with no two
+    cyclically consecutive, so every non-face holds such a (k+1)-set, a
+    non-face whose k-subsets are all faces.  For d = 2k+1 the complex is the
+    link of a vertex put between n and 1 in the boundary of C(n+1, 2k+2).
     """
     n, d = p.n, p.d
     check_subset_count(comb(n, d), f"the facet search of C({n},{d})")
-    k, last = d // 2, 1 << (n - 1)
-    if d % 2:
-        facets = [1 | x for x in _pairings(2, n, k)]
-        facets += [last | x for x in _pairings(1, n - 1, k)]
-    else:
-        facets = _pairings(1, n, k)
-        facets += [1 | last | x for x in _pairings(2, n - 1, k - 1)]
-    return _from_facet_masks(n, facets)
+    check_subset_count(_cyclic_facet_count(n, d) << d, "the downward closure of the facet list")
+    return _cyclic_ring(n, d)
 
 
 def from_polygon(m: int) -> FaceRingPresentation:
-    """The m-cycle: singletons and consecutive pairs {i, i+1 mod m} are faces.
-
-    Minimal non-faces are the non-adjacent pairs.  Requires m >= 4 so the
-    ideal is nonempty.
-    """
+    """The m-cycle, the boundary of C(m, 2): its m(m-3)/2 non-adjacent pairs,
+    counted against the subset limit.  Requires m >= 4 (a nonempty ideal)."""
     if m < 4:
         raise ValueError(f"polygon complexes need m >= 4 vertices, got {m}")
-    edges = [(i, i + 1) for i in range(1, m)] + [(1, m)]
-    return from_facets(m, edges)
+    check_subset_count(m * (m - 3) // 2, f"the minimal non-faces of the {m}-gon")
+    return _cyclic_ring(m, 2)
 
 
 def parse_complex(text: str) -> FaceRingPresentation:

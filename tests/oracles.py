@@ -9,7 +9,8 @@ degree is found by exhaustive multiset matching instead of the lcm shortcut,
 minimal non-faces are found by scanning subsets against the facet list (or
 the non-face list) instead of reading per-face extension masks, the facets
 of a cyclic polytope are found by testing every d-subset against Gale's
-criterion instead of being built as unions of cyclic pairs, Gale's criterion
+criterion or built as unions of cyclic pairs, and its minimal non-faces are
+derived from those facets instead of read off the closed form, Gale's criterion
 splits a subset into run objects instead of counting runs in one pass, and
 neighborliness tests every q-subset instead of reading the closed-form
 f-vector, the f-vector itself is summed from binomials instead of by
@@ -68,6 +69,38 @@ def cyclic_facets_by_filter(n: int, d: int) -> list[tuple[int, ...]]:
     Gale's criterion, in `combinations` order."""
     p = CyclicParams(n, d)
     return [c for c in combinations(range(1, n + 1), d) if is_face(c, p)]
+
+
+def _pairings(lo: int, hi: int, k: int) -> list[list[int]]:
+    """The ways to pick k disjoint pairs {i, i+1} inside lo..hi, as vertex
+    lists.
+
+    Read lo..hi as a word of k pairs and s = hi - lo + 1 - 2k singles: a
+    pairing is the interval less its singles, and the c-th single (from 0)
+    at letter t is vertex lo + 2t - c.  Nothing recurses, so any k is built.
+    """
+    s = hi - lo + 1 - 2 * k
+    if s < 0:
+        return []
+    out = []
+    for singles in combinations(range(k + s), s):
+        dropped = {lo + 2 * t - c for c, t in enumerate(singles)}
+        out.append([v for v in range(lo, hi + 1) if v not in dropped])
+    return out
+
+
+def cyclic_facets_by_pairings(n: int, d: int) -> list[tuple[int, ...]]:
+    """Facets of the boundary of C(n, d) by Gale's evenness condition: for
+    even d the unions of d/2 disjoint cyclic pairs {i, i+1}, {n, 1} included;
+    for odd d, {1} or {n} plus (d-1)/2 disjoint pairs on the other vertices."""
+    k = d // 2
+    if d % 2:
+        facets = [[1, *x] for x in _pairings(2, n, k)]
+        facets += [[*x, n] for x in _pairings(1, n - 1, k)]
+    else:
+        facets = _pairings(1, n, k)
+        facets += [[1, *x, n] for x in _pairings(2, n - 1, k - 1)]
+    return [tuple(f) for f in facets]
 
 
 def minimal_elements_bruteforce(m: int, nonfaces) -> list[tuple[int, ...]]:

@@ -1,6 +1,8 @@
+import sys
 import time
 from itertools import combinations, islice
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from momentangle.cli import _monomial
 from momentangle.complexes import (
     FaceRingPresentation,
+    _cyclic_facet_count,
     from_cyclic,
     from_facets,
     from_nonfaces,
@@ -21,10 +24,14 @@ from oracles import (
     CYCLIC_8_4_MINIMAL_NONFACES,
     PENTAGON_MINIMAL_NONFACES,
     cyclic_facets_by_filter,
+    cyclic_facets_by_pairings,
     minimal_elements_bruteforce,
     minimal_nonfaces_bruteforce,
     presentation_refusal,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import FACE_LADDER_IDEALS  # noqa: E402
 
 
 def supports(F):
@@ -141,23 +148,38 @@ class TestFactories:
             from_cyclic(CyclicParams(24, 12))
 
     @pytest.mark.parametrize(
-        "n,d", [(22, 11), (20, 10), (999, 998), (1000, 998), (1001, 1000)]
+        "n,d", [(22, 11), (20, 10), (999, 998), (1000, 998), (1001, 1000), (999, 997)]
     )
     def test_cyclic_refuses_oversized_closure_at_once(self, n, d):
         # Admitted by the C(n, d) guard; each of the f_(d-1) facets has
-        # 2**d subsets, so the closure guard refuses.  With d near 1000 the
-        # facets hold about d/2 pairs each, far deeper than the recursion
-        # limit, so building them must not recurse per pair.
+        # 2**d subsets, so the closure guard refuses, from the facet count
+        # alone: C(1000, 998) has 250,000 facets, and none is built.
         p = CyclicParams(n, d)
         closure = f_vector(p)[-1] << d
         start = time.perf_counter()
         with pytest.raises(ValueError) as info:
             from_cyclic(p)
-        assert time.perf_counter() - start < 1.0
+        assert time.perf_counter() - start < 0.05
         assert str(info.value) == (
             f"the downward closure of the facet list would visit {closure} "
             "subsets, above the limit of 1048576"
         )
+
+    @pytest.mark.parametrize(
+        "n,d,message",
+        [
+            (20, 10, "the downward closure of the facet list would visit 4100096 subsets"),
+            (22, 11, "the downward closure of the facet list would visit 17891328 subsets"),
+            (1001, 1000, f"the downward closure of the facet list would visit {1001 << 1000} subsets"),
+            (1448, 1447, f"the downward closure of the facet list would visit {1448 << 1447} subsets"),
+        ],
+    )
+    def test_cyclic_refusal_messages(self, n, d, message):
+        # C(n, n-1) is the simplex boundary, n facets of n-1 vertices each;
+        # f_vector refuses C(1448, 1447) with a message of its own.
+        with pytest.raises(ValueError) as info:
+            from_cyclic(CyclicParams(n, d))
+        assert str(info.value) == f"{message}, above the limit of 1048576"
 
     def test_nonfaces_reject_singletons(self):
         with pytest.raises(ValueError):
@@ -181,6 +203,22 @@ class TestFromCyclic:
         # Equal complexes have equal facets.
         facets = cyclic_facets_by_filter(n, d)
         assert from_cyclic(CyclicParams(n, d)) == from_facets(n, facets)
+
+    @pytest.mark.parametrize(
+        "n,d", [*FACE_LADDER_IDEALS, (16, 6), (20, 4), (14, 8), (19, 9), (21, 8)]
+    )
+    def test_closed_form_matches_pairing_facets(self, n, d):
+        # The benchmark's ideal rungs, its probe rings, and two rings just
+        # inside the closure guard.
+        facets = cyclic_facets_by_pairings(n, d)
+        assert from_cyclic(CyclicParams(n, d)) == from_facets(n, facets)
+
+    @pytest.mark.parametrize(
+        "n,d", [(n, d) for n in range(3, 15) for d in range(2, n)]
+    )
+    def test_facet_count(self, n, d):
+        assert _cyclic_facet_count(n, d) == len(cyclic_facets_by_filter(n, d))
+        assert sorted(cyclic_facets_by_pairings(n, d)) == cyclic_facets_by_filter(n, d)
 
     def test_c84_triangle_count(self):
         K = from_cyclic(CyclicParams(8, 4))
@@ -216,6 +254,28 @@ class TestFromPolygon:
     def test_rejects_triangle(self):
         with pytest.raises(ValueError):
             from_polygon(3)
+
+    @pytest.mark.parametrize("m", range(4, 61))
+    def test_matches_edge_facets(self, m):
+        edges = [(i, i + 1) for i in range(1, m)] + [(1, m)]
+        assert from_polygon(m) == from_facets(m, edges)
+
+    @pytest.mark.parametrize("m", [2000, 100000])
+    def test_refuses_huge_polygon_at_once(self, m):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            from_polygon(m)
+        assert time.perf_counter() - start < 1.0
+        assert str(info.value) == (
+            f"the minimal non-faces of the {m}-gon would visit {m * (m - 3) // 2} "
+            "subsets, above the limit of 1048576"
+        )
+
+    def test_largest_admitted_polygon(self):
+        # 1449 * 1446 / 2 = 1047627 generators are admitted; one more vertex
+        # passes the limit.
+        with pytest.raises(ValueError, match="the 1450-gon would visit 1049075 subsets"):
+            from_polygon(1450)
 
     def test_faces_are_cycle_edges(self):
         K = from_polygon(6)
