@@ -20,9 +20,9 @@ C(16,6), C(20,4) and C(14,8), the rings C(19,9) and C(21,8) just inside the
 subset limit, C(20,10), C(22,11) and C(24,12), which are refused, and
 polygons 13..30; and `ideal cyclic 1001 1000 --json`, `syzmin cyclic 999 998
 --json`, `ideal cyclic 1000 998 --json` and `ideal cyclic 999 997 --json`,
-refused inputs whose facets would hold about 500 pairs each.  The files go to one temporary directory
-shared by both trees, so paths in the output agree; nothing is written under
-`perfbench/`.  An exception that escapes `cli.main` counts as exit code 1
+refused inputs whose facets would hold about 500 pairs each.  The files go
+to one temporary directory shared by both trees, so paths in the output
+agree; nothing is written under `perfbench/`.  An exception that escapes `cli.main` counts as exit code 1
 with its traceback on stderr, as the interpreter would print it.
 
 Prints the number of calls and each argv whose stdout, stderr or exit code
