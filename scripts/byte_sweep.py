@@ -11,7 +11,9 @@ from `--help`, counts as the exit code).  The set covers `ideal`, `syzmin`,
 `wedge` (no ceiling, `--ceiling 13`, `--ceiling -1`) and `verdict` (four
 candidate specs, no `--q` and `--q` 2/4/6/9) on polygons 3..12, every C(n,d)
 with n <= 10 and 1 <= d <= n, the file sources of `perfbench/expected.json`,
-six edge-case files, a missing file and a bad source; `counterexample`, six
+nine edge-case files (three of them larger facet lists: the edges of the
+30-gon, every 3-subset of 1..9, and the RP^2 facets listed twice with some
+of their edges), a missing file and a bad source; `counterexample`, six
 `homology` specs, `faces` for n <= 9 (plain, `--count`, `--max-card 2`,
 `--max-card 99`), and help and argument errors; every call plain, `--json`
 and `--quiet`.  Larger rings add `ideal` and `syzmin`, with `--json` only:
@@ -39,6 +41,7 @@ import subprocess
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from itertools import combinations
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -64,6 +67,13 @@ EDGE_FILES = {
     "ghost": "vertices 4\nfacets\n1 2\n2 3\n",
     "singleton": "vertices 4\nnonfaces\n1\n2 3\n",
     "bad_token": "# comment only\nvertices 4\nfacets\n1 x\n",
+    "gon30_edges": "vertices 30\nfacets\n"
+                   + "".join(f"{i} {i % 30 + 1}\n" for i in range(1, 31)),
+    "triples9": "vertices 9\nfacets\n"
+                + "".join(f"{a} {b} {c}\n" for a, b, c in combinations(range(1, 10), 3)),
+    "rp2_repeated": "vertices 6\nfacets\n1 2 3\n1 3 4\n1 4 5\n1 5 6\n1 2 6\n"
+                    "2 3 5\n2 4 5\n2 4 6\n3 4 6\n3 5 6\n6 5 3\n3 2 1\n1 3 4\n"
+                    "1 4 5\n1 5 6\n2 1 6\n2 3 5\n2 4 5\n2 4 6\n3 4 6\n1 2\n4 6\n5\n",
 }
 DEEP_CALLS = [
     ["ideal", "cyclic", "1001", "1000", "--json"],

@@ -12,7 +12,7 @@ closed form by Gale's evenness condition (Ziegler, Lectures on Polytopes, Thm
 0.7; proof at `from_cyclic`): 1..n if n = d+1; else, for d = 2k, the
 (k+1)-subsets of 1..n with no two cyclically consecutive vertices, and for
 d = 2k+1 those of 2..n-1 with no two consecutive plus {1, n} with each such
-k-subset of 3..n-2.  Only file facets take the closure pass (`from_facets`).
+k-subset of 3..n-2.  Only file facets take the facet walk (`from_facets`).
 """
 
 from __future__ import annotations
@@ -101,20 +101,18 @@ def _mask(members) -> int:
 
 def _comparable_pairs(masks):
     """Yield index pairs (i, j) with masks[i] contained in masks[j]: each
-    repeated mask with its first copy (i < j), found through a dict, and
-    every proper containment among first copies.
+    repeated mask with the copy just before it (callers pass the masks of
+    sorted supports), and every proper containment among first copies.
 
     A proper containment needs a strictly smaller popcount, so only a
     smaller-popcount bucket is tested against a larger one: a one-size list
     costs one pass.  The smallest comparable pair in `combinations` order is
     always among those yielded.
     """
-    first: dict[int, int] = {}
     by_size: dict[int, list[tuple[int, int]]] = {}
     for j, x in enumerate(masks):
-        i = first.setdefault(x, j)
-        if i != j:
-            yield i, j
+        if j and x == masks[j - 1]:
+            yield j - 1, j
         else:
             by_size.setdefault(x.bit_count(), []).append((j, x))
     sizes = sorted(by_size)
@@ -140,24 +138,15 @@ def from_facets(m: int, facets) -> FaceRingPresentation:
     """Build a complex from its facet list, deriving its minimal non-faces.
 
     Non-maximal and repeated entries are allowed; every vertex must appear in
-    some facet, and the sum of 2**|facet| over the distinct facets may not
-    pass the subset limit.
+    some facet.  One walk over the submasks of each distinct facet, the
+    2**|facet| subsets that the closure guard counts, maps each face f to
+    ext[f], the union of the facets containing f: for v outside f, bit v-1
+    is set iff f | v is a face.  Dropping the largest vertex v of a minimal
+    non-face leaves a face f, and the other one-vertex deletions are faces
+    iff v lies in every ext[f ^ b], b a vertex of f; so the generators come
+    from a few ANDs per face, each exactly once.
     """
-    return _from_facet_masks(m, {_mask(as_subset(f, m)) for f in facets})
-
-
-def _from_facet_masks(m: int, masks) -> FaceRingPresentation:
-    """The complex whose faces lie under the distinct vertex bitmasks `masks`.
-
-    The downward closure is built level by level, from the largest faces
-    down, as a map from each face f to its extension mask ext[f]: the union
-    of f and the faces one vertex larger than f, so for v outside f bit v-1
-    is set iff f | v is a face.  Each face is visited once per vertex it
-    contains.  Dropping the largest vertex v of a minimal non-face leaves a
-    face f, and the other one-vertex deletions are faces iff v lies in every
-    ext[f ^ b], b a vertex of f; so the generators come from a few ANDs per
-    face, each exactly once.
-    """
+    masks = {_mask(as_subset(f, m)) for f in facets}
     if 0 in masks:
         raise ValueError("facets must be nonempty")
     covered = reduce(or_, masks, 0)
@@ -169,26 +158,12 @@ def _from_facet_masks(m: int, masks) -> FaceRingPresentation:
         raise ValueError(f"ghost vertices (in no facet): [{shown}{more}")
     closure = sum(1 << mask.bit_count() for mask in masks)
     check_subset_count(closure, "the downward closure of the facet list")
-    ext = {}
-    depth = max((mask.bit_count() for mask in masks), default=0)
-    levels = [[] for _ in range(depth + 1)]
-    for mask in masks:
-        ext[mask] = mask
-        levels[mask.bit_count()].append(mask)
-    for k in range(len(levels) - 1, 0, -1):
-        below = levels[k - 1]
-        for g in levels[k]:
-            x = g
-            while x:
-                low = x & -x
-                x ^= low
-                f = g ^ low
-                e = ext.get(f)
-                if e is None:
-                    ext[f] = g
-                    below.append(f)
-                else:
-                    ext[f] = e | g
+    ext = {0: covered}
+    for facet in masks:
+        f = facet
+        while f:
+            ext[f] = ext.get(f, 0) | facet
+            f = (f - 1) & facet
     nonfaces = []
     for f, e in ext.items():
         top = f.bit_length()
@@ -248,9 +223,9 @@ def _cyclic_ring(n: int, d: int) -> FaceRingPresentation:
 
 def from_cyclic(p: CyclicParams) -> FaceRingPresentation:
     """Boundary complex of C(n, d) on n vertices, its generators in the
-    closed form of the module docstring.  No facet is built, but both guards
-    still bound the input: C(n, d) for a facet search, 2**d per facet for a
-    downward closure.
+    closed form of the module docstring; a polygon (d = 2, n >= 4) is
+    `from_polygon`, with its guard.  No facet is built, but two guards bound
+    the rest: C(n, d) for a facet search, 2**d per facet for a closure.
 
     Why (Ziegler, Lectures on Polytopes, Thm 0.7): for d = 2k, n >= d+2,
     Gale's condition is invariant under rotation, and S (not 1..n) is a face
@@ -261,6 +236,8 @@ def from_cyclic(p: CyclicParams) -> FaceRingPresentation:
     link of a vertex put between n and 1 in the boundary of C(n+1, 2k+2).
     """
     n, d = p.n, p.d
+    if d == 2 and n >= 4:
+        return from_polygon(n)
     check_subset_count(comb(n, d), f"the facet search of C({n},{d})")
     check_subset_count(_cyclic_facet_count(n, d) << d, "the downward closure of the facet list")
     return _cyclic_ring(n, d)

@@ -257,7 +257,7 @@ class TestFromPolygon:
     @pytest.mark.parametrize("m", range(4, 61))
     def test_matches_edge_facets(self, m):
         edges = [(i, i + 1) for i in range(1, m)] + [(1, m)]
-        assert from_polygon(m) == from_facets(m, edges)
+        assert from_polygon(m) == from_facets(m, edges) == from_cyclic(CyclicParams(m, 2))
 
     @pytest.mark.parametrize("m", [2000, 100000])
     def test_refuses_huge_polygon_at_once(self, m):
@@ -276,6 +276,18 @@ class TestFromPolygon:
         with pytest.raises(ValueError, match="the 1450-gon would visit 1049075 subsets"):
             from_polygon(1450)
 
+    def test_cyclic_dimension_two_takes_polygon_guard(self):
+        # C(1449, 2) is admitted, as `polygon 1449` is; C(1450, 2) is refused
+        # by the generator count, not by the C(n, 2) facet search.
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            from_cyclic(CyclicParams(1450, 2))
+        assert time.perf_counter() - start < 1.0
+        assert str(info.value) == (
+            "the minimal non-faces of the 1450-gon would visit 1049075 subsets, "
+            "above the limit of 1048576"
+        )
+
     def test_faces_are_cycle_edges(self):
         K = from_polygon(6)
         for i, j in combinations(range(1, 7), 2):
@@ -284,6 +296,15 @@ class TestFromPolygon:
 
 
 class TestMinimalNonfaces:
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_skeleton_facets_match_nonfaces(self, m):
+        # The k-skeleton of the (m-1)-simplex: its C(m, k) facets share most
+        # of their faces, so the walk revisits each face many times.
+        for k in range(1, m):
+            facets = combinations(range(1, m + 1), k)
+            nonfaces = combinations(range(1, m + 1), k + 1)
+            assert from_facets(m, facets) == from_nonfaces(m, nonfaces)
+
     def test_c84_matches_reference(self):
         got = supports(from_cyclic(CyclicParams(8, 4)))
         assert got == CYCLIC_8_4_MINIMAL_NONFACES
@@ -291,6 +312,8 @@ class TestMinimalNonfaces:
     def test_simplex_boundary_single_nonface(self):
         got = supports(from_cyclic(CyclicParams(5, 4)))
         assert got == [(1, 2, 3, 4, 5)]
+        # C(3, 2) is the triangle, not a polygon with a generator per pair.
+        assert supports(from_cyclic(CyclicParams(3, 2))) == [(1, 2, 3)]
 
     def test_deterministic(self):
         assert from_cyclic(CyclicParams(7, 4)) == from_cyclic(CyclicParams(7, 4))
@@ -448,6 +471,14 @@ class TestIncomparabilityScaling:
         ):
             FaceRingPresentation(27, tuple(sups))
         assert time.perf_counter() - start < 1.0
+
+    def test_large_polygon(self):
+        # 244,300 generators on 700-bit masks; duplicates are read off sorted
+        # order, so no mask is hashed.
+        start = time.perf_counter()
+        F = from_polygon(700)
+        assert time.perf_counter() - start < 2.0
+        assert len(F.generators) == 700 * 697 // 2
 
     def test_one_size_nonface_list(self):
         # 3,000 listed 3-subsets of 1..29: about 4.5 million pairs for a
