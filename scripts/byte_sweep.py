@@ -59,11 +59,11 @@ HOMOLOGY_SPECS = [
     "16*S5xS7 # 15*S6xS6", "15 * S6xS6 # 16*S5xS7", "S3xS3", "S1000000000000xS2",
     "0*S3xS3", "16*S5yS7",
 ]
+RP2_FACETS = "1 2 3\n1 3 4\n1 4 5\n1 5 6\n1 2 6\n2 3 5\n2 4 5\n2 4 6\n3 4 6\n3 5 6\n"
 EDGE_FILES = {
     "simplex": "vertices 3\nfacets\n1 2 3\n",
     "redundant": "vertices 5\nnonfaces\n1 3\n1 3 4\n3 1\n1 4\n2 4\n2 5\n3 5\n2 4 5\n",
-    "rp2": "vertices 6\nfacets\n1 2 3\n1 3 4\n1 4 5\n1 5 6\n1 2 6\n"
-           "2 3 5\n2 4 5\n2 4 6\n3 4 6\n3 5 6\n",
+    "rp2": "vertices 6\nfacets\n" + RP2_FACETS,
     "ghost": "vertices 4\nfacets\n1 2\n2 3\n",
     "singleton": "vertices 4\nnonfaces\n1\n2 3\n",
     "bad_token": "# comment only\nvertices 4\nfacets\n1 x\n",
@@ -71,9 +71,7 @@ EDGE_FILES = {
                    + "".join(f"{i} {i % 30 + 1}\n" for i in range(1, 31)),
     "triples9": "vertices 9\nfacets\n"
                 + "".join(f"{a} {b} {c}\n" for a, b, c in combinations(range(1, 10), 3)),
-    "rp2_repeated": "vertices 6\nfacets\n1 2 3\n1 3 4\n1 4 5\n1 5 6\n1 2 6\n"
-                    "2 3 5\n2 4 5\n2 4 6\n3 4 6\n3 5 6\n6 5 3\n3 2 1\n1 3 4\n"
-                    "1 4 5\n1 5 6\n2 1 6\n2 3 5\n2 4 5\n2 4 6\n3 4 6\n1 2\n4 6\n5\n",
+    "rp2_repeated": "vertices 6\nfacets\n" + 2 * RP2_FACETS + "2 1\n6 4\n5\n",
 }
 DEEP_CALLS = [
     ["ideal", "cyclic", "1001", "1000", "--json"],
