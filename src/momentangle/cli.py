@@ -8,9 +8,9 @@ error."""
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import cache, lru_cache
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import complexes, hilton, manifold, syzygy
@@ -381,6 +381,50 @@ def cmd_counterexample(args) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# JSON report writer
+# ---------------------------------------------------------------------------
+
+def _json(value, indent: str = "\n") -> str:
+    """`value` as JSON, byte for byte what the `json` module's `dumps` prints
+    with `sort_keys=True, indent=2`, without the pure-Python encoder that an
+    indent makes it use.  Reports are integer-only: dicts with `str` keys,
+    lists and tuples, `str`, `int`, `bool` and `None`; any other type raises
+    `TypeError`.  `bool` is a subclass of `int`, so ints are told apart by
+    exact type."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    inner = indent + "  "
+    sep = "," + inner
+    if kind is dict:
+        if not value:
+            return "{}"
+        # A key that is not a str raises TypeError in sorted() or the encoder.
+        body = sep.join([
+            f"{encode_basestring_ascii(key)}: {_json(value[key], inner)}"
+            for key in sorted(value)
+        ])
+        return f"{{{inner}{body}{indent}}}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        if all(type(item) is int for item in value):
+            body = sep.join(map(int.__repr__, value))
+        else:
+            body = sep.join([_json(item, inner) for item in value])
+        return f"[{inner}{body}{indent}]"
+    raise TypeError(f"{kind.__name__} value {value!r} is not allowed in a report")
+
+
+# ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
@@ -463,7 +507,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         report = args.func(args)
         if args.json:
-            out = json.dumps(report, sort_keys=True, indent=2) + "\n"
+            out = _json(report) + "\n"
         else:
             out = "".join(f"{line}\n" for line in args.text(report, args.quiet))
         sys.stdout.write(out)
