@@ -1,4 +1,5 @@
 import contextlib
+import enum
 import io
 import json
 import os
@@ -312,11 +313,6 @@ class TestCounterexample:
         }
         assert payload["verdict"] == "NOT_EQUIVALENT"
 
-    def test_json_round_trips_byte_identical(self, capsys):
-        code, out, err = run_cli(capsys, "--json", "counterexample")
-        reserialized = json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
-        assert out == reserialized
-
     def test_text_output_mentions_all_artifacts(self, capsys):
         code, out, err = run_cli(capsys, "counterexample")
         assert code == 0
@@ -332,6 +328,97 @@ class TestCounterexample:
         lines = [ln for ln in out.splitlines() if ln.strip()]
         assert len(lines) == 1
         assert lines[0].startswith("verdict: NOT_EQUIVALENT")
+
+
+def canonical(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+class TestCanonicalJson:
+    """Every subcommand's `--json` stdout is the canonical serialisation of
+    what it parses to."""
+
+    MANIFOLD = "16*S5xS7 # 15*S6xS6"
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["faces", "6", "3"], id="faces"),
+        pytest.param(["faces", "8", "4", "--count"], id="faces-count"),
+        pytest.param(["ideal", "file", "{pentagon}"], id="ideal-file"),
+        pytest.param(["syzmin", "cyclic", "8", "4"], id="syzmin"),
+        pytest.param(["wedge", "cyclic", "8", "4", "--ceiling", "13"], id="wedge-note"),
+        pytest.param(["homology", MANIFOLD], id="homology"),
+        pytest.param(["verdict", "cyclic", "8", "4", "--vs", MANIFOLD], id="verdict"),
+        pytest.param(
+            ["verdict", "cyclic", "8", "4", "--vs", MANIFOLD, "--q", "4"], id="verdict-q"
+        ),
+        pytest.param(["counterexample"], id="counterexample"),
+    ])
+    def test_stdout_is_canonical(self, capsys, tmp_path, argv):
+        # A non-ASCII file name puts an escaped string into the report.
+        pentagon = tmp_path / "pentagon-\u00e9.txt"
+        pentagon.write_text(
+            "vertices 5\nnonfaces\n"
+            + "\n".join(" ".join(map(str, nf)) for nf in PENTAGON_MINIMAL_NONFACES)
+        )
+        argv = [arg.format(pentagon=pentagon) for arg in argv]
+        code, out, err = run_cli(capsys, "--json", *argv)
+        assert code in (0, 2) and err == ""
+        assert out == canonical(json.loads(out)) + "\n"
+        assert out.isascii()
+
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64)
+    | st.integers(max_value=-(2**64))
+    | st.text(),
+    lambda children: (
+        st.lists(children)
+        | st.lists(children).map(tuple)
+        | st.dictionaries(st.text(), children)
+    ),
+    max_leaves=40,
+)
+
+
+class TestJsonWriter:
+    """`cli._json` prints what `json.dumps(value, sort_keys=True, indent=2)`
+    prints, and refuses what an integer-only report may not hold."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(json_values)
+    def test_matches_json_dumps(self, value):
+        assert cli._json(value) == canonical(value)
+
+    @pytest.mark.parametrize("value", [
+        [1, True, 0, False],
+        [True],
+        (0, -1, 2**70),
+        {"a": [], "b": {}},
+        [[], [[]]],
+        {"\u00e9": 1, "a": 2, "B": 3},
+        "quote \" backslash \\ newline \n control \x01 accent \u00e9 snowman \u2603",
+        {"k": [None, "x", {"n": -5}]},
+        None,
+    ])
+    def test_fixed_cases(self, value):
+        assert cli._json(value) == canonical(value)
+
+    @pytest.mark.parametrize("value", [
+        1.5,
+        {1: 2},
+        [1, 2.0],
+        {"a": {"b": float("nan")}},
+        [enum.IntEnum("Small", "ONE").ONE],
+        {"a": 1, None: 2},
+        {True: 1},
+        {1, 2},
+    ])
+    def test_non_report_values_raise(self, value):
+        with pytest.raises(TypeError):
+            cli._json(value)
 
 
 class TestModuleInvocation:
