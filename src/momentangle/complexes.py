@@ -144,7 +144,9 @@ def from_facets(m: int, facets) -> FaceRingPresentation:
     is set iff f | v is a face.  Dropping the largest vertex v of a minimal
     non-face leaves a face f, and the other one-vertex deletions are faces
     iff v lies in every ext[f ^ b], b a vertex of f; so the generators come
-    from a few ANDs per face, each exactly once.
+    from a few ANDs per face, each exactly once.  Each face's mask of such v
+    is found first, and their bits, one per generator, are counted against
+    the subset limit before any generator is built.
     """
     masks = {_mask(as_subset(f, m)) for f in facets}
     if 0 in masks:
@@ -164,7 +166,7 @@ def from_facets(m: int, facets) -> FaceRingPresentation:
         while f:
             ext[f] = ext.get(f, 0) | facet
             f = (f - 1) & facet
-    nonfaces = []
+    news = []
     for f, e in ext.items():
         top = f.bit_length()
         new = covered >> top << top & ~e  # covered is every vertex here
@@ -173,6 +175,12 @@ def from_facets(m: int, facets) -> FaceRingPresentation:
             low = x & -x
             x ^= low
             new &= ext[f ^ low]
+        if new:
+            news.append((f, new))
+    total = sum(new.bit_count() for _, new in news)
+    check_subset_count(total, "the minimal non-faces of the facet list")
+    nonfaces = []
+    for f, new in news:
         while new:
             low = new & -new
             new ^= low

@@ -150,6 +150,21 @@ class TestInputLimits:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_huge_polygon_edge_file_exits_one_quickly(self, capsys, tmp_path):
+        # 4 closure subsets per edge pass the closure guard; the 4,495,500
+        # minimal non-faces are counted, and refused, before any is built.
+        path = tmp_path / "edges3000.txt"
+        edges = [f"{i} {i + 1}" for i in range(1, 3000)] + ["1 3000"]
+        path.write_text("vertices 3000\nfacets\n" + "\n".join(edges) + "\n")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "ideal", "file", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err == (
+            "error: the minimal non-faces of the facet list would visit 4495500 "
+            "subsets, above the limit of 1048576\n"
+        )
+
 
 class TestSyzmin:
     def test_c84(self, capsys):

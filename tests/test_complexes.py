@@ -257,7 +257,9 @@ class TestFromPolygon:
     @pytest.mark.parametrize("m", range(4, 61))
     def test_matches_edge_facets(self, m):
         edges = [(i, i + 1) for i in range(1, m)] + [(1, m)]
+        edge_file = f"vertices {m}\nfacets\n" + "\n".join(f"{i} {j}" for i, j in edges)
         assert from_polygon(m) == from_facets(m, edges) == from_cyclic(CyclicParams(m, 2))
+        assert parse_complex(edge_file) == from_polygon(m)
 
     @pytest.mark.parametrize("m", [2000, 100000])
     def test_refuses_huge_polygon_at_once(self, m):
@@ -275,6 +277,20 @@ class TestFromPolygon:
         # passes the limit.
         with pytest.raises(ValueError, match="the 1450-gon would visit 1049075 subsets"):
             from_polygon(1450)
+
+    def test_edge_facets_take_the_generator_guard(self):
+        # The 1450-gon's edges pass the closure guard (4 subsets per edge);
+        # its 1450 * 1447 / 2 minimal non-faces are refused, as by
+        # `from_polygon`, before any is built.
+        edges = [(i, i + 1) for i in range(1, 1450)] + [(1, 1450)]
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            from_facets(1450, edges)
+        assert time.perf_counter() - start < 1.0
+        assert str(info.value) == (
+            "the minimal non-faces of the facet list would visit 1049075 subsets, "
+            "above the limit of 1048576"
+        )
 
     def test_cyclic_dimension_two_takes_polygon_guard(self):
         # C(1449, 2) is admitted, as `polygon 1449` is; C(1450, 2) is refused

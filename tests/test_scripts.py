@@ -1,3 +1,4 @@
+import json
 import shutil
 import subprocess
 import sys
@@ -5,30 +6,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
-
-SURVEY_D4_N8_M6 = """\
-cyclic family C(n,4)
-  n   |I|      degrees  rmin  q_max             spectrum
-  6     2          6:2    12     10              5:2,9:1
-  7     7          6:7     8      6                  5:7
-  8    16         6:16     8      6                 5:16
-
-polygon family
-  m   |I|  rmin  q_max             spectrum
-  4     2     8      6              3:2,5:1
-  5     5     6      4                  3:5
-  6     9     6      4                  3:9
-"""
-
-
-def test_survey_families_table():
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "survey_families.py"),
-         "--d", "4", "--n-max", "8", "--m-max", "6"],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == SURVEY_D4_N8_M6
 
 
 def byte_sweep(parent, change):
@@ -62,3 +39,16 @@ def test_byte_sweep_names_a_changed_text_line(tmp_path):
     assert "differs: homology '16*S5xS7 # 15*S6xS6'" in named
     assert "differs: homology '16*S5xS7 # 15*S6xS6' --quiet" in named
     assert all(line.startswith("differs: homology ") for line in named)
+
+
+def test_traced_benchmark_run_exits_cleanly():
+    # A traced run exits 1 if a worker dies (tracer.py cannot import a layer)
+    # or if a per-layer ratio divides by zero.
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "face_ladder",
+         "--seed", "1", "--seconds", "0.1", "--trace", "1"],
+        capture_output=True, text=True, cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    last = json.loads(proc.stdout.splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0
