@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import namedtuple
 from functools import cache, lru_cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -21,8 +22,9 @@ __all__ = ["CliError", "build_verdict_report", "main", "run"]
 
 COUNTEREXAMPLE_SOURCE = ("cyclic", "8", "4")
 COUNTEREXAMPLE_MANIFOLD = "16*S5xS7 # 15*S6xS6"
-# Face rings kept for repeated sources across the in-process calls of one
-# interpreter (a benchmark pass, a test session).
+# Face rings, their relation and wedge facts, and parsed candidates kept for
+# repeated inputs across the in-process calls of one interpreter (a benchmark
+# pass, a test session).
 SOURCE_CACHE_SIZE = 64
 
 
@@ -51,17 +53,24 @@ def _face_ring(kind: str, key) -> FaceRingPresentation:
     return complexes.parse_complex(key)
 
 
+def _integer(token: str, usage: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise CliError(f"{usage}; {token!r} is not an integer") from None
+
+
 def _resolve_source(tokens) -> tuple[FaceRingPresentation, dict]:
     """The face ring of a source given as CLI tokens, and its JSON descriptor."""
     usage = "source must be 'cyclic N D', 'polygon M', or 'file PATH'"
     kind = tokens[0] if tokens else None
     try:
         if kind == "cyclic" and len(tokens) == 3:
-            p = CyclicParams(int(tokens[1]), int(tokens[2]))
+            p = CyclicParams(_integer(tokens[1], usage), _integer(tokens[2], usage))
             descriptor = {"kind": "cyclic", "n": p.n, "d": p.d}
             F = _face_ring(kind, p)
         elif kind == "polygon" and len(tokens) == 2:
-            m = int(tokens[1])
+            m = _integer(tokens[1], usage)
             F, descriptor = _face_ring(kind, m), {"kind": "polygon", "m": m}
         elif kind == "file" and len(tokens) == 2:
             path = tokens[1]
@@ -74,11 +83,48 @@ def _resolve_source(tokens) -> tuple[FaceRingPresentation, dict]:
     return F, descriptor
 
 
+@lru_cache(maxsize=SOURCE_CACHE_SIZE)
+def _relation(F: FaceRingPresentation) -> tuple[int, tuple[int, int]]:
+    """The minimal relation degree of a face ring and the generator pair that
+    reaches it, computed once per ring."""
+    return syzygy.min_relation_degree(F)
+
+
+@lru_cache(maxsize=SOURCE_CACHE_SIZE)
+def _wedge_model(F: FaceRingPresentation) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The wedge model of a face ring, computed once per ring: its spectrum as
+    sorted (dimension, multiplicity) pairs, and its ceiling q_max."""
+    shown = hilton.borel_model(F, _relation(F)[0])
+    return tuple(sorted(shown.entries.items())), shown.ceiling
+
+
+# What a report reads of a candidate connected sum: its canonical text, top
+# dimension, sorted (degree, rank) pairs, Poincare check, Euler characteristic,
+# and the degree up to which homology gives homotopy ranks.  A namedtuple, not
+# a dataclass: building a dataclass costs about 1 ms of every process's start.
+_Candidate = namedtuple("_Candidate", "spec top ranks poincare euler hurewicz")
+
+
+@lru_cache(maxsize=SOURCE_CACHE_SIZE)
+def _candidate(text: str) -> _Candidate:
+    """The candidate given as a `--vs` or `homology` text, computed once per text."""
+    spec = manifold.parse_connected_sum(text)
+    g = manifold.connected_sum_homology(spec)
+    return _Candidate(
+        spec=manifold.format_connected_sum(spec),
+        top=g.top,
+        ranks=tuple(sorted(g.ranks.items())),
+        poincare=manifold.poincare_check(g),
+        euler=manifold.euler_characteristic(g),
+        hurewicz=manifold.hurewicz_window(g),
+    )
+
+
 def _ideal_block(F: FaceRingPresentation) -> dict:
     return {
         "m": F.m,
         "size": len(F.generators),
-        "generators": [list(g) for g in F.generators],
+        "generators": F.generators,
         "degree_histogram": {str(d): c for d, c in F.degree_histogram().items()},
     }
 
@@ -99,22 +145,23 @@ def _witness_block(F: FaceRingPresentation, degree: int, pair: tuple[int, int]) 
     }
 
 
-def _wedge_block(shown: hilton.SphereSpectrum, q_max: int, m: int) -> dict:
+def _wedge_block(spectrum, ceiling: int, q_max: int, m: int) -> dict:
+    """`spectrum` is the sorted (dimension, multiplicity) pairs up to `ceiling`."""
     return {
-        "spectrum": {str(k): v for k, v in sorted(shown.entries.items())},
-        "ceiling": shown.ceiling,
+        "spectrum": {str(k): v for k, v in spectrum},
+        "ceiling": ceiling,
         "q_max": q_max,
         "pi2_rank": m,
     }
 
 
-def _manifold_block(spec: manifold.ConnectedSumSpec, g: manifold.GradedRanks) -> dict:
+def _manifold_block(c: _Candidate) -> dict:
     return {
-        "spec": manifold.format_connected_sum(spec),
-        "top": g.top,
-        "ranks": {str(k): v for k, v in sorted(g.ranks.items())},
-        "poincare": manifold.poincare_check(g),
-        "euler": manifold.euler_characteristic(g),
+        "spec": c.spec,
+        "top": c.top,
+        "ranks": {str(k): v for k, v in c.ranks},
+        "poincare": c.poincare,
+        "euler": c.euler,
     }
 
 
@@ -123,23 +170,21 @@ def build_verdict_report(source_tokens, manifold_text: str, q: int | None = None
     F, descriptor = _resolve_source(source_tokens)
     if F.is_trivial:
         raise CliError("the ideal is empty (full simplex): nothing to compare")
-    rmin_degree, pair = syzygy.min_relation_degree(F)
-    wedge = hilton.borel_model(F, rmin_degree)
-    spec = manifold.parse_connected_sum(manifold_text)
-    g = manifold.connected_sum_homology(spec)
-    hur_max = manifold.hurewicz_window(g)
+    rmin_degree, pair = _relation(F)
+    spectrum, ceiling = _wedge_model(F)
+    c = _candidate(manifold_text)
 
-    q_low, q_high = 3, min(wedge.ceiling, hur_max)
+    q_low, q_high = 3, min(ceiling, c.hurewicz)
     notes = [
-        f"wedge model valid for 3 <= q <= {wedge.ceiling}",
-        f"homology determines homotopy ranks for q <= {hur_max}",
+        f"wedge model valid for 3 <= q <= {ceiling}",
+        f"homology determines homotopy ranks for q <= {c.hurewicz}",
         *extra_notes,
     ]
     if q is not None:
         if not q_low <= q <= q_high:
             raise CliError(
                 f"q={q} outside the joint validity window: the wedge model needs "
-                f"3 <= q <= {wedge.ceiling}, the homology side needs q <= {hur_max}"
+                f"3 <= q <= {ceiling}, the homology side needs q <= {c.hurewicz}"
             )
         degrees = [q]
     elif q_high < q_low:
@@ -148,8 +193,9 @@ def build_verdict_report(source_tokens, manifold_text: str, q: int | None = None
     else:
         degrees = list(range(q_low, q_high + 1))
 
+    wedge_ranks, manifold_ranks = dict(spectrum), dict(c.ranks)
     table = [
-        {"q": d, "wedge_rank": wedge.entries.get(d, 0), "manifold_rank": g.rank(d)}
+        {"q": d, "wedge_rank": wedge_ranks.get(d, 0), "manifold_rank": manifold_ranks.get(d, 0)}
         for d in degrees
     ]
     first_diff = next(
@@ -164,11 +210,11 @@ def build_verdict_report(source_tokens, manifold_text: str, q: int | None = None
         "notes": notes,
     }
     return {
-        "input": {"source": descriptor, "manifold": manifold.format_connected_sum(spec)},
+        "input": {"source": descriptor, "manifold": c.spec},
         "ideal": _ideal_block(F),
         "rmin": {"degree": rmin_degree, "witness": _witness_block(F, rmin_degree, pair)},
-        "wedge": _wedge_block(wedge, wedge.ceiling, F.m),
-        "manifold": _manifold_block(spec, g),
+        "wedge": _wedge_block(spectrum, ceiling, ceiling, F.m),
+        "manifold": _manifold_block(c),
         "comparison": comparison,
         "verdict": verdict,
     }
@@ -334,7 +380,7 @@ def cmd_ideal(args) -> dict:
 
 def cmd_syzmin(args) -> dict:
     F, descriptor = _resolve_source(args.source)
-    degree, pair = syzygy.min_relation_degree(F)
+    degree, pair = _relation(F)
     return {
         "input": {"source": descriptor},
         "ideal": _ideal_block(F),
@@ -344,26 +390,26 @@ def cmd_syzmin(args) -> dict:
 
 def cmd_wedge(args) -> dict:
     F, descriptor = _resolve_source(args.source)
-    rmin_degree, _ = syzygy.min_relation_degree(F)
-    shown = hilton.borel_model(F, rmin_degree)
-    q_max = shown.ceiling
+    rmin_degree, _ = _relation(F)
+    spectrum, q_max = _wedge_model(F)
+    ceiling = q_max
     if args.ceiling is not None:
         dims = [2 * len(g) - 1 for g in F.generators]
         shown = hilton.wedge_spectrum(dims, args.ceiling)
+        spectrum, ceiling = sorted(shown.entries.items()), shown.ceiling
     notes = []
-    if shown.ceiling > q_max:
+    if ceiling > q_max:
         notes.append(f"entries above q_max={q_max} lie outside the validated window")
     return {
         "input": {"source": descriptor},
         "ideal": _ideal_block(F),
         "rmin": {"degree": rmin_degree},
-        "wedge": {**_wedge_block(shown, q_max, F.m), "notes": notes},
+        "wedge": {**_wedge_block(spectrum, ceiling, q_max, F.m), "notes": notes},
     }
 
 
 def cmd_homology(args) -> dict:
-    spec = manifold.parse_connected_sum(args.spec)
-    return {"manifold": _manifold_block(spec, manifold.connected_sum_homology(spec))}
+    return {"manifold": _manifold_block(_candidate(args.spec))}
 
 
 def cmd_verdict(args) -> dict:

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import enum
 import io
 import json
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentangle import cli
+from momentangle import cli, hilton, syzygy
 from momentangle.cli import main
 from momentangle.gale import CyclicParams, enumerate_faces, f_vector
 from momentangle.manifold import hurewicz_window, parse_connected_sum
@@ -123,6 +124,19 @@ class TestIdeal:
         code, out, err = run_cli(capsys, "ideal", "torus", "3")
         assert code == 1
         assert "source" in err
+
+    @pytest.mark.parametrize("source, token", [
+        (["polygon", "x"], "x"),
+        (["cyclic", "8", "x"], "x"),
+        (["cyclic", "5.0", "3"], "5.0"),
+    ])
+    def test_non_integer_token_is_named(self, capsys, source, token):
+        code, out, err = run_cli(capsys, "ideal", *source)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: source must be 'cyclic N D', 'polygon M', or 'file PATH'; "
+            f"{token!r} is not an integer\n"
+        )
 
 
 class TestInputLimits:
@@ -457,8 +471,9 @@ class TestModuleInvocation:
 
 
 class TestInProcessCalls:
-    """Calls in one process share a parser and a face-ring cache; each must
-    print exactly what a fresh interpreter prints."""
+    """Calls in one process share a parser and caches of face rings, their
+    relation and wedge facts, and parsed candidates; each call must print
+    exactly what a fresh interpreter prints."""
 
     SEQUENCE = [
         ["ideal", "polygon", "5"],
@@ -475,6 +490,14 @@ class TestInProcessCalls:
         ["verdict", "--help"],
         ["--quiet", "counterexample"],
         ["ideal", "polygon", "5", "--quiet"],
+        ["homology", "16*S5xS7 # 15*S6xS6", "--json"],
+        ["verdict", "polygon", "6", "--vs", "16*S5xS7 # 15*S6xS6"],
+        ["verdict", "file", "{dir}/pentagon.txt", "--vs", "5*S3xS4", "--json"],
+        ["verdict", "file", "{dir}/pentagon.txt", "--vs", "5*S3xS4", "--json"],
+        ["verdict", "cyclic", "8", "4", "--vs", "S7xS5", "--json"],
+        ["verdict", "cyclic", "8", "4", "--vs", "1*S5xS7", "--json"],
+        ["homology", "S7xS5"],
+        ["homology", "1*S5xS7"],
     ]
 
     @staticmethod
@@ -486,10 +509,14 @@ class TestInProcessCalls:
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
-    def test_sequence_matches_fresh_interpreters(self, capsys, monkeypatch):
+    def test_sequence_matches_fresh_interpreters(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal width
         env = dict(os.environ, PYTHONPATH=str(SRC))
-        for argv in self.SEQUENCE:
+        (tmp_path / "pentagon.txt").write_text(
+            "vertices 5\nnonfaces\n1 3\n1 4\n2 4\n2 5\n3 5\n"
+        )
+        for template in self.SEQUENCE:
+            argv = [token.replace("{dir}", str(tmp_path)) for token in template]
             proc = subprocess.run(
                 [sys.executable, "-m", "momentangle", *argv],
                 capture_output=True, text=True, env=env,
@@ -518,6 +545,51 @@ class TestInProcessCalls:
 
     def test_parser_is_built_once(self):
         assert cli._build_parser() is cli._build_parser()
+
+    def test_relation_and_wedge_model_are_computed_once(self, capsys, monkeypatch):
+        counts = {"min_relation_degree": 0, "borel_model": 0}
+
+        def counting(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        counting(syzygy, "min_relation_degree")
+        counting(hilton, "borel_model")
+        cli._relation.cache_clear()
+        cli._wedge_model.cache_clear()
+        source = ["cyclic", "9", "4"]
+        for argv in (
+            ["verdict", *source, "--vs", "16*S5xS7 # 15*S6xS6"],
+            ["verdict", *source, "--vs", "5*S3xS4"],
+            ["syzmin", *source],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code in (0, 2) and err == "", argv
+        assert counts == {"min_relation_degree": 1, "borel_model": 1}
+
+    def test_reports_do_not_share_mutable_values(self):
+        first = cli.build_verdict_report(["polygon", "5"], "5*S3xS4")
+        expected = copy.deepcopy(first)
+        first["ideal"]["degree_histogram"]["4"] = -1
+        first["manifold"]["ranks"]["3"] = -1
+        first["wedge"]["spectrum"]["3"] = -1
+        first["comparison"]["table"][0]["wedge_rank"] = -1
+        first["comparison"]["table"].append({"q": 99})
+        first["comparison"]["notes"].append("mutated")
+        assert cli.build_verdict_report(["polygon", "5"], "5*S3xS4") == expected
+
+    def test_error_is_repeated_not_kept(self, capsys):
+        argv = ["verdict", "cyclic", "5", "4", "--vs", "S3xS3"]
+        first = run_cli(capsys, *argv)
+        assert first == run_cli(capsys, *argv)
+        assert first == (
+            1, "", "error: no relations: the ideal needs at least two generators\n"
+        )
 
 
 class TestReadme:

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
 
@@ -41,11 +43,13 @@ def test_byte_sweep_names_a_changed_text_line(tmp_path):
     assert all(line.startswith("differs: homology ") for line in named)
 
 
-def test_traced_benchmark_run_exits_cleanly():
+@pytest.mark.parametrize("workload", ["face_ladder", "verdict_batch"])
+def test_traced_benchmark_run_exits_cleanly(workload):
     # A traced run exits 1 if a worker dies (tracer.py cannot import a layer)
-    # or if a per-layer ratio divides by zero.
+    # or if a per-layer ratio divides by zero.  On verdict_batch the CLI's
+    # caches leave traced calls only on the first use of each input.
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "face_ladder",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "0.1", "--trace", "1"],
         capture_output=True, text=True, cwd=ROOT,
     )
