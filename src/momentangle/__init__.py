@@ -24,7 +24,6 @@ from .complexes import (
     from_cyclic,
     from_facets,
     from_nonfaces,
-    from_polygon,
     parse_complex,
 )
 from .syzygy import min_relation_degree

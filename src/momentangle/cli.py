@@ -12,13 +12,12 @@ import sys
 from collections import namedtuple
 from functools import cache, lru_cache
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 
 from . import complexes, hilton, manifold, syzygy
 from .complexes import FaceRingPresentation
-from .gale import CyclicParams, enumerate_faces, f_vector
+from .gale import SUBSET_LIMIT, CyclicParams, enumerate_faces, f_vector
 
-__all__ = ["CliError", "build_verdict_report", "main", "run"]
+__all__ = ["build_verdict_report", "main", "run"]
 
 COUNTEREXAMPLE_SOURCE = ("cyclic", "8", "4")
 COUNTEREXAMPLE_MANIFOLD = "16*S5xS7 # 15*S6xS6"
@@ -28,13 +27,9 @@ COUNTEREXAMPLE_MANIFOLD = "16*S5xS7 # 15*S6xS6"
 SOURCE_CACHE_SIZE = 64
 
 
-class CliError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); keep 2 for INCONCLUSIVE
-        raise CliError(message)
+        raise ValueError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -42,14 +37,13 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=SOURCE_CACHE_SIZE)
-def _face_ring(kind: str, key) -> FaceRingPresentation:
-    """The face ring of a source, keyed by its CyclicParams, its polygon size
-    or its file's text, so an edited file is never served stale.  Face rings
-    are frozen, so every caller may share one; a failed build is not kept."""
-    if kind == "cyclic":
+def _face_ring(key) -> FaceRingPresentation:
+    """The face ring of a source, keyed by its CyclicParams (a polygon's
+    included) or its file's text, so an edited file is never served stale.
+    Face rings are frozen, so every caller may share one; a failed build is
+    not kept."""
+    if isinstance(key, CyclicParams):
         return complexes.from_cyclic(key)
-    if kind == "polygon":
-        return complexes.from_polygon(key)
     return complexes.parse_complex(key)
 
 
@@ -57,30 +51,29 @@ def _integer(token: str, usage: str) -> int:
     try:
         return int(token)
     except ValueError:
-        raise CliError(f"{usage}; {token!r} is not an integer") from None
+        raise ValueError(f"{usage}; {token!r} is not an integer") from None
 
 
 def _resolve_source(tokens) -> tuple[FaceRingPresentation, dict]:
-    """The face ring of a source given as CLI tokens, and its JSON descriptor."""
+    """The face ring of a source given as CLI tokens, and its JSON
+    descriptor; `polygon M` is C(M, 2)."""
     usage = "source must be 'cyclic N D', 'polygon M', or 'file PATH'"
     kind = tokens[0] if tokens else None
-    try:
-        if kind == "cyclic" and len(tokens) == 3:
-            p = CyclicParams(_integer(tokens[1], usage), _integer(tokens[2], usage))
-            descriptor = {"kind": "cyclic", "n": p.n, "d": p.d}
-            F = _face_ring(kind, p)
-        elif kind == "polygon" and len(tokens) == 2:
-            m = _integer(tokens[1], usage)
-            F, descriptor = _face_ring(kind, m), {"kind": "polygon", "m": m}
-        elif kind == "file" and len(tokens) == 2:
-            path = tokens[1]
-            F = _face_ring(kind, Path(path).read_text())
-            descriptor = {"kind": "file", "path": path}
-        else:
-            raise CliError(usage)
-    except (ValueError, OSError) as exc:
-        raise CliError(str(exc)) from exc
-    return F, descriptor
+    if kind == "cyclic" and len(tokens) == 3:
+        p = CyclicParams(_integer(tokens[1], usage), _integer(tokens[2], usage))
+        return _face_ring(p), {"kind": "cyclic", "n": p.n, "d": p.d}
+    if kind == "polygon" and len(tokens) == 2:
+        m = _integer(tokens[1], usage)
+        return _face_ring(CyclicParams(m, 2)), {"kind": "polygon", "m": m}
+    if kind == "file" and len(tokens) == 2:
+        path = tokens[1]
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ValueError(str(exc)) from exc
+        return _face_ring(text), {"kind": "file", "path": path}
+    raise ValueError(usage)
 
 
 @lru_cache(maxsize=SOURCE_CACHE_SIZE)
@@ -169,7 +162,7 @@ def build_verdict_report(source_tokens, manifold_text: str, q: int | None = None
                          extra_notes: tuple[str, ...] = ()) -> dict:
     F, descriptor = _resolve_source(source_tokens)
     if F.is_trivial:
-        raise CliError("the ideal is empty (full simplex): nothing to compare")
+        raise ValueError("the ideal is empty (full simplex): nothing to compare")
     rmin_degree, pair = _relation(F)
     spectrum, ceiling = _wedge_model(F)
     c = _candidate(manifold_text)
@@ -182,7 +175,7 @@ def build_verdict_report(source_tokens, manifold_text: str, q: int | None = None
     ]
     if q is not None:
         if not q_low <= q <= q_high:
-            raise CliError(
+            raise ValueError(
                 f"q={q} outside the joint validity window: the wedge model needs "
                 f"3 <= q <= {ceiling}, the homology side needs q <= {c.hurewicz}"
             )
@@ -390,6 +383,15 @@ def cmd_syzmin(args) -> dict:
 
 def cmd_wedge(args) -> dict:
     F, descriptor = _resolve_source(args.source)
+    # The Witt recurrence takes n - 1 products at each n below the ceiling;
+    # a negative ceiling is left for hilton to refuse.
+    if args.ceiling is not None and args.ceiling > 2:
+        products = (args.ceiling - 1) * (args.ceiling - 2) // 2
+        if products > SUBSET_LIMIT:
+            raise ValueError(
+                f"the Witt recurrence up to ceiling {args.ceiling} needs {products} "
+                f"products, above the limit of {SUBSET_LIMIT}"
+            )
     rmin_degree, _ = _relation(F)
     spectrum, q_max = _wedge_model(F)
     ceiling = q_max
@@ -557,7 +559,7 @@ def main(argv=None) -> int:
         else:
             out = "".join(f"{line}\n" for line in args.text(report, args.quiet))
         sys.stdout.write(out)
-    except (CliError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 2 if report.get("verdict") == "INCONCLUSIVE" else 0

@@ -31,7 +31,6 @@ __all__ = [
     "from_facets",
     "from_nonfaces",
     "from_cyclic",
-    "from_polygon",
     "parse_complex",
 ]
 
@@ -231,9 +230,9 @@ def _cyclic_ring(n: int, d: int) -> FaceRingPresentation:
 
 def from_cyclic(p: CyclicParams) -> FaceRingPresentation:
     """Boundary complex of C(n, d) on n vertices, its generators in the
-    closed form of the module docstring; a polygon (d = 2, n >= 4) is
-    `from_polygon`, with its guard.  No facet is built, but two guards bound
-    the rest: C(n, d) for a facet search, 2**d per facet for a closure.
+    closed form of the module docstring.  No facet is built, but guards
+    bound the rest: for a polygon (d = 2) its n(n-3)/2 generators, else
+    C(n, d) for a facet search and 2**d per facet for a closure.
 
     Why (Ziegler, Lectures on Polytopes, Thm 0.7): for d = 2k, n >= d+2,
     Gale's condition is invariant under rotation, and S (not 1..n) is a face
@@ -244,20 +243,13 @@ def from_cyclic(p: CyclicParams) -> FaceRingPresentation:
     link of a vertex put between n and 1 in the boundary of C(n+1, 2k+2).
     """
     n, d = p.n, p.d
-    if d == 2 and n >= 4:
-        return from_polygon(n)
-    check_subset_count(comb(n, d), f"the facet search of C({n},{d})")
-    check_subset_count(_cyclic_facet_count(n, d) << d, "the downward closure of the facet list")
+    if d == 2:
+        check_subset_count(n * (n - 3) // 2, f"the minimal non-faces of the {n}-gon")
+    else:
+        check_subset_count(comb(n, d), f"the facet search of C({n},{d})")
+        check_subset_count(_cyclic_facet_count(n, d) << d,
+                           "the downward closure of the facet list")
     return _cyclic_ring(n, d)
-
-
-def from_polygon(m: int) -> FaceRingPresentation:
-    """The m-cycle, the boundary of C(m, 2): its m(m-3)/2 non-adjacent pairs,
-    counted against the subset limit.  Requires m >= 4 (a nonempty ideal)."""
-    if m < 4:
-        raise ValueError(f"polygon complexes need m >= 4 vertices, got {m}")
-    check_subset_count(m * (m - 3) // 2, f"the minimal non-faces of the {m}-gon")
-    return _cyclic_ring(m, 2)
 
 
 def parse_complex(text: str) -> FaceRingPresentation:

@@ -7,7 +7,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from momentangle import CyclicParams, from_cyclic, from_polygon  # noqa: E402
+from momentangle import CyclicParams, from_cyclic  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -17,4 +17,4 @@ def c84_ring():
 
 @pytest.fixture(scope="session")
 def pentagon_ring():
-    return from_polygon(5)
+    return from_cyclic(CyclicParams(5, 2))

@@ -29,7 +29,7 @@ import time
 from itertools import combinations, combinations_with_replacement
 
 from momentangle.cli import main
-from momentangle.complexes import from_cyclic, from_polygon
+from momentangle.complexes import from_cyclic
 from momentangle.gale import CyclicParams, enumerate_faces, f_vector, is_face
 from momentangle.hilton import wedge_spectrum
 from momentangle.manifold import (
@@ -187,8 +187,8 @@ def test_criterion_8_property_suites_headless():
         for F in (
             from_cyclic(CyclicParams(8, 4)),
             from_cyclic(CyclicParams(7, 4)),
-            from_polygon(5),
-            from_polygon(8),
+            from_cyclic(CyclicParams(5, 2)),
+            from_cyclic(CyclicParams(8, 2)),
         ):
             for a, b in combinations(F.generators, 2):
                 assert not set(a).issubset(b)

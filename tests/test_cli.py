@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentangle import cli, hilton, syzygy
+from momentangle import cli, complexes, hilton, syzygy
 from momentangle.cli import main
 from momentangle.gale import CyclicParams, enumerate_faces, f_vector
 from momentangle.manifold import hurewicz_window, parse_connected_sum
@@ -99,6 +99,17 @@ class TestIdeal:
         assert code == 0
         got = [tuple(g) for g in payload["ideal"]["generators"]]
         assert got == PENTAGON_MINIMAL_NONFACES
+
+    def test_triangle_is_cyclic_3_2(self, capsys):
+        code, payload = run_json(capsys, "ideal", "polygon", "3")
+        assert code == 0
+        assert payload["ideal"]["generators"] == [[1, 2, 3]]
+        assert payload["ideal"] == run_json(capsys, "ideal", "cyclic", "3", "2")[1]["ideal"]
+
+    def test_two_vertices_refused(self, capsys):
+        assert run_cli(capsys, "ideal", "polygon", "2") == (
+            1, "", "error: C(n,2) needs n >= 3 vertices, got n=2\n"
+        )
 
     def test_square_text_output(self, capsys):
         code, out, err = run_cli(capsys, "ideal", "polygon", "4")
@@ -222,6 +233,23 @@ class TestWedge:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "ceiling" in err
+
+    def test_largest_admitted_ceiling(self, capsys):
+        # (1449 - 1) * (1449 - 2) / 2 = 1047628 products are admitted.
+        code, payload = run_json(capsys, "wedge", "polygon", "4", "--ceiling", "1449")
+        assert code == 0
+        wedge = payload["wedge"]
+        assert wedge["ceiling"] == 1449 and wedge["spectrum"]["3"] == 2
+
+    def test_ceiling_above_limit_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "wedge", "polygon", "4", "--ceiling", "1450")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: the Witt recurrence up to ceiling 1450 needs 1049076 products, "
+            "above the limit of 1048576\n"
+        )
 
     def test_small_ceilings_give_empty_spectra(self, capsys):
         for ceiling in ("0", "1", "2"):
@@ -484,7 +512,8 @@ class TestInProcessCalls:
         ["syzmin", "cyclic", "8", "4", "--json"],
         ["wedge", "cyclic", "8", "4", "--ceiling", "9"],
         ["ideal", "cyclic", "8", "3", "--json"],
-        ["ideal", "polygon", "3"],
+        ["ideal", "polygon", "2"],
+        ["ideal", "polygon", "2"],
         ["ideal", "polygon", "3"],
         ["ideal", "cyclic", "8", "4", "--bogus"],
         ["verdict", "--help"],
@@ -571,6 +600,22 @@ class TestInProcessCalls:
             code, out, err = run_cli(capsys, *argv)
             assert code in (0, 2) and err == "", argv
         assert counts == {"min_relation_degree": 1, "borel_model": 1}
+
+    def test_polygon_and_cyclic_share_a_face_ring(self, capsys, monkeypatch):
+        calls = []
+        from_cyclic = complexes.from_cyclic
+
+        def counted(p):
+            calls.append(p)
+            return from_cyclic(p)
+
+        monkeypatch.setattr(complexes, "from_cyclic", counted)
+        cli._face_ring.cache_clear()
+        polygon = run_cli(capsys, "ideal", "polygon", "7", "--json")
+        cyclic = run_cli(capsys, "ideal", "cyclic", "7", "2", "--json")
+        assert polygon[0] == cyclic[0] == 0
+        assert json.loads(polygon[1])["ideal"] == json.loads(cyclic[1])["ideal"]
+        assert calls == [CyclicParams(7, 2)]
 
     def test_reports_do_not_share_mutable_values(self):
         first = cli.build_verdict_report(["polygon", "5"], "5*S3xS4")

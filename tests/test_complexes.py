@@ -15,7 +15,6 @@ from momentangle.complexes import (
     from_cyclic,
     from_facets,
     from_nonfaces,
-    from_polygon,
     parse_complex,
 )
 from momentangle.gale import CyclicParams, f_vector, is_face as cyclic_is_face
@@ -189,7 +188,7 @@ class TestFactories:
         assert supports(K) == [(1, 2), (3, 4)]
 
     def test_is_face_validates_range(self):
-        K = from_polygon(5)
+        K = from_cyclic(CyclicParams(5, 2))
         with pytest.raises(ValueError):
             K.is_face({0, 2})
 
@@ -242,30 +241,30 @@ class TestFromCyclic:
 
 class TestFromPolygon:
     def test_pentagon(self):
-        assert supports(from_polygon(5)) == PENTAGON_MINIMAL_NONFACES
+        assert supports(from_cyclic(CyclicParams(5, 2))) == PENTAGON_MINIMAL_NONFACES
 
     def test_square(self):
-        assert supports(from_polygon(4)) == [(1, 3), (2, 4)]
+        assert supports(from_cyclic(CyclicParams(4, 2))) == [(1, 3), (2, 4)]
 
     def test_hexagon_count(self):
-        assert len(supports(from_polygon(6))) == 9
+        assert len(supports(from_cyclic(CyclicParams(6, 2)))) == 9
 
-    def test_rejects_triangle(self):
-        with pytest.raises(ValueError):
-            from_polygon(3)
+    def test_triangle(self):
+        # The 3-gon is C(3, 2), the boundary of a triangle: one generator.
+        assert supports(from_cyclic(CyclicParams(3, 2))) == [(1, 2, 3)]
 
-    @pytest.mark.parametrize("m", range(4, 61))
+    @pytest.mark.parametrize("m", range(3, 61))
     def test_matches_edge_facets(self, m):
         edges = [(i, i + 1) for i in range(1, m)] + [(1, m)]
         edge_file = f"vertices {m}\nfacets\n" + "\n".join(f"{i} {j}" for i, j in edges)
-        assert from_polygon(m) == from_facets(m, edges) == from_cyclic(CyclicParams(m, 2))
-        assert parse_complex(edge_file) == from_polygon(m)
+        assert from_cyclic(CyclicParams(m, 2)) == from_facets(m, edges)
+        assert parse_complex(edge_file) == from_facets(m, edges)
 
     @pytest.mark.parametrize("m", [2000, 100000])
     def test_refuses_huge_polygon_at_once(self, m):
         start = time.perf_counter()
         with pytest.raises(ValueError) as info:
-            from_polygon(m)
+            from_cyclic(CyclicParams(m, 2))
         assert time.perf_counter() - start < 1.0
         assert str(info.value) == (
             f"the minimal non-faces of the {m}-gon would visit {m * (m - 3) // 2} "
@@ -276,12 +275,12 @@ class TestFromPolygon:
         # 1449 * 1446 / 2 = 1047627 generators are admitted; one more vertex
         # passes the limit.
         with pytest.raises(ValueError, match="the 1450-gon would visit 1049075 subsets"):
-            from_polygon(1450)
+            from_cyclic(CyclicParams(1450, 2))
 
     def test_edge_facets_take_the_generator_guard(self):
         # The 1450-gon's edges pass the closure guard (4 subsets per edge);
         # its 1450 * 1447 / 2 minimal non-faces are refused, as by
-        # `from_polygon`, before any is built.
+        # `from_cyclic` on C(1450, 2), before any is built.
         edges = [(i, i + 1) for i in range(1, 1450)] + [(1, 1450)]
         start = time.perf_counter()
         with pytest.raises(ValueError) as info:
@@ -305,7 +304,7 @@ class TestFromPolygon:
         )
 
     def test_faces_are_cycle_edges(self):
-        K = from_polygon(6)
+        K = from_cyclic(CyclicParams(6, 2))
         for i, j in combinations(range(1, 7), 2):
             adjacent = (j - i) in (1, 5)
             assert K.is_face({i, j}) == adjacent
@@ -492,7 +491,7 @@ class TestIncomparabilityScaling:
         # 244,300 generators on 700-bit masks; duplicates are read off sorted
         # order, so no mask is hashed.
         start = time.perf_counter()
-        F = from_polygon(700)
+        F = from_cyclic(CyclicParams(700, 2))
         assert time.perf_counter() - start < 2.0
         assert len(F.generators) == 700 * 697 // 2
 
@@ -512,7 +511,7 @@ class TestParseComplex:
             " ".join(map(str, nf)) for nf in PENTAGON_MINIMAL_NONFACES
         )
         K = parse_complex(text)
-        assert supports(K) == supports(from_polygon(5))
+        assert supports(K) == supports(from_cyclic(CyclicParams(5, 2)))
 
     def test_facets_text(self):
         text = """

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentangle.cli import _witness_block, main
-from momentangle.complexes import FaceRingPresentation, from_cyclic, from_polygon
+from momentangle.complexes import FaceRingPresentation, from_cyclic
 from momentangle.gale import CyclicParams
 from momentangle.syzygy import min_relation_degree
 
@@ -90,7 +90,7 @@ class TestMinRelationDegree:
             min_relation_degree(FaceRingPresentation(3))
 
     def test_witness_is_a_valid_relation(self, c84_ring, pentagon_ring):
-        for F in (c84_ring, pentagon_ring, from_polygon(6)):
+        for F in (c84_ring, pentagon_ring, from_cyclic(CyclicParams(6, 2))):
             assert relation_holds(rmin_block(F))
 
     def test_degree_is_even(self, c84_ring):
@@ -102,9 +102,9 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: from_polygon(4),
-            lambda: from_polygon(5),
-            lambda: from_polygon(6),
+            lambda: from_cyclic(CyclicParams(4, 2)),
+            lambda: from_cyclic(CyclicParams(5, 2)),
+            lambda: from_cyclic(CyclicParams(6, 2)),
             lambda: from_cyclic(CyclicParams(6, 4)),
             lambda: from_cyclic(CyclicParams(7, 4)),
         ],
@@ -167,7 +167,7 @@ class TestPairScanOracle:
 
     @pytest.mark.parametrize("m", range(4, 13))
     def test_polygons(self, capsys, m):
-        self.check(from_polygon(m), self.report(capsys, "polygon", str(m)))
+        self.check(from_cyclic(CyclicParams(m, 2)), self.report(capsys, "polygon", str(m)))
 
 
 class TestInvariance:
