@@ -11,6 +11,10 @@ even pairs, change first in odd ones) so that a drift of the host's speed
 falls on both sides alike.  Both runs of a pair use the same seed (1, 2, ...).
 Each tree runs its own `perfbench/run.py` from its own root.
 
+Both trees must be git checkouts (make the parent one with `git clone`, not
+`git archive`): a record names the git tree of each side's `src`, and the
+script refuses to start when either side has none.
+
 The record goes to `BENCH_<label>.json` in the change tree, rewritten after
 every run so that a cut-short session still leaves every finished pair.  It
 holds each run's seed, pass count, `correct`/`failed` and end-to-end
@@ -97,13 +101,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    described = {side: describe(tree) for side, tree in trees.items()}
+    untracked = [side for side, d in described.items() if d["src_tree"] is None]
+    if untracked:
+        print("error: no git tree of src in the " + " and ".join(
+            f"{side} side ({trees[side]})" for side in untracked
+        ) + "; both sides must be git checkouts", file=sys.stderr)
+        return 1
     out_file = trees["change"] / f"BENCH_{args.label}.json"
     doc = {
         "label": args.label,
         "command": "python3 perfbench/run.py --workload W --seed N --seconds S",
         "seconds": args.seconds,
         "host": {"python": platform.python_version(), "machine": platform.machine()},
-        "trees": {side: describe(tree) for side, tree in trees.items()},
+        "trees": described,
         "workloads": {},
     }
     for item in args.plan:

@@ -1,15 +1,17 @@
-"""Combinatorial rational-homotopy pipeline.
+"""Combinatorial homotopy pipeline for moment-angle complexes.
 
 A simplicial complex is carried by one type, the Stanley-Reisner
 presentation of its face ring (one ideal generator per minimal non-face,
 each the strictly increasing tuple of its vertices).  From a cyclic polytope,
 a polygon or a complex file this package derives that presentation, the
 minimal degree of a relation among the ideal generators with the generator
-pair that reaches it, and the wedge-of-spheres model of the associated Borel space, a sphere
-spectrum truncated at the model's window (`borel_model`).  On the other side
-it computes graded homology ranks of connected sums of sphere products, which
-are rational homotopy ranks up to `hurewicz_window`; the CLI compares the two
-degree by degree where both windows hold.
+pair that reaches it, the wedge-of-spheres model of the associated Borel
+space (`borel_model`), and the homology of the moment-angle complex Z_K by
+Hochster's formula over GF(2), GF(10007) and GF(3) (`hochster`).  On the
+other side it computes graded homology ranks of connected sums of sphere
+products, which are torsion-free; the CLI compares the two degree by degree
+and field by field, and a difference over any one field rules out a
+homotopy equivalence.
 """
 
 from .gale import (
@@ -27,6 +29,13 @@ from .complexes import (
     parse_complex,
 )
 from .syzygy import min_relation_degree
+from .hochster import (
+    FIELDS,
+    betti_table,
+    bottom_ranks,
+    cyclic_ranks,
+    zk_ranks,
+)
 from .hilton import (
     SphereSpectrum,
     borel_model,

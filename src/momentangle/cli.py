@@ -1,9 +1,9 @@
-"""Command-line pipeline: complex -> face ring -> minimal relation degree ->
-wedge model, compared degree by degree against a candidate connected sum of
-sphere products.  Each subcommand builds one report, the dict that `--json`
-prints; its text is a view of that dict.  Exit code 0 means NOT_EQUIVALENT
-was established (or no verdict was asked for), 2 means INCONCLUSIVE, 1 means
-error."""
+"""Command-line pipeline: complex -> face ring -> homology of the
+moment-angle complex Z_K by Hochster's formula, compared degree by degree and
+field by field against a candidate connected sum of sphere products.  Each
+subcommand builds one report, the dict that `--json` prints; its text is a
+view of that dict.  Exit code 0 means NOT_EQUIVALENT was established (or no
+verdict was asked for), 2 means INCONCLUSIVE, 1 means error."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from collections import namedtuple
 from functools import cache, lru_cache
 from json.encoder import encode_basestring_ascii
 
-from . import complexes, hilton, manifold, syzygy
+from . import complexes, hilton, hochster, manifold, syzygy
 from .complexes import FaceRingPresentation
 from .gale import SUBSET_LIMIT, CyclicParams, enumerate_faces, f_vector
 
@@ -21,9 +21,16 @@ __all__ = ["build_verdict_report", "main", "run"]
 
 COUNTEREXAMPLE_SOURCE = ("cyclic", "8", "4")
 COUNTEREXAMPLE_MANIFOLD = "16*S5xS7 # 15*S6xS6"
-# Face rings, their relation and wedge facts, and parsed candidates kept for
-# repeated inputs across the in-process calls of one interpreter (a benchmark
-# pass, a test session).
+FIELD_NAMES = tuple(f"GF({p})" for p in hochster.FIELDS)
+COUNTEREXAMPLE_NOTES = (
+    "Z_K and the candidate have the same homology over every field: both are "
+    "formal 4-connected closed 12-manifolds with isomorphic rational cohomology "
+    "rings, so they are rationally homotopy equivalent and no rank comparison "
+    "separates them",
+)
+# Face rings, their relation, wedge and homology facts, and parsed candidates
+# kept for repeated inputs across the in-process calls of one interpreter (a
+# benchmark pass, a test session).
 SOURCE_CACHE_SIZE = 64
 
 
@@ -89,6 +96,32 @@ def _wedge_model(F: FaceRingPresentation) -> tuple[tuple[tuple[int, int], ...], 
     sorted (dimension, multiplicity) pairs, and its ceiling q_max."""
     shown = hilton.borel_model(F, _relation(F)[0])
     return tuple(sorted(shown.entries.items())), shown.ceiling
+
+
+@lru_cache(maxsize=SOURCE_CACHE_SIZE)
+def _cyclic_ranks(p: CyclicParams) -> tuple[tuple[int, int], ...]:
+    """Z_K's ranks for C(n, d), d even, by the closed form: computed once per
+    source, for every field."""
+    return tuple(hochster.cyclic_ranks(p).items())
+
+
+@lru_cache(maxsize=SOURCE_CACHE_SIZE)
+def _general_ranks(F: FaceRingPresentation, field: int) -> tuple[tuple[int, int], ...]:
+    """Z_K's ranks over GF(field) by the general route, once per ring and field."""
+    return tuple(hochster.zk_ranks(F, field).items())
+
+
+def _zk_tables(F: FaceRingPresentation, descriptor: dict):
+    """Yield (field names, Z_K's sorted (degree, rank) pairs over each of
+    them) in the order of `hochster.FIELDS`: one table for every field from
+    the closed form of a cyclic or polygon source of even dimension, else one
+    per field by the general route, each computed only when it is reached."""
+    d = 2 if descriptor["kind"] == "polygon" else descriptor.get("d")
+    if d is not None and d % 2 == 0:
+        yield FIELD_NAMES, _cyclic_ranks(CyclicParams(F.m, d))
+        return
+    for name, p in zip(FIELD_NAMES, hochster.FIELDS):
+        yield (name,), _general_ranks(F, p)
 
 
 # What a report reads of a candidate connected sum: its canonical text, top
@@ -158,58 +191,71 @@ def _manifold_block(c: _Candidate) -> dict:
     }
 
 
-def build_verdict_report(source_tokens, manifold_text: str, q: int | None = None,
-                         extra_notes: tuple[str, ...] = ()) -> dict:
+def _difference(names, zk: dict, candidate: dict, degrees) -> dict | None:
+    """The first of `degrees` where Z_K's ranks and the candidate's differ,
+    as a report's difference over the first of `names`; None if they agree."""
+    q = next((q for q in degrees if zk.get(q, 0) != candidate.get(q, 0)), None)
+    if q is None:
+        return None
+    return {"field": names[0], "degree": q, "zk_rank": zk.get(q, 0),
+            "manifold_rank": candidate.get(q, 0)}
+
+
+def _homology_block(F: FaceRingPresentation, descriptor: dict, c: _Candidate,
+                    q: int | None) -> dict:
+    """Z_K's homology against the candidate's: degrees in ascending order,
+    the bottom read first, then, only if it agrees, the full ranks field by
+    field in the order of `hochster.FIELDS`.  The first (field, degree) that
+    differs is the difference; a candidate is torsion-free, so any one
+    field's difference rules out a homotopy equivalence.  With `q`, degree q
+    alone, which both sides' Hurewicz windows must admit."""
+    top, bottom = hochster.bottom_ranks(F)
+    if q is not None:
+        window = manifold.hurewicz_window(manifold.GradedRanks(bottom, top))
+        if not 0 <= q <= min(window, c.hurewicz):
+            raise ValueError(
+                f"q={q} outside the joint window: Z_K's homology gives homotopy "
+                f"ranks for q <= {window}, the candidate's for q <= {c.hurewicz}"
+            )
+    candidate = dict(c.ranks)
+    if q is None:
+        low = range(top + 1)
+    else:
+        low = (q,) if q <= top else ()
+    # The bottom read holds over every field, so a difference there is GF(2)'s.
+    difference = _difference(FIELD_NAMES, bottom, candidate, low)
+    if difference is not None:
+        fields = [FIELD_NAMES[0]]
+    elif q is not None and q <= top:
+        fields = list(FIELD_NAMES)
+    else:
+        fields = []
+        for names, ranks in _zk_tables(F, descriptor):
+            zk = dict(ranks)
+            degrees = sorted(zk.keys() | candidate.keys()) if q is None else (q,)
+            difference = _difference(names, zk, candidate, degrees)
+            if difference is not None:
+                fields.append(names[0])
+                break
+            fields += names
+    return {"fields": fields, "difference": difference, "q": q}
+
+
+def build_verdict_report(source_tokens, manifold_text: str, q: int | None = None) -> dict:
     F, descriptor = _resolve_source(source_tokens)
     if F.is_trivial:
         raise ValueError("the ideal is empty (full simplex): nothing to compare")
-    rmin_degree, pair = _relation(F)
+    # The verdict does not read the wedge block.
     spectrum, ceiling = _wedge_model(F)
     c = _candidate(manifold_text)
-
-    q_low, q_high = 3, min(ceiling, c.hurewicz)
-    notes = [
-        f"wedge model valid for 3 <= q <= {ceiling}",
-        f"homology determines homotopy ranks for q <= {c.hurewicz}",
-        *extra_notes,
-    ]
-    if q is not None:
-        if not q_low <= q <= q_high:
-            raise ValueError(
-                f"q={q} outside the joint validity window: the wedge model needs "
-                f"3 <= q <= {ceiling}, the homology side needs q <= {c.hurewicz}"
-            )
-        degrees = [q]
-    elif q_high < q_low:
-        degrees = []
-        notes.append("no admissible comparison degrees: joint window is empty")
-    else:
-        degrees = list(range(q_low, q_high + 1))
-
-    wedge_ranks, manifold_ranks = dict(spectrum), dict(c.ranks)
-    table = [
-        {"q": d, "wedge_rank": wedge_ranks.get(d, 0), "manifold_rank": manifold_ranks.get(d, 0)}
-        for d in degrees
-    ]
-    first_diff = next(
-        (row["q"] for row in table if row["wedge_rank"] != row["manifold_rank"]), None
-    )
-    verdict = "NOT_EQUIVALENT" if first_diff is not None else "INCONCLUSIVE"
-    comparison = {
-        "window_low": q_low,
-        "window_high": q_high,
-        "table": table,
-        "first_difference": first_diff,
-        "notes": notes,
-    }
+    homology = _homology_block(F, descriptor, c, q)
     return {
         "input": {"source": descriptor, "manifold": c.spec},
         "ideal": _ideal_block(F),
-        "rmin": {"degree": rmin_degree, "witness": _witness_block(F, rmin_degree, pair)},
         "wedge": _wedge_block(spectrum, ceiling, ceiling, F.m),
         "manifold": _manifold_block(c),
-        "comparison": comparison,
-        "verdict": verdict,
+        "homology": homology,
+        "verdict": "INCONCLUSIVE" if homology["difference"] is None else "NOT_EQUIVALENT",
     }
 
 
@@ -298,7 +344,6 @@ def text_homology(report: dict, quiet: bool):
 
 
 def text_verdict(report: dict, quiet: bool):
-    comparison = report["comparison"]
     if not quiet:
         yield f"input complex: {_describe_source(report['input']['source'])}"
         yield f"candidate manifold: {report['input']['manifold']}"
@@ -306,13 +351,6 @@ def text_verdict(report: dict, quiet: bool):
         ideal = report["ideal"]
         yield f"face ring: {ideal['m']} variables, |I| = {ideal['size']} generators"
         yield from _generator_rows(ideal["generators"])
-        yield f"minimal relation degree: {report['rmin']['degree']}"
-        yield f"  witness: {_witness_text(report['rmin']['witness'])}"
-        wedge = report["wedge"]
-        yield (
-            f"wedge model: spheres {wedge['spectrum']}, "
-            f"valid window 3 <= q <= {wedge['q_max']}, degree-2 rank {wedge['pi2_rank']}"
-        )
         yield ""
         mfd = report["manifold"]
         ranks = "  ".join(f"{k}:{v}" for k, v in mfd["ranks"].items())
@@ -322,29 +360,22 @@ def text_verdict(report: dict, quiet: bool):
             f"Euler characteristic: {mfd['euler']}"
         )
         yield ""
-        for note in comparison["notes"]:
+        for note in report.get("notes", ()):
             yield f"note: {note}"
-        if comparison["table"]:
             yield ""
-            yield "  q   wedge side   manifold side"
-            for row in comparison["table"]:
-                marker = "   <-- differs" if row["wedge_rank"] != row["manifold_rank"] else ""
-                yield (
-                    f"  {row['q']:<3} {row['wedge_rank']:<12} "
-                    f"{row['manifold_rank']:<13}{marker}"
-                ).rstrip()
-        yield ""
-    if comparison["first_difference"] is not None:
-        q = comparison["first_difference"]
-        row = next(r for r in comparison["table"] if r["q"] == q)
+    homology = report["homology"]
+    diff = homology["difference"]
+    if diff is not None:
         yield (
-            f"verdict: NOT_EQUIVALENT (rational homotopy ranks differ in degree {q}: "
-            f"{row['wedge_rank']} vs {row['manifold_rank']})"
+            f"verdict: NOT_EQUIVALENT (homology ranks differ over {diff['field']} "
+            f"in degree {diff['degree']}: Z_K {diff['zk_rank']}, "
+            f"candidate {diff['manifold_rank']})"
         )
     else:
+        where = "" if homology["q"] is None else f" in degree {homology['q']}"
         yield (
-            "verdict: INCONCLUSIVE (ranks agree at every admissible degree; "
-            "agreement does not establish equivalence)"
+            f"verdict: INCONCLUSIVE (homology ranks agree{where} over "
+            f"{', '.join(homology['fields'])}; agreement does not establish equivalence)"
         )
 
 
@@ -419,13 +450,9 @@ def cmd_verdict(args) -> dict:
 
 
 def cmd_counterexample(args) -> dict:
-    return build_verdict_report(
-        COUNTEREXAMPLE_SOURCE,
-        COUNTEREXAMPLE_MANIFOLD,
-        extra_notes=(
-            "cyclic parameters normalized to n=8 vertices in dimension d=4",
-        ),
-    )
+    report = build_verdict_report(COUNTEREXAMPLE_SOURCE, COUNTEREXAMPLE_MANIFOLD)
+    report["notes"] = list(COUNTEREXAMPLE_NOTES)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +516,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="momentangle",
         description=(
             "Face rings of cyclic polytopes, minimal relation degrees, wedge "
-            "models of moment-angle complexes, and rational-homotopy "
-            "comparisons against connected sums of sphere products."
+            "models, and homology of moment-angle complexes compared field by "
+            "field against connected sums of sphere products."
         ),
     )
     parser.add_argument("--json", action="store_true", help="emit JSON")
@@ -530,12 +557,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_homology, text=text_homology)
 
     p = sub.add_parser("verdict", parents=[shared],
-                       help="compare wedge-side and manifold-side homotopy ranks")
+                       help="compare Z_K's homology with a connected sum's, field by field")
     p.add_argument("source", nargs="+", help=src_help)
     p.add_argument("--vs", required=True, metavar="SPEC",
                    help="candidate connected sum, e.g. '16*S5xS7 # 15*S6xS6'")
     p.add_argument("--q", type=int, default=None,
-                   help="compare a single degree instead of scanning")
+                   help="compare degree Q alone, inside both Hurewicz windows")
     p.set_defaults(func=cmd_verdict, text=text_verdict)
 
     p = sub.add_parser("counterexample", parents=[shared],

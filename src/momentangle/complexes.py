@@ -53,6 +53,9 @@ class FaceRingPresentation:
     generators: tuple[tuple[int, ...], ...] = field(default=())
     # One vertex bitmask per generator (bit v-1 for vertex v), derived here.
     masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # (degree, generator count) pairs by increasing degree, derived here once:
+    # every report reads them, a verdict twice.
+    histogram: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Support checks come first: a vertex below 1 has no bitmask.
@@ -76,6 +79,8 @@ class FaceRingPresentation:
             raise ValueError(f"generators must be incomparable: {gens[i]} vs {gens[j]}")
         if reduce(or_, masks, 0).bit_length() > self.m:
             raise ValueError("generator mentions a variable beyond v_m")
+        histogram = Counter(2 * len(g) for g in gens)
+        object.__setattr__(self, "histogram", tuple(sorted(histogram.items())))
 
     def is_face(self, members) -> bool:
         """Membership test; validates that members lie in 1..m.
@@ -90,7 +95,7 @@ class FaceRingPresentation:
         return not self.generators
 
     def degree_histogram(self) -> dict[int, int]:
-        return dict(sorted(Counter(2 * len(g) for g in self.generators).items()))
+        return dict(self.histogram)
 
 
 def _mask(members) -> int:

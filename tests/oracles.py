@@ -16,15 +16,18 @@ neighborliness tests every q-subset instead of reading the closed-form
 f-vector, the f-vector itself is summed from binomials instead of by
 Horner's rule, generator pairs are compared and joined as Python sets
 instead of as vertex bitmasks, relation multipliers are set differences
-instead of filtered generator tuples, and a report's witness is checked by
-multiplying it out.
+instead of filtered generator tuples, a report's witness is checked by
+multiplying it out, and the homology of a moment-angle complex is found by a
+dense mod-p elimination for every vertex subset over tuples and sets, with no
+bitmask and no pruning, or from the cellular chain complex of (D^2, S^1)^K
+instead of by Hochster's formula at all.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 from momentangle.gale import CyclicParams, as_subset, is_face
 from momentangle.hilton import moebius
@@ -39,6 +42,13 @@ CYCLIC_8_4_MINIMAL_NONFACES = [
 ]
 
 PENTAGON_MINIMAL_NONFACES = [(1, 3), (1, 4), (2, 4), (2, 5), (3, 5)]
+
+# The 6-vertex real projective plane: H_1(RP^2; Z) = Z/2, so its Z_K has
+# 2-torsion in degree 1 + 6 + 1 = 8.
+RP2_FACETS = [
+    (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+    (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
+]
 
 
 # ---------------------------------------------------------------------------
@@ -452,3 +462,118 @@ def min_relation_degree_bruteforce(F, max_multiplier_size: int | None = None) ->
     if best is None:
         raise ValueError("no relation found within the multiplier bound")
     return best
+
+
+# ---------------------------------------------------------------------------
+# moment-angle homology: dense elimination per subset, and cellular chains
+# ---------------------------------------------------------------------------
+
+def rank_mod_dense(matrix, p: int) -> int:
+    """Rank over GF(p) of a list of equal-length integer rows, by
+    Gauss-Jordan elimination on a dense copy; inverses by Fermat."""
+    rows = [[x % p for x in row] for row in matrix]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inverse = pow(rows[rank][col], p - 2, p)
+        rows[rank] = [x * inverse % p for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [(a - factor * b) % p for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _boundary_rank(cells, lower, boundary, p: int) -> int:
+    """Rank over GF(p) of the map taking each cell to `boundary(cell)`, a
+    list of (lower cell, coefficient)."""
+    if not cells or not lower:
+        return 0
+    column = {cell: k for k, cell in enumerate(lower)}
+    matrix = []
+    for cell in cells:
+        row = [0] * len(lower)
+        for face, coefficient in boundary(cell):
+            row[column[face]] += coefficient
+        matrix.append(row)
+    return rank_mod_dense(matrix, p)
+
+
+def _simplex_boundary(simplex):
+    """The faces of a vertex tuple with one vertex dropped, signed (-1)^t."""
+    return [(simplex[:t] + simplex[t + 1:], (-1) ** t) for t in range(len(simplex))]
+
+
+def hochster_table_naive(m: int, nonfaces, p: int) -> dict[tuple[int, int], int]:
+    """The nonzero beta_(i,j) = sum over |J| = j of dim H~_(j-i-1)(K_J; GF(p))
+    of the complex on 1..m whose non-faces are the sets containing one of
+    `nonfaces`, for every subset J: faces as tuples, tested against the
+    non-faces as sets, and every boundary matrix reduced densely."""
+    nonface_sets = [set(nf) for nf in nonfaces]
+
+    def is_face(s) -> bool:
+        return not any(nf <= set(s) for nf in nonface_sets)
+
+    table: dict[tuple[int, int], int] = {}
+    for j in range(m + 1):
+        for J in combinations(range(1, m + 1), j):
+            # faces[k]: the faces of K_J with k vertices, the empty one first
+            faces = [[s for s in combinations(J, k) if is_face(s)] for k in range(j + 1)]
+            ranks = [0] + [
+                _boundary_rank(faces[k], faces[k - 1], _simplex_boundary, p)
+                for k in range(1, j + 1)
+            ] + [0]
+            for k in range(j + 1):  # faces with k vertices carry H~_(k-1)
+                h = len(faces[k]) - ranks[k] - ranks[k + 1]
+                if h:
+                    table[j - k, j] = table.get((j - k, j), 0) + h
+    return dict(sorted(table.items()))
+
+
+def zk_ranks_naive(m: int, nonfaces, p: int) -> dict[int, int]:
+    """Ranks of H_*(Z_K; GF(p)) from `hochster_table_naive`, degree 2j - i."""
+    ranks: dict[int, int] = {}
+    for (i, j), b in hochster_table_naive(m, nonfaces, p).items():
+        ranks[2 * j - i] = ranks.get(2 * j - i, 0) + b
+    return dict(sorted(ranks.items()))
+
+
+def zk_ranks_cellular(m: int, nonfaces, p: int) -> dict[int, int]:
+    """Ranks of H_*(Z_K; GF(p)) from the cellular chain complex of
+    Z_K = (D^2, S^1)^K, for m <= 6.
+
+    D^2 has one cell in each dimension 0, 1, 2, with S^1 the first two and
+    d(e2) = e1, d(e1) = 0.  A cell of Z_K is a type vector t in {0, 1, 2}^m
+    whose 2-entries span a face of K; its dimension is sum(t), and by the
+    product rule d(t) = sum over t_v = 2 of (-1)^(t_1 + ... + t_(v-1)) times t
+    with t_v set to 1.
+    """
+    if m > 6:
+        raise ValueError(f"the cellular oracle takes m <= 6, got m={m}")
+    nonface_sets = [set(nf) for nf in nonfaces]
+    cells: dict[int, list[tuple[int, ...]]] = {}
+    for t in product((0, 1, 2), repeat=m):
+        disk = {v + 1 for v in range(m) if t[v] == 2}
+        if not any(nf <= disk for nf in nonface_sets):
+            cells.setdefault(sum(t), []).append(t)
+
+    def boundary(t):
+        return [
+            (t[:v] + (1,) + t[v + 1:], (-1) ** sum(t[:v])) for v in range(m) if t[v] == 2
+        ]
+
+    top = max(cells)
+    ranks = [0] + [
+        _boundary_rank(cells.get(k, []), cells.get(k - 1, []), boundary, p)
+        for k in range(1, top + 1)
+    ] + [0]
+    out = {}
+    for k in range(top + 1):
+        h = len(cells.get(k, [])) - ranks[k] - ranks[k + 1]
+        if h:
+            out[k] = h
+    return out

@@ -45,6 +45,7 @@ from oracles import (
     CYCLIC_8_4_MINIMAL_NONFACES,
     connected_sum_ranks_peeling,
     hall_count_by_weight,
+    zk_ranks_naive,
 )
 
 
@@ -121,15 +122,25 @@ def test_criterion_3_homology_table(capsys):
 
 
 def test_criterion_4_verdict_reproduction(capsys):
+    # Finding 1 of ROADMAP.md: Z_K of C(8,4) and the headline sum are
+    # rationally equivalent, so the headline verdict is INCONCLUSIVE; the
+    # naive per-subset elimination gives Z_K's ranks over each field, and
+    # 16*S5xS7 alone misses the 30 classes in degree 6.
+    naive = {p: zk_ranks_naive(8, CYCLIC_8_4_MINIMAL_NONFACES, p) for p in (2, 10007, 3)}
     with _criterion("4 counterexample verdict", 1.0):
         code, payload = _cli_json(capsys, "counterexample")
+        assert code == 2
+        assert payload["verdict"] == "INCONCLUSIVE"
+        assert payload["wedge"]["q_max"] == 6
+        for ranks in naive.values():
+            assert {str(k): v for k, v in ranks.items()} == payload["manifold"]["ranks"]
+        assert payload["homology"]["difference"] is None
+        code, payload = _cli_json(capsys, "verdict", "cyclic", "8", "4", "--vs", "16*S5xS7")
         assert code == 0
         assert payload["verdict"] == "NOT_EQUIVALENT"
-        assert payload["wedge"]["q_max"] == 6
-        assert payload["comparison"]["first_difference"] == 6
-        row = next(r for r in payload["comparison"]["table"] if r["q"] == 6)
-        assert row["wedge_rank"] == 0
-        assert row["manifold_rank"] == 30
+        assert payload["homology"]["difference"] == {
+            "field": "GF(2)", "degree": 6, "zk_rank": naive[2][6], "manifold_rank": 0,
+        }
 
 
 def test_criterion_5_witt_oracle():

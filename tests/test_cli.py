@@ -3,6 +3,7 @@ import copy
 import enum
 import io
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -13,13 +14,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentangle import cli, complexes, hilton, syzygy
+from momentangle import cli, complexes, hilton, hochster, syzygy
 from momentangle.cli import main
 from momentangle.gale import CyclicParams, enumerate_faces, f_vector
 from momentangle.manifold import hurewicz_window, parse_connected_sum
 
 from conftest import SRC
-from oracles import CYCLIC_8_4_MINIMAL_NONFACES, PENTAGON_MINIMAL_NONFACES
+from oracles import (
+    CYCLIC_8_4_MINIMAL_NONFACES,
+    PENTAGON_MINIMAL_NONFACES,
+    RP2_FACETS,
+    zk_ranks_naive,
+)
+
+ALL_FIELDS = ["GF(2)", "GF(10007)", "GF(3)"]
 
 
 def run_cli(capsys, *argv):
@@ -299,44 +307,88 @@ class TestHomology:
 
 
 class TestVerdict:
+    # The naive per-subset elimination of tests/oracles.py gives Z_K's ranks
+    # for C(8,4) over each field: {0: 1, 5: 16, 6: 30, 7: 16, 12: 1}.
     def test_not_equivalent(self, capsys):
+        for p in hochster.FIELDS:
+            assert zk_ranks_naive(8, CYCLIC_8_4_MINIMAL_NONFACES, p)[6] == 30
+        code, payload = run_json(capsys, "verdict", "cyclic", "8", "4", "--vs", "16*S5xS7")
+        assert code == 0
+        assert payload["verdict"] == "NOT_EQUIVALENT"
+        assert payload["homology"] == {
+            "fields": ["GF(2)"],
+            "difference": {"field": "GF(2)", "degree": 6, "zk_rank": 30, "manifold_rank": 0},
+            "q": None,
+        }
+
+    def test_bottom_read_difference(self, capsys):
+        # Degree 3 lies below 2*3 - 1 = 5, where Z_K of C(8,4) has rank 0.
+        code, payload = run_json(capsys, "verdict", "cyclic", "8", "4", "--vs", "5*S3xS4")
+        assert code == 0
+        assert payload["homology"]["difference"] == {
+            "field": "GF(2)", "degree": 3, "zk_rank": 0, "manifold_rank": 5,
+        }
+
+    def test_single_degree_agreement_is_inconclusive(self, capsys):
+        for q in (4, 6):
+            code, payload = run_json(
+                capsys, "verdict", "cyclic", "8", "4",
+                "--vs", "16*S5xS7 # 15*S6xS6", "--q", str(q),
+            )
+            assert code == 2
+            assert payload["verdict"] == "INCONCLUSIVE"
+            assert payload["homology"] == {"fields": ALL_FIELDS, "difference": None, "q": q}
+
+    def test_out_of_window_lists_both_bounds(self, capsys):
+        # Z_K's first class sits in degree 5, so its Hurewicz window is
+        # 2*5 - 2 = 8; 5*S3xS4's starts in degree 3, window 4.
+        for q in ("5", "9", "-1"):
+            code, out, err = run_cli(
+                capsys, "verdict", "cyclic", "8", "4", "--vs", "5*S3xS4", "--q", q,
+            )
+            assert (code, out) == (1, "")
+            assert err == (
+                f"error: q={q} outside the joint window: Z_K's homology gives "
+                "homotopy ranks for q <= 8, the candidate's for q <= 4\n"
+            )
+
+    def test_agreeing_candidate_is_inconclusive(self, capsys):
+        # Finding 1 of ROADMAP.md: Z_K of C(8,4) and 16*S5xS7 # 15*S6xS6 are
+        # rationally equivalent; their ranks agree over every field.
+        for p in hochster.FIELDS:
+            assert zk_ranks_naive(8, CYCLIC_8_4_MINIMAL_NONFACES, p) == {
+                0: 1, 5: 16, 6: 30, 7: 16, 12: 1,
+            }
         code, payload = run_json(
             capsys, "verdict", "cyclic", "8", "4", "--vs", "16*S5xS7 # 15*S6xS6"
         )
-        assert code == 0
-        assert payload["verdict"] == "NOT_EQUIVALENT"
-        assert payload["comparison"]["first_difference"] == 6
-        row = next(r for r in payload["comparison"]["table"] if r["q"] == 6)
-        assert (row["wedge_rank"], row["manifold_rank"]) == (0, 30)
-
-    def test_single_degree_agreement_is_inconclusive(self, capsys):
-        code, payload = run_json(
-            capsys, "verdict", "cyclic", "8", "4",
-            "--vs", "16*S5xS7 # 15*S6xS6", "--q", "4",
-        )
         assert code == 2
         assert payload["verdict"] == "INCONCLUSIVE"
-        assert payload["comparison"]["table"] == [
-            {"q": 4, "wedge_rank": 0, "manifold_rank": 0}
-        ]
+        assert payload["homology"] == {"fields": ALL_FIELDS, "difference": None, "q": None}
 
-    def test_out_of_window_lists_both_bounds(self, capsys):
-        for q in ("9", "2"):
-            code, out, err = run_cli(
-                capsys, "verdict", "cyclic", "8", "4",
-                "--vs", "16*S5xS7 # 15*S6xS6", "--q", q,
-            )
-            assert code == 1
-            assert "3 <= q <= 6" in err
-            assert "q <= 8" in err
-
-    def test_agreeing_candidate_is_inconclusive(self, capsys):
-        # 16*S5xS7 alone matches the wedge ranks in the whole window 3..6.
-        code, payload = run_json(
-            capsys, "verdict", "cyclic", "8", "4", "--vs", "16*S5xS7"
+    @pytest.mark.parametrize("m", range(4, 13))
+    def test_mcgavran_sums_are_inconclusive(self, capsys, m):
+        # McGavran: Z_K of the m-gon is the connected sum over 3 <= k <= m-1
+        # of (k-2) C(m-2, k-1) copies of S^k x S^(m+2-k).
+        spec = " # ".join(
+            f"{(k - 2) * math.comb(m - 2, k - 1)}*S{k}xS{m + 2 - k}" for k in range(3, m)
         )
-        assert code == 2
-        assert payload["verdict"] == "INCONCLUSIVE"
+        code, payload = run_json(capsys, "verdict", "polygon", str(m), "--vs", spec)
+        assert (code, payload["verdict"]) == (2, "INCONCLUSIVE"), spec
+
+    @pytest.mark.parametrize("spec", [
+        "10*S5xS4",  # the bottom read agrees, GF(2) differs in degree 6
+        "10*S5xS6 # 5*S6xS5",
+        "S3xS3",
+    ])
+    def test_torsion_is_not_equivalent(self, capsys, tmp_path, spec):
+        # H_1(RP^2; Z) = Z/2: over GF(2), Z_K has one more class in degrees
+        # 8 and 9 than over GF(10007), and no torsion-free candidate has both.
+        path = tmp_path / "rp2.txt"
+        path.write_text("vertices 6\nfacets\n" + "".join(
+            " ".join(map(str, f)) + "\n" for f in RP2_FACETS))
+        code, payload = run_json(capsys, "verdict", "file", str(path), "--vs", spec)
+        assert (code, payload["verdict"]) == (0, "NOT_EQUIVALENT")
 
     def test_swapped_summands_identical_report(self, capsys):
         _, out_a, _ = run_cli(
@@ -358,33 +410,37 @@ class TestVerdict:
 
 
 class TestCounterexample:
+    # Finding 1 of ROADMAP.md: the headline pair is rationally equivalent, and
+    # the naive Hochster ranks of C(8,4) equal the candidate's over each field.
     def test_json_schema_and_values(self, capsys):
         code, payload = run_json(capsys, "counterexample")
-        assert code == 0
+        assert code == 2
         assert set(payload) == {
-            "input", "ideal", "rmin", "wedge", "manifold", "comparison", "verdict",
+            "input", "ideal", "wedge", "manifold", "homology", "notes", "verdict",
         }
-        assert payload["rmin"]["degree"] == 8
-        assert payload["manifold"]["ranks"] == {
-            "0": 1, "5": 16, "6": 30, "7": 16, "12": 1,
-        }
-        assert payload["verdict"] == "NOT_EQUIVALENT"
+        ranks = {"0": 1, "5": 16, "6": 30, "7": 16, "12": 1}
+        assert payload["manifold"]["ranks"] == ranks
+        for p in hochster.FIELDS:
+            naive = zk_ranks_naive(8, CYCLIC_8_4_MINIMAL_NONFACES, p)
+            assert {str(k): v for k, v in naive.items()} == ranks
+        assert payload["homology"] == {"fields": ALL_FIELDS, "difference": None, "q": None}
+        assert payload["verdict"] == "INCONCLUSIVE"
 
     def test_text_output_mentions_all_artifacts(self, capsys):
         code, out, err = run_cli(capsys, "counterexample")
-        assert code == 0
+        assert code == 2
         assert "v1*v3*v5" in out
-        assert "minimal relation degree: 8" in out
-        assert "valid window 3 <= q <= 6" in out
+        assert "manifold homology ranks: 0:1  5:16  6:30  7:16  12:1" in out
         assert "Euler characteristic: 0" in out
-        assert "verdict: NOT_EQUIVALENT" in out
+        assert "note: Z_K and the candidate have the same homology over every field" in out
+        assert "verdict: INCONCLUSIVE" in out
 
     def test_quiet_prints_only_verdict(self, capsys):
         code, out, err = run_cli(capsys, "--quiet", "counterexample")
-        assert code == 0
+        assert code == 2
         lines = [ln for ln in out.splitlines() if ln.strip()]
         assert len(lines) == 1
-        assert lines[0].startswith("verdict: NOT_EQUIVALENT")
+        assert lines[0].startswith("verdict: INCONCLUSIVE")
 
 
 def canonical(value) -> str:
@@ -485,9 +541,9 @@ class TestModuleInvocation:
             [sys.executable, "-m", "momentangle", "--json", "counterexample"],
             capture_output=True, text=True, env=env,
         )
-        assert proc.returncode == 0
+        assert proc.returncode == 2
         payload = json.loads(proc.stdout)
-        assert payload["verdict"] == "NOT_EQUIVALENT"
+        assert payload["verdict"] == "INCONCLUSIVE"
 
     def test_unknown_command_exits_one(self):
         env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -601,6 +657,27 @@ class TestInProcessCalls:
             assert code in (0, 2) and err == "", argv
         assert counts == {"min_relation_degree": 1, "borel_model": 1}
 
+    def test_closed_form_runs_once_per_source(self, capsys, monkeypatch):
+        calls = []
+        cyclic_ranks = hochster.cyclic_ranks
+
+        def counted(p):
+            calls.append(p)
+            return cyclic_ranks(p)
+
+        monkeypatch.setattr(hochster, "cyclic_ranks", counted)
+        cli._cyclic_ranks.cache_clear()
+        for argv in (
+            # INCONCLUSIVE: every field is compared
+            ["verdict", "cyclic", "8", "4", "--vs", "16*S5xS7 # 15*S6xS6"],
+            ["verdict", "cyclic", "8", "4", "--vs", "16*S5xS7 # 15*S6xS6", "--q", "7"],
+            ["verdict", "cyclic", "8", "4", "--vs", "16*S5xS7"],
+            ["counterexample"],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code in (0, 2) and err == "", argv
+        assert calls == [CyclicParams(8, 4)]
+
     def test_polygon_and_cyclic_share_a_face_ring(self, capsys, monkeypatch):
         calls = []
         from_cyclic = complexes.from_cyclic
@@ -623,10 +700,13 @@ class TestInProcessCalls:
         first["ideal"]["degree_histogram"]["4"] = -1
         first["manifold"]["ranks"]["3"] = -1
         first["wedge"]["spectrum"]["3"] = -1
-        first["comparison"]["table"][0]["wedge_rank"] = -1
-        first["comparison"]["table"].append({"q": 99})
-        first["comparison"]["notes"].append("mutated")
+        first["homology"]["fields"].append("mutated")
         assert cli.build_verdict_report(["polygon", "5"], "5*S3xS4") == expected
+        differing = cli.build_verdict_report(["cyclic", "8", "4"], "16*S5xS7")
+        expected = copy.deepcopy(differing)
+        differing["homology"]["difference"]["zk_rank"] = -1
+        differing["homology"]["fields"].append("mutated")
+        assert cli.build_verdict_report(["cyclic", "8", "4"], "16*S5xS7") == expected
 
     def test_error_is_repeated_not_kept(self, capsys):
         argv = ["verdict", "cyclic", "5", "4", "--vs", "S3xS3"]
@@ -662,6 +742,7 @@ class TestReadme:
         assert ns["wedge"].entries == {5: 16} and ns["wedge"].ceiling == 6
         assert hurewicz_window(ns["g"]) == 8
         assert (ns["wedge"].entries.get(6, 0), ns["g"].rank(6)) == (0, 30)
+        assert ns["zk"] == ns["g"].ranks == {0: 1, 5: 16, 6: 30, 7: 16, 12: 1}
 
 
 class TestTextRendering:
@@ -694,17 +775,20 @@ class TestTextRendering:
         "Poincare symmetric: yes\n"
         "Euler characteristic: 0\n"
     )
+    # McGavran: Z_K of the pentagon is 5*S3xS4.
     PENTAGON_VERDICT = (
-        "verdict: NOT_EQUIVALENT (rational homotopy ranks differ in degree 4: 0 vs 5)\n"
+        "verdict: INCONCLUSIVE (homology ranks agree over GF(2), GF(10007), GF(3); "
+        "agreement does not establish equivalence)\n"
     )
 
     @staticmethod
-    def both(capsys, *argv):
-        """(plain stdout, --quiet stdout), each checked for exit 0 and no stderr."""
+    def both(capsys, *argv, code=0):
+        """(plain stdout, --quiet stdout), each checked for exit `code` and no
+        stderr."""
         outs = []
         for quiet in ([], ["--quiet"]):
-            code, out, err = run_cli(capsys, *argv, *quiet)
-            assert (code, err) == (0, ""), (argv, quiet)
+            got, out, err = run_cli(capsys, *argv, *quiet)
+            assert (got, err) == (code, ""), (argv, quiet)
             outs.append(out)
         return tuple(outs)
 
@@ -754,7 +838,9 @@ class TestTextRendering:
         assert plain == quiet == self.HOMOLOGY_HEADLINE
 
     def test_verdict_pentagon(self, capsys):
-        plain, quiet = self.both(capsys, "verdict", "polygon", "5", "--vs", "5*S3xS4")
+        plain, quiet = self.both(
+            capsys, "verdict", "polygon", "5", "--vs", "5*S3xS4", code=2
+        )
         assert plain == (
             "input complex: dual of the 5-gon\n"
             "candidate manifold: 5*S3xS4\n"
@@ -762,19 +848,27 @@ class TestTextRendering:
             "face ring: 5 variables, |I| = 5 generators\n"
             "  v1*v3  v1*v4  v2*v4  v2*v5\n"
             "  v3*v5\n"
-            "minimal relation degree: 6\n"
-            "  witness: (v1*v3) * v4 == (v1*v4) * v3\n"
-            "wedge model: spheres {'3': 5}, valid window 3 <= q <= 4, degree-2 rank 5\n"
             "\n"
             "manifold homology ranks: 0:1  3:5  4:5  7:1\n"
             "  Poincare symmetric: yes   Euler characteristic: 0\n"
             "\n"
-            "note: wedge model valid for 3 <= q <= 4\n"
-            "note: homology determines homotopy ranks for q <= 4\n"
-            "\n"
-            "  q   wedge side   manifold side\n"
-            "  3   5            5\n"
-            "  4   0            5               <-- differs\n"
-            "\n"
         ) + self.PENTAGON_VERDICT
         assert quiet == self.PENTAGON_VERDICT
+
+    def test_verdict_difference(self, capsys):
+        plain, quiet = self.both(capsys, "verdict", "cyclic", "8", "4", "--vs", "16*S5xS7")
+        line = (
+            "verdict: NOT_EQUIVALENT (homology ranks differ over GF(2) in degree 6: "
+            "Z_K 30, candidate 0)\n"
+        )
+        assert plain.endswith("\n\n" + line) and quiet == line
+
+    def test_verdict_single_degree(self, capsys):
+        plain, quiet = self.both(
+            capsys, "verdict", "cyclic", "8", "4", "--vs", "16*S5xS7 # 15*S6xS6",
+            "--q", "6", code=2,
+        )
+        assert quiet == (
+            "verdict: INCONCLUSIVE (homology ranks agree in degree 6 over GF(2), "
+            "GF(10007), GF(3); agreement does not establish equivalence)\n"
+        )

@@ -1,0 +1,161 @@
+import time
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from momentangle import hochster
+from momentangle.cli import main
+from momentangle.complexes import from_cyclic, from_facets, from_nonfaces
+from momentangle.gale import CyclicParams
+from momentangle.syzygy import min_relation_degree
+
+from oracles import (
+    CYCLIC_8_4_MINIMAL_NONFACES,
+    PENTAGON_MINIMAL_NONFACES,
+    RP2_FACETS,
+    hochster_table_naive,
+    zk_ranks_cellular,
+    zk_ranks_naive,
+)
+from test_syzygy import presentations
+
+OCTAHEDRON = from_nonfaces(6, [(1, 2), (3, 4), (5, 6)])
+
+
+def complexes_on(max_m: int):
+    """Random complexes on 2..max_m vertices, by a list of non-faces of 2 to
+    4 vertices (reduced to the minimal ones; none may be empty)."""
+    return st.integers(2, max_m).flatmap(
+        lambda m: st.lists(
+            st.sets(st.integers(1, m), min_size=2, max_size=min(4, m)),
+            max_size=8,
+        ).map(lambda raw: from_nonfaces(m, raw))
+    )
+
+
+def cyclic(n, d):
+    return from_cyclic(CyclicParams(n, d))
+
+
+class TestKnownAnswers:
+    def test_c84(self):
+        want = {0: 1, 5: 16, 6: 30, 7: 16, 12: 1}
+        F = cyclic(8, 4)
+        assert hochster.cyclic_ranks(CyclicParams(8, 4)) == want
+        for p in hochster.FIELDS:
+            assert hochster.zk_ranks(F, p) == want
+            assert zk_ranks_naive(8, CYCLIC_8_4_MINIMAL_NONFACES, p) == want
+
+    def test_octahedron_is_three_copies_of_s3(self):
+        for p in hochster.FIELDS:
+            assert hochster.zk_ranks(OCTAHEDRON, p) == {0: 1, 3: 3, 6: 3, 9: 1}
+
+    def test_pentagon_is_mcgavran(self):
+        # McGavran: Z_K of the pentagon is the connected sum 5*S3xS4.
+        assert hochster.cyclic_ranks(CyclicParams(5, 2)) == {0: 1, 3: 5, 4: 5, 7: 1}
+
+    def test_rp2_has_2_torsion_in_degrees_8_and_9(self):
+        F = from_facets(6, RP2_FACETS)
+        ranks = {p: hochster.zk_ranks(F, p) for p in hochster.FIELDS}
+        assert ranks[10007] == ranks[3] == {0: 1, 5: 10, 6: 15, 7: 6}
+        assert ranks[2] == {**ranks[10007], 8: 1, 9: 1}
+
+
+class TestGeneralRouteOracles:
+    @settings(max_examples=40, deadline=None)
+    @given(complexes_on(8))
+    def test_matches_naive_elimination(self, F):
+        for p in hochster.FIELDS:
+            assert hochster.betti_table(F, p) == hochster_table_naive(F.m, F.generators, p)
+
+    @settings(max_examples=25, deadline=None)
+    @given(complexes_on(6))
+    def test_matches_cellular_chains(self, F):
+        for p in hochster.FIELDS:
+            assert hochster.zk_ranks(F, p) == zk_ranks_cellular(F.m, F.generators, p)
+
+    @pytest.mark.parametrize("m, nonfaces", [
+        (5, PENTAGON_MINIMAL_NONFACES),
+        (6, [(1, 2), (3, 4), (5, 6)]),
+        (6, from_facets(6, RP2_FACETS).generators),
+        (6, cyclic(6, 3).generators),
+        (6, cyclic(6, 4).generators),
+    ], ids=["pentagon", "octahedron", "rp2", "C6_3", "C6_4"])
+    def test_fixtures_match_cellular_chains(self, m, nonfaces):
+        F = from_nonfaces(m, nonfaces)
+        for p in hochster.FIELDS:
+            assert hochster.zk_ranks(F, p) == zk_ranks_cellular(m, nonfaces, p)
+
+
+class TestRoutesAgree:
+    @pytest.mark.parametrize("n,d", [
+        (n, d) for n in range(3, 12) for d in range(2, n, 2)
+    ])
+    def test_closed_form_equals_general_route(self, n, d):
+        want = hochster.cyclic_ranks(CyclicParams(n, d))
+        F = cyclic(n, d)
+        for p in hochster.FIELDS:
+            assert hochster.zk_ranks(F, p) == want, p
+
+    @settings(max_examples=40, deadline=None)
+    @given(complexes_on(8).filter(lambda F: F.generators), st.sampled_from(hochster.FIELDS))
+    def test_bottom_read_equals_bottom_of_table(self, F, p):
+        top, bottom = hochster.bottom_ranks(F)
+        full = hochster.zk_ranks(F, p)
+        assert {k: v for k, v in full.items() if k <= top} == bottom
+
+    @pytest.mark.parametrize("n,d", [(n, d) for n in range(4, 11) for d in range(2, n)])
+    def test_cyclic_bottom_read(self, n, d):
+        top, bottom = hochster.bottom_ranks(cyclic(n, d))
+        full = hochster.zk_ranks(cyclic(n, d), 2)
+        assert {k: v for k, v in full.items() if k <= top} == bottom
+
+    @pytest.mark.parametrize("n,d", [(n, d) for n in range(3, 11) for d in range(2, n)])
+    def test_poincare_symmetry(self, n, d):
+        # Z_K of a (d-1)-sphere on n vertices is a closed (n+d)-manifold.
+        ranks = hochster.zk_ranks(cyclic(n, d), 2)
+        assert max(ranks) == n + d and ranks[n + d] == 1
+        assert all(ranks.get(n + d - k) == v for k, v in ranks.items())
+
+
+class TestRelationRow:
+    """Row 1 of the table is the generator histogram, and the lowest j with
+    beta_(2,j) != 0, doubled, is the minimal relation degree."""
+
+    @staticmethod
+    def check(F):
+        table = hochster.betti_table(F, 2)
+        row1 = {2 * j: b for (i, j), b in table.items() if i == 1}
+        assert row1 == F.degree_histogram()
+        lowest = min(j for (i, j) in table if i == 2)
+        assert 2 * lowest == min_relation_degree(F)[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(presentations())
+    def test_random_presentations(self, F):
+        self.check(F)
+
+    @pytest.mark.parametrize("n,d", [(n, d) for n in range(4, 10) for d in range(2, n - 1)])
+    def test_cyclic(self, n, d):
+        self.check(cyclic(n, d))
+
+
+class TestGuard:
+    def test_refused_before_any_work(self):
+        F = from_nonfaces(21, [(1, 2), (3, 4)])
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="generator unions of Hochster's formula"):
+            hochster.betti_table(F, 2)
+        assert time.perf_counter() - start < 0.1
+
+    def test_cli_refusal_is_one_line(self, capsys):
+        # C(21,5) has C(17,3) = 680 generators of size 3, so this candidate
+        # agrees with the bottom read and the general route is needed.
+        start = time.perf_counter()
+        code = main(["verdict", "cyclic", "21", "5", "--vs", "680*S5xS21"])
+        captured = capsys.readouterr()
+        assert time.perf_counter() - start < 1.0
+        assert (code, captured.out) == (1, "")
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Hochster's formula" in captured.err

@@ -10,6 +10,24 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
 
 
+def bench_pairs(parent, change):
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / "bench_pairs.py"), "--parent", str(parent),
+         "--change", str(change), "--label", "refused", "--seconds", "0.1",
+         "verdict_batch:1"],
+        capture_output=True, text=True,
+    )
+
+
+def git_checkout(path):
+    """A one-commit git repository at `path` holding a copy of `src`."""
+    shutil.copytree(ROOT / "src", path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    git = ["git", "-C", str(path), "-c", "user.name=t", "-c", "user.email=t@t"]
+    for args in (["init", "-q"], ["add", "src"], ["commit", "-q", "-m", "src"]):
+        subprocess.run([*git, *args], check=True, capture_output=True)
+    return path
+
+
 def byte_sweep(parent, change):
     return subprocess.run(
         [sys.executable, str(SCRIPTS / "byte_sweep.py"),
@@ -56,3 +74,17 @@ def test_traced_benchmark_run_exits_cleanly(workload):
     assert proc.returncode == 0, proc.stderr
     last = json.loads(proc.stdout.splitlines()[-1])
     assert last["correct"] is True and last["failed"] == 0
+
+
+def test_bench_pairs_refuses_a_side_without_a_git_tree(tmp_path):
+    checkout = git_checkout(tmp_path / "checkout")
+    archive = tmp_path / "archive"
+    shutil.copytree(ROOT / "src", archive / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    for parent, change, side in ((archive, checkout, "parent"), (checkout, archive, "change")):
+        proc = bench_pairs(parent, change)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == (
+            f"error: no git tree of src in the {side} side ({archive}); "
+            "both sides must be git checkouts\n"
+        )
+    assert not list(tmp_path.glob("*/BENCH_*.json"))

@@ -1,4 +1,5 @@
 import json
+import time
 from itertools import combinations
 
 import pytest
@@ -79,6 +80,14 @@ class TestMinRelationDegree:
         assert degree == 6
         assert pentagon_ring.generators[i] == (1, 3)
         assert pentagon_ring.generators[j] == (1, 4)
+
+    def test_large_polygon_stops_at_the_lower_bound(self):
+        # 7,020 generators of size 2: the first pair, v1*v3 and v1*v4, already
+        # reaches the lower bound 2 * (2 + 1), so the scan ends there.
+        F = from_cyclic(CyclicParams(120, 2))
+        start = time.perf_counter()
+        assert min_relation_degree(F) == (6, (0, 1))
+        assert time.perf_counter() - start < 0.1
 
     def test_single_generator_errors(self):
         F = FaceRingPresentation(3, ((1, 2),))
