@@ -142,7 +142,7 @@ def _rank_mod(rows, p: int) -> int:
                 if value:
                     row[k] = value
                 else:
-                    del row[k]
+                    row.pop(k, None)
     return len(pivots)
 
 

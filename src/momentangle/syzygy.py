@@ -7,9 +7,9 @@ the *same* monomial, so each side is a common multiple of the two generators;
 the cheapest common multiple is the lcm, which for squarefree monomials is
 just the support union.  The minimal degree over all generator pairs bounds
 how far the wedge model of the Borel space stays valid; it is also twice the
-lowest j with a nonzero Betti number beta_(2,j) (`hochster.betti_table`).  The multipliers of
-the pair (i, j) are the lcm quotients: the vertices of g_j missing from g_i,
-and the other way round.
+lowest j with a nonzero Betti number beta_(2,j) (`hochster.betti_table`).
+The multipliers of the pair (i, j) are the lcm quotients: the vertices of g_j
+missing from g_i, and the other way round.
 """
 
 from __future__ import annotations
