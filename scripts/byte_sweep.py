@@ -15,8 +15,11 @@ nine edge-case files (three of them larger facet lists: the edges of the
 30-gon, every 3-subset of 1..9, and the RP^2 facets listed twice with some
 of their edges), a missing file and a bad source; `counterexample`, six
 `homology` specs, `faces` for n <= 9 (plain, `--count`, `--max-card 2`,
-`--max-card 99`), and help and argument errors; every call plain, `--json`
-and `--quiet`.  Larger rings add `ideal` and `syzmin`, with `--json` only:
+`--max-card 99`), help, and the argument grammar: missing, invalid and
+unrecognized arguments, `--opt=value`, options before positionals, `--`,
+a repeated option, negative values (`--q -0`, `faces -1 3`, `--ceiling
+-1`), `--json` before the subcommand and the abbreviated names `--v` and
+`--ceil`; every call plain, `--json` and `--quiet`.  Larger rings add `ideal` and `syzmin`, with `--json` only:
 every `face_ladder` rung of `perfbench/workloads.py`, the probe rings
 C(16,6), C(20,4) and C(14,8), the rings C(19,9) and C(21,8) just inside the
 subset limit, C(20,10), C(22,11) and C(24,12), which are refused, and
@@ -88,6 +91,24 @@ MISC_CALLS = [
     ["ideal", "cyclic", "8", "4", "--bogus"],
     ["verdict", "polygon", "5"],
     ["faces", "x", "3"],
+    # the argument grammar: errors, then accepted forms, then abbreviated names
+    ["ideal"],
+    ["faces", "8"],
+    ["verdict", "cyclic", "8", "4", "--vs"],
+    ["homology", "a", "b"],
+    ["homology", "-1*S3xS3"],
+    ["--q", "x"],
+    ["verdict", "polygon", "5", "--vs=5*S3xS4"],
+    ["verdict", "cyclic", "8", "4", "--vs", SPECS[0], "--q=4"],
+    ["verdict", "cyclic", "8", "4", "--vs", SPECS[0], "--q", "-0"],
+    ["verdict", "--vs", "5*S3xS4", "polygon", "5"],
+    ["ideal", "--", "cyclic", "8", "4"],
+    ["verdict", "polygon", "5", "--vs", "S3xS3", "--vs", "5*S3xS4"],
+    ["faces", "-1", "3"],
+    ["wedge", "polygon", "4", "--ceiling", "-1"],
+    ["--json", "ideal", "polygon", "5"],
+    ["verdict", "polygon", "5", "--v", "5*S3xS4"],
+    ["wedge", "polygon", "4", "--ceil", "9"],
 ]
 
 # Runs in the subprocess: argv lists on stdin, one [code, out, err] each on stdout.

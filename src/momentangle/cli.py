@@ -3,15 +3,24 @@ moment-angle complex Z_K by Hochster's formula, compared degree by degree and
 field by field against a candidate connected sum of sphere products.  Each
 subcommand builds one report, the dict that `--json` prints; its text is a
 view of that dict.  Exit code 0 means NOT_EQUIVALENT was established (or no
-verdict was asked for), 2 means INCONCLUSIVE, 1 means error."""
+verdict was asked for), 2 means INCONCLUSIVE, 1 means error.
+
+Every shell call pays for start-up, so importing this module loads, besides
+the package, only `collections`, `functools`, `itertools`, `math`,
+`operator` and `_json` of the standard library: no `argparse`, `re`, `json`
+or `dataclasses`.  One table, `COMMANDS`, declares the subcommands, their
+arguments and their help; it and the parser's view of it are built at
+import, so a call only reads them.  The parser reads an argv as argparse
+did and words its errors as argparse did, but takes no abbreviated option
+names."""
 
 from __future__ import annotations
 
-import argparse
 import sys
+from _json import encode_basestring_ascii
 from collections import namedtuple
-from functools import cache, lru_cache
-from json.encoder import encode_basestring_ascii
+from functools import lru_cache
+from math import comb
 
 from . import complexes, hilton, hochster, manifold, syzygy
 from .complexes import FaceRingPresentation
@@ -32,11 +41,6 @@ COUNTEREXAMPLE_NOTES = (
 # kept for repeated inputs across the in-process calls of one interpreter (a
 # benchmark pass, a test session).
 SOURCE_CACHE_SIZE = 64
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse would exit(2); keep 2 for INCONCLUSIVE
-        raise ValueError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -111,17 +115,43 @@ def _general_ranks(F: FaceRingPresentation, field: int) -> tuple[tuple[int, int]
     return tuple(hochster.zk_ranks(F, field).items())
 
 
-def _zk_tables(F: FaceRingPresentation, descriptor: dict):
+def _closed_form(F: FaceRingPresentation) -> CyclicParams | None:
+    """C(F.m, d) if F is the face ring of its boundary for the one even d
+    that F's generator sizes allow, else None: the single generator 1..m of
+    a simplex boundary gives d = m - 1, and generators all of one size s
+    give d = 2s - 2, with C(m-s, s) + C(m-s-1, s-1) of them (those without
+    vertex 1, and those with it).  The ring of C(m, d) is built, and
+    compared with F, only when F's histogram is that one; a ring that
+    `from_cyclic`'s guards refuse leaves F to the general route."""
+    if len(F.histogram) != 1:
+        return None
+    (degree, count), = F.histogram
+    m, s = F.m, degree // 2
+    if s == m:
+        d, want = m - 1, 1
+    else:
+        d, want = 2 * s - 2, comb(m - s, s) + comb(m - s - 1, s - 1)
+    if d % 2 or d < 2 or count != want:
+        return None
+    p = CyclicParams(m, d)
+    try:
+        return p if _face_ring(p) == F else None
+    except ValueError:
+        return None
+
+
+def _zk_tables(F: FaceRingPresentation):
     """Yield (field names, Z_K's sorted (degree, rank) pairs over each of
     them) in the order of `hochster.FIELDS`: one table for every field from
-    the closed form of a cyclic or polygon source of even dimension, else one
-    per field by the general route, each computed only when it is reached."""
-    d = 2 if descriptor["kind"] == "polygon" else descriptor.get("d")
-    if d is not None and d % 2 == 0:
-        yield FIELD_NAMES, _cyclic_ranks(CyclicParams(F.m, d))
+    the closed form when F is the boundary of a cyclic polytope of even
+    dimension, whatever its source, else one per field by the general route,
+    each computed only when it is reached."""
+    p = _closed_form(F)
+    if p is not None:
+        yield FIELD_NAMES, _cyclic_ranks(p)
         return
-    for name, p in zip(FIELD_NAMES, hochster.FIELDS):
-        yield (name,), _general_ranks(F, p)
+    for name, field in zip(FIELD_NAMES, hochster.FIELDS):
+        yield (name,), _general_ranks(F, field)
 
 
 # What a report reads of a candidate connected sum: its canonical text, top
@@ -201,8 +231,7 @@ def _difference(names, zk: dict, candidate: dict, degrees) -> dict | None:
             "manifold_rank": candidate.get(q, 0)}
 
 
-def _homology_block(F: FaceRingPresentation, descriptor: dict, c: _Candidate,
-                    q: int | None) -> dict:
+def _homology_block(F: FaceRingPresentation, c: _Candidate, q: int | None) -> dict:
     """Z_K's homology against the candidate's: degrees in ascending order,
     the bottom read first, then, only if it agrees, the full ranks field by
     field in the order of `hochster.FIELDS`.  The first (field, degree) that
@@ -230,7 +259,7 @@ def _homology_block(F: FaceRingPresentation, descriptor: dict, c: _Candidate,
         fields = list(FIELD_NAMES)
     else:
         fields = []
-        for names, ranks in _zk_tables(F, descriptor):
+        for names, ranks in _zk_tables(F):
             zk = dict(ranks)
             degrees = sorted(zk.keys() | candidate.keys()) if q is None else (q,)
             difference = _difference(names, zk, candidate, degrees)
@@ -248,7 +277,7 @@ def build_verdict_report(source_tokens, manifold_text: str, q: int | None = None
     # The verdict does not read the wedge block.
     spectrum, ceiling = _wedge_model(F)
     c = _candidate(manifold_text)
-    homology = _homology_block(F, descriptor, c, q)
+    homology = _homology_block(F, c, q)
     return {
         "input": {"source": descriptor, "manifold": c.spec},
         "ideal": _ideal_block(F),
@@ -383,27 +412,28 @@ def text_verdict(report: dict, quiet: bool):
 # subcommands: each returns its report
 # ---------------------------------------------------------------------------
 
-def cmd_faces(args) -> dict:
-    p = CyclicParams(args.n, args.d)
-    max_card = args.max_card if args.max_card is not None else p.d
+def cmd_faces(n: int, d: int, max_card: int | None = None, count: bool = False) -> dict:
+    p = CyclicParams(n, d)
+    if max_card is None:
+        max_card = p.d
     if not 0 <= max_card <= p.d:
         raise ValueError(f"max_card must lie in 0..{p.d}, got {max_card}")
     report = {
         "input": {"kind": "cyclic", "n": p.n, "d": p.d, "max_card": max_card},
         "counts": {str(k): f for k, f in enumerate(f_vector(p)[:max_card], start=1)},
     }
-    if not args.count:
+    if not count:
         report["faces"] = [list(face) for face in enumerate_faces(p, max_card)]
     return report
 
 
-def cmd_ideal(args) -> dict:
-    F, descriptor = _resolve_source(args.source)
+def cmd_ideal(source) -> dict:
+    F, descriptor = _resolve_source(source)
     return {"input": {"source": descriptor}, "ideal": _ideal_block(F)}
 
 
-def cmd_syzmin(args) -> dict:
-    F, descriptor = _resolve_source(args.source)
+def cmd_syzmin(source) -> dict:
+    F, descriptor = _resolve_source(source)
     degree, pair = _relation(F)
     return {
         "input": {"source": descriptor},
@@ -412,23 +442,24 @@ def cmd_syzmin(args) -> dict:
     }
 
 
-def cmd_wedge(args) -> dict:
-    F, descriptor = _resolve_source(args.source)
+def cmd_wedge(source, ceiling: int | None = None) -> dict:
+    F, descriptor = _resolve_source(source)
     # The Witt recurrence takes n - 1 products at each n below the ceiling;
     # a negative ceiling is left for hilton to refuse.
-    if args.ceiling is not None and args.ceiling > 2:
-        products = (args.ceiling - 1) * (args.ceiling - 2) // 2
+    if ceiling is not None and ceiling > 2:
+        products = (ceiling - 1) * (ceiling - 2) // 2
         if products > SUBSET_LIMIT:
             raise ValueError(
-                f"the Witt recurrence up to ceiling {args.ceiling} needs {products} "
+                f"the Witt recurrence up to ceiling {ceiling} needs {products} "
                 f"products, above the limit of {SUBSET_LIMIT}"
             )
     rmin_degree, _ = _relation(F)
     spectrum, q_max = _wedge_model(F)
-    ceiling = q_max
-    if args.ceiling is not None:
+    if ceiling is None:
+        ceiling = q_max
+    else:
         dims = [2 * len(g) - 1 for g in F.generators]
-        shown = hilton.wedge_spectrum(dims, args.ceiling)
+        shown = hilton.wedge_spectrum(dims, ceiling)
         spectrum, ceiling = sorted(shown.entries.items()), shown.ceiling
     notes = []
     if ceiling > q_max:
@@ -441,15 +472,15 @@ def cmd_wedge(args) -> dict:
     }
 
 
-def cmd_homology(args) -> dict:
-    return {"manifold": _manifold_block(_candidate(args.spec))}
+def cmd_homology(spec: str) -> dict:
+    return {"manifold": _manifold_block(_candidate(spec))}
 
 
-def cmd_verdict(args) -> dict:
-    return build_verdict_report(args.source, args.vs, q=args.q)
+def cmd_verdict(source, vs: str, q: int | None = None) -> dict:
+    return build_verdict_report(source, vs, q=q)
 
 
-def cmd_counterexample(args) -> dict:
+def cmd_counterexample() -> dict:
     report = build_verdict_report(COUNTEREXAMPLE_SOURCE, COUNTEREXAMPLE_MANIFOLD)
     report["notes"] = list(COUNTEREXAMPLE_NOTES)
     return report
@@ -500,91 +531,143 @@ def _json(value, indent: str = "\n") -> str:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# command table and dispatcher
 # ---------------------------------------------------------------------------
 
-@cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process: parsing leaves it unchanged."""
-    shared = _Parser(add_help=False)
-    shared.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
-                        help="emit a machine-readable JSON report")
-    shared.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS,
-                        help="print only the headline result")
+DESCRIPTION = """Face rings of cyclic polytopes, minimal relation degrees, wedge models, and
+homology of moment-angle complexes compared field by field against connected sums."""
+_SOURCE = ("source ...", list, "'cyclic N D', 'polygon M', or 'file PATH'")
+_FLAGS = (("[--json]", bool, "emit a machine-readable JSON report"),
+          ("[--quiet]", bool, "print only the headline result"))
+# name: (help, report builder, text view, arguments), each argument (usage token,
+# type, help).  "--name" is an option, optional if bracketed, a flag if its type is bool;
+# other names are positionals, a list taking every value.  All take the _FLAGS.
+COMMANDS = {
+    "faces": ("enumerate faces of C(n,d)", cmd_faces, text_faces, (
+        ("n", int, "number of vertices"), ("d", int, "dimension"),
+        ("[--max-card K]", int, "largest face cardinality to list (default d)"),
+        ("[--count]", bool, "print counts only"))),
+    "ideal": ("minimal non-face generators of the face ring", cmd_ideal, text_ideal, (_SOURCE,)),
+    "syzmin": ("minimal relation-among-relations degree", cmd_syzmin, text_syzmin, (_SOURCE,)),
+    "wedge": ("sphere spectrum of the wedge model", cmd_wedge, text_wedge, (
+        _SOURCE, ("[--ceiling C]", int, "truncation ceiling for the displayed spectrum"))),
+    "homology": ("graded homology ranks of a connected sum", cmd_homology, text_homology,
+                 (("spec", str, "e.g. '16*S5xS7 # 15*S6xS6'"),)),
+    "verdict": ("compare Z_K's homology with a connected sum's, field by field", cmd_verdict,
+                text_verdict, (_SOURCE, ("--vs SPEC", str, "candidate, e.g. '16*S5xS7 # 15*S6xS6'"),
+                               ("[--q Q]", int, "compare degree Q alone, in both Hurewicz windows"))),
+    "counterexample": ("run the full C(8,4) pipeline with all artifacts", cmd_counterexample,
+                       text_verdict, ()),
+}
 
-    parser = _Parser(
-        prog="momentangle",
-        description=(
-            "Face rings of cyclic polytopes, minimal relation degrees, wedge "
-            "models, and homology of moment-angle complexes compared field by "
-            "field against connected sums of sphere products."
-        ),
-    )
-    parser.add_argument("--json", action="store_true", help="emit JSON")
-    parser.add_argument("--quiet", action="store_true", help="headline output only")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    src_help = "'cyclic N D', 'polygon M', or 'file PATH'"
+def _spec(arguments) -> tuple[dict, list]:
+    """The options by name and the positionals in order of an argument list
+    and the _FLAGS, each (name, dest, type, required)."""
+    entries = [(name, name.lstrip("-").replace("-", "_"), kind, token[0] != "[")
+               for token, kind, _ in arguments + _FLAGS for name in token.strip("[]").split()[:1]]
+    return {e[0]: e for e in entries if e[0][0] == "-"}, [e for e in entries if e[0][0] != "-"]
 
-    p = sub.add_parser("faces", parents=[shared], help="enumerate faces of C(n,d)")
-    p.add_argument("n", type=int)
-    p.add_argument("d", type=int)
-    p.add_argument("--max-card", type=int, default=None,
-                   help="largest face cardinality to list (default d)")
-    p.add_argument("--count", action="store_true", help="print counts only")
-    p.set_defaults(func=cmd_faces, text=text_faces)
 
-    p = sub.add_parser("ideal", parents=[shared],
-                       help="minimal non-face generators of the face ring")
-    p.add_argument("source", nargs="+", help=src_help)
-    p.set_defaults(func=cmd_ideal, text=text_ideal)
+# Built at import with the table, so that a call only reads them.
+_SPECS = {None: _spec(())} | {name: _spec(entry[3]) for name, entry in COMMANDS.items()}
+_CHOICES = ", ".join(map(repr, COMMANDS))
 
-    p = sub.add_parser("syzmin", parents=[shared],
-                       help="minimal relation-among-relations degree")
-    p.add_argument("source", nargs="+", help=src_help)
-    p.set_defaults(func=cmd_syzmin, text=text_syzmin)
 
-    p = sub.add_parser("wedge", parents=[shared],
-                       help="sphere spectrum of the wedge model")
-    p.add_argument("source", nargs="+", help=src_help)
-    p.add_argument("--ceiling", type=int, default=None,
-                   help="truncation ceiling for the displayed spectrum")
-    p.set_defaults(func=cmd_wedge, text=text_wedge)
+def _help(command) -> str:
+    """The --help text of a subcommand, or of the program (command None)."""
+    if command is None:
+        usage, about = "COMMAND ...", DESCRIPTION
+        rows = [(name, entry[0]) for name, entry in COMMANDS.items()]
+    else:
+        about, _, _, arguments = COMMANDS[command]
+        usage = " ".join([command, *(token for token, _, _ in arguments)])
+        rows = [(token.strip("[]"), text) for token, _, text in arguments]
+    rows += [(token.strip("[]"), text) for token, _, text in _FLAGS]
+    lines = [f"usage: momentangle {usage} [--json] [--quiet]", "", about, ""]
+    return "".join(f"{line}\n" for line in lines + [f"  {a:<16}{b}" for a, b in rows])
 
-    p = sub.add_parser("homology", parents=[shared],
-                       help="graded homology ranks of a connected sum")
-    p.add_argument("spec", help="e.g. '16*S5xS7 # 15*S6xS6'")
-    p.set_defaults(func=cmd_homology, text=text_homology)
 
-    p = sub.add_parser("verdict", parents=[shared],
-                       help="compare Z_K's homology with a connected sum's, field by field")
-    p.add_argument("source", nargs="+", help=src_help)
-    p.add_argument("--vs", required=True, metavar="SPEC",
-                   help="candidate connected sum, e.g. '16*S5xS7 # 15*S6xS6'")
-    p.add_argument("--q", type=int, default=None,
-                   help="compare degree Q alone, inside both Hurewicz windows")
-    p.set_defaults(func=cmd_verdict, text=text_verdict)
+def _is_value(arg: str) -> bool:
+    """Whether argparse reads `arg` as a value, not an option name: it does
+    not start with "-", or is "-" alone, a negative number or holds a space."""
+    head, dot, tail = arg[1:].partition(".")
+    number = tail.isdecimal() and (head.isdecimal() or not head) if dot else head.isdecimal()
+    return arg[:1] != "-" or arg == "-" or number or " " in arg
 
-    p = sub.add_parser("counterexample", parents=[shared],
-                       help="run the full C(8,4) pipeline with all artifacts")
-    p.set_defaults(func=cmd_counterexample, text=text_verdict)
 
-    return parser
+def _parse(argv) -> tuple[str | None, dict]:
+    """(command, keyword arguments) read from argv as argparse read it, with
+    its error text, but with no abbreviated option names; at -h or --help,
+    (the command so far, {"help": True})."""
+    command, raw, pending, extras, ended = None, {}, [], [], False
+    options, positionals = _SPECS[None]
+    args = iter(argv)
+    for arg in args:
+        name, eq, value = arg.partition("=")  # no option name holds "="
+        option = options.get(name)
+        if arg == "--" and not ended:
+            ended = True
+        elif ended or not option and _is_value(arg):
+            if command is None and arg not in COMMANDS:
+                raise ValueError(f"argument command: invalid choice: {arg!r} (choose from {_CHOICES})")
+            if command is None:
+                command, (options, positionals) = arg, _SPECS[arg]
+            elif len(pending) < len(positionals) or positionals and positionals[0][2] is list:
+                pending.append(arg)
+            else:
+                extras.append(arg)
+        elif arg in ("-h", "--help"):
+            return command, {"help": True}
+        elif not option:
+            extras.append(arg)
+        elif option[2] is bool:
+            if eq:
+                raise ValueError(f"argument {option[0]}: ignored explicit argument {value!r}")
+            raw[option[1]] = True
+        else:
+            value = value if eq else next(args, "--")
+            if not eq and not _is_value(value):
+                raise ValueError(f"argument {option[0]}: expected one argument")
+            raw[option[1]] = value
+    if command is None:
+        raise ValueError("the following arguments are required: command")
+    for (_, dest, kind, _), arg in zip(positionals, pending):
+        raw[dest] = pending if kind is list else arg
+    values, missing = {}, []
+    for name, dest, kind, required in [*positionals, *options.values()]:
+        if dest in raw:
+            try:
+                values[dest] = kind(raw[dest])
+            except ValueError:
+                raise ValueError(f"argument {name}: invalid int value: {raw[dest]!r}") from None
+        elif required:
+            missing.append(name)
+    if missing:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise ValueError(f"unrecognized arguments: {' '.join(extras)}")
+    return command, values
 
 
 def main(argv=None) -> int:
-    """Run one subcommand and print its report as JSON or as its text view.
+    """Run one subcommand and print its report as JSON or as its text view,
+    or print the help that -h or --help asks for.
 
     The report is built, and its text rendered, before anything is printed,
     so a failing command prints only its error line."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        report = args.func(args)
-        if args.json:
+        command, values = _parse(sys.argv[1:] if argv is None else argv)
+        if "help" in values:
+            sys.stdout.write(_help(command))
+            return 0
+        as_json, quiet = values.pop("json", False), values.pop("quiet", False)
+        _, build, text, _ = COMMANDS[command]
+        report = build(**values)
+        if as_json:
             out = _json(report) + "\n"
         else:
-            out = "".join(f"{line}\n" for line in args.text(report, args.quiet))
+            out = "".join(f"{line}\n" for line in text(report, quiet))
         sys.stdout.write(out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,7 +18,6 @@ k-subset of 3..n-2.  Only file facets take the facet walk (`from_facets`).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations, islice
 from math import comb
@@ -35,7 +34,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class FaceRingPresentation:
     """A complex on 1..m: variables v_1..v_m plus one ideal generator per
     minimal non-face.
@@ -47,40 +45,60 @@ class FaceRingPresentation:
     flagged via `is_trivial`; downstream relation/wedge machinery refuses it.
     Every vertex must be a face (no ghost vertices); the factory functions
     enforce this.
+
+    Immutable.  Equality, hash and repr read `m` and `generators` only; two
+    attributes are derived from them here: `masks`, one vertex bitmask per
+    generator (bit v-1 for vertex v), and `histogram`, the (degree, generator
+    count) pairs by increasing degree, which every report reads, a verdict
+    twice.
     """
 
-    m: int
-    generators: tuple[tuple[int, ...], ...] = field(default=())
-    # One vertex bitmask per generator (bit v-1 for vertex v), derived here.
-    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    # (degree, generator count) pairs by increasing degree, derived here once:
-    # every report reads them, a verdict twice.
-    histogram: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("m", "generators", "masks", "histogram")
 
-    def __post_init__(self) -> None:
+    def __init__(self, m: int, generators: tuple[tuple[int, ...], ...] = ()) -> None:
         # Support checks come first: a vertex below 1 has no bitmask.
-        for g in self.generators:
+        for g in generators:
             if not g:
                 raise ValueError("squarefree monomials here have nonempty support")
             if list(g) != sorted(set(g)):
                 raise ValueError(f"support must be strictly increasing, got {g}")
             if g[0] < 1:
                 raise ValueError(f"variable indices start at 1, got {g}")
-        if self.m < 1:
-            raise ValueError(f"vertex count must be positive, got {self.m}")
-        gens = self.generators
-        if list(gens) != sorted(gens):
+        if m < 1:
+            raise ValueError(f"vertex count must be positive, got {m}")
+        if list(generators) != sorted(generators):
             raise ValueError("generators must be lexicographically sorted")
-        masks = tuple(map(_mask, gens))
-        object.__setattr__(self, "masks", masks)
+        masks = tuple(map(_mask, generators))
         pair = min(map(sorted, _comparable_pairs(masks)), default=None)
         if pair is not None:
             i, j = pair
-            raise ValueError(f"generators must be incomparable: {gens[i]} vs {gens[j]}")
-        if reduce(or_, masks, 0).bit_length() > self.m:
+            raise ValueError(
+                f"generators must be incomparable: {generators[i]} vs {generators[j]}"
+            )
+        if reduce(or_, masks, 0).bit_length() > m:
             raise ValueError("generator mentions a variable beyond v_m")
-        histogram = Counter(2 * len(g) for g in gens)
-        object.__setattr__(self, "histogram", tuple(sorted(histogram.items())))
+        histogram = tuple(sorted(Counter(2 * len(g) for g in generators).items()))
+        for name, value in zip(self.__slots__, (m, generators, masks, histogram)):
+            object.__setattr__(self, name, value)
+
+    def _immutable(self, name, *value):
+        raise AttributeError(f"FaceRingPresentation is immutable; cannot change {name!r}")
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or (self.m, self.generators) == (other.m, other.generators)
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.generators))
+
+    def __repr__(self) -> str:
+        return f"FaceRingPresentation(m={self.m!r}, generators={self.generators!r})"
+
+    def __reduce__(self):  # copies and pickles rebuild through the checks
+        return FaceRingPresentation, (self.m, self.generators)
 
     def is_face(self, members) -> bool:
         """Membership test; validates that members lie in 1..m.

@@ -14,7 +14,7 @@ odd components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 from math import comb
 
@@ -43,20 +43,20 @@ def check_subset_count(estimate: int, what: str) -> None:
         )
 
 
-@dataclass(frozen=True)
-class CyclicParams:
-    """Parameters of a cyclic polytope: n vertices in dimension d >= 2, n >= d+1."""
+class CyclicParams(namedtuple("CyclicParams", "n d")):
+    """Parameters of a cyclic polytope: n vertices in dimension d >= 2, n >= d+1.
 
-    n: int
-    d: int
+    A named tuple, so it equals the plain tuple (n, d); the CLI's caches
+    never mix the two."""
 
-    def __post_init__(self) -> None:
-        if self.d < 2:
-            raise ValueError(f"cyclic polytopes need dimension d >= 2, got d={self.d}")
-        if self.n < self.d + 1:
-            raise ValueError(
-                f"C(n,{self.d}) needs n >= {self.d + 1} vertices, got n={self.n}"
-            )
+    __slots__ = ()
+
+    def __new__(cls, n: int, d: int):
+        if d < 2:
+            raise ValueError(f"cyclic polytopes need dimension d >= 2, got d={d}")
+        if n < d + 1:
+            raise ValueError(f"C(n,{d}) needs n >= {d + 1} vertices, got n={n}")
+        return super().__new__(cls, n, d)
 
 
 def as_subset(members, n: int) -> tuple[int, ...]:

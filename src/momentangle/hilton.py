@@ -19,7 +19,7 @@ ceiling, above which multiplicities are unknown rather than zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .complexes import FaceRingPresentation
 
@@ -66,25 +66,24 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-@dataclass(frozen=True)
-class SphereSpectrum:
+class SphereSpectrum(namedtuple("SphereSpectrum", "entries ceiling")):
     """Multiset of sphere dimensions (all odd, >= 3) with multiplicities,
     truncated at `ceiling`.  Dimensions above the ceiling are unknown, not
     zero."""
 
-    entries: dict[int, int]
-    ceiling: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.ceiling < 0:
-            raise ValueError(f"the ceiling must be nonnegative, got {self.ceiling}")
-        for dim, mult in self.entries.items():
+    def __new__(cls, entries: dict[int, int], ceiling: int):
+        if ceiling < 0:
+            raise ValueError(f"the ceiling must be nonnegative, got {ceiling}")
+        for dim, mult in entries.items():
             if dim % 2 == 0 or dim < 3:
                 raise ValueError(f"sphere dimensions must be odd and >= 3, got {dim}")
-            if dim > self.ceiling:
-                raise ValueError(f"dimension {dim} exceeds ceiling {self.ceiling}")
+            if dim > ceiling:
+                raise ValueError(f"dimension {dim} exceeds ceiling {ceiling}")
             if mult < 1:
                 raise ValueError(f"multiplicities are positive, got {mult} at {dim}")
+        return super().__new__(cls, entries, ceiling)
 
 
 def _check_generator_dim(dim: int) -> None:

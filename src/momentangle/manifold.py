@@ -10,8 +10,7 @@ summands off one at a time.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "SphereProduct",
@@ -26,22 +25,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class SphereProduct:
-    """S^m x S^n with 2 <= m <= n (factors are stored sorted)."""
+class SphereProduct(namedtuple("SphereProduct", "m n")):
+    """S^m x S^n with 2 <= m <= n (factors are stored sorted); ordered as
+    the pair (m, n)."""
 
-    m: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.m > self.n:
-            lo, hi = self.n, self.m
-            object.__setattr__(self, "m", lo)
-            object.__setattr__(self, "n", hi)
-        if self.m < 2:
-            raise ValueError(
-                f"sphere factors must have dimension >= 2, got S^{self.m}"
-            )
+    def __new__(cls, m: int, n: int):
+        m, n = min(m, n), max(m, n)
+        if m < 2:
+            raise ValueError(f"sphere factors must have dimension >= 2, got S^{m}")
+        return super().__new__(cls, m, n)
 
     @property
     def total_dim(self) -> int:
@@ -51,8 +45,7 @@ class SphereProduct:
         return f"S{self.m}xS{self.n}"
 
 
-@dataclass(frozen=True)
-class ConnectedSumSpec:
+class ConnectedSumSpec(namedtuple("ConnectedSumSpec", "summands")):
     """Connected sum of sphere products: (multiplicity, factor) summands.
 
     Summands are normalized on construction (merged by factor and sorted),
@@ -60,13 +53,13 @@ class ConnectedSumSpec:
     factors must share one total dimension.
     """
 
-    summands: tuple[tuple[int, SphereProduct], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.summands:
+    def __new__(cls, summands: tuple[tuple[int, SphereProduct], ...]):
+        if not summands:
             raise ValueError("a connected sum needs at least one summand")
         merged: dict[SphereProduct, int] = {}
-        for mult, factor in self.summands:
+        for mult, factor in summands:
             if mult < 1:
                 raise ValueError(f"multiplicities are positive, got {mult}")
             merged[factor] = merged.get(factor, 0) + mult
@@ -75,32 +68,29 @@ class ConnectedSumSpec:
             raise ValueError(
                 f"summands must share one total dimension, got {sorted(dims)}"
             )
-        normalized = tuple((merged[f], f) for f in sorted(merged))
-        object.__setattr__(self, "summands", normalized)
+        return super().__new__(cls, tuple((merged[f], f) for f in sorted(merged)))
 
     @property
     def total_dim(self) -> int:
         return self.summands[0][1].total_dim
 
 
-@dataclass(frozen=True)
-class GradedRanks:
+class GradedRanks(namedtuple("GradedRanks", "ranks top")):
     """Free ranks by degree for a connected space; `top` is the formal top
     dimension.  Only nonzero ranks are stored."""
 
-    ranks: dict[int, int]
-    top: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        cleaned = {k: v for k, v in self.ranks.items() if v}
-        object.__setattr__(self, "ranks", cleaned)
+    def __new__(cls, ranks: dict[int, int], top: int):
+        cleaned = {k: v for k, v in ranks.items() if v}
         for k, v in cleaned.items():
-            if not 0 <= k <= self.top:
-                raise ValueError(f"degree {k} outside 0..{self.top}")
+            if not 0 <= k <= top:
+                raise ValueError(f"degree {k} outside 0..{top}")
             if v < 0:
                 raise ValueError(f"ranks are nonnegative, got {v} in degree {k}")
         if cleaned.get(0, 0) != 1:
             raise ValueError("expected a connected space: rank 1 in degree 0")
+        return super().__new__(cls, cleaned, top)
 
     def rank(self, k: int) -> int:
         return self.ranks.get(k, 0)
@@ -155,7 +145,19 @@ def hurewicz_window(g: GradedRanks) -> int:
     return 2 * min(positive) - 2
 
 
-_SUMMAND = re.compile(r"^(?:(\d+)\*)?S(\d+)xS(\d+)$", re.IGNORECASE)
+def _summand(part: str) -> tuple[int, SphereProduct]:
+    """One summand `k*S<m>xS<n>` of a connected sum with its whitespace
+    removed: k, m and n decimal digits (any that `str.isdecimal` accepts),
+    `k*` optional, and the letters in either case ("s" and "x" match the
+    same characters as a case-insensitive regex, U+017F included)."""
+    mult, star, product = part.rpartition("*")
+    left, x, right = product.replace("X", "x").partition("x")
+    factors = (left, right)
+    if (star and not mult.isdecimal()) or not x or not all(
+        f[:1].upper() == "S" and f[1:].isdecimal() for f in factors
+    ):
+        raise ValueError(f"bad summand {part!r}: expected k*S<m>xS<n>, e.g. 16*S5xS7")
+    return int(mult or 1), SphereProduct(int(left[1:]), int(right[1:]))
 
 
 def parse_connected_sum(text: str) -> ConnectedSumSpec:
@@ -165,19 +167,10 @@ def parse_connected_sum(text: str) -> ConnectedSumSpec:
     >>> parse_connected_sum("S7xS5").summands
     ((1, SphereProduct(m=5, n=7)),)
     """
-    squeezed = re.sub(r"\s+", "", text)
+    squeezed = "".join(text.split())
     if not squeezed:
         raise ValueError("empty connected-sum description")
-    summands = []
-    for part in squeezed.split("#"):
-        match = _SUMMAND.match(part)
-        if not match:
-            raise ValueError(
-                f"bad summand {part!r}: expected k*S<m>xS<n>, e.g. 16*S5xS7"
-            )
-        mult = int(match.group(1)) if match.group(1) else 1
-        summands.append((mult, SphereProduct(int(match.group(2)), int(match.group(3)))))
-    return ConnectedSumSpec(summands=tuple(summands))
+    return ConnectedSumSpec(summands=tuple(map(_summand, squeezed.split("#"))))
 
 
 def format_connected_sum(spec: ConnectedSumSpec) -> str:

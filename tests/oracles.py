@@ -20,17 +20,21 @@ instead of filtered generator tuples, a report's witness is checked by
 multiplying it out, and the homology of a moment-angle complex is found by a
 dense mod-p elimination for every vertex subset over tuples and sets, with no
 bitmask and no pruning, or from the cellular chain complex of (D^2, S^1)^K
-instead of by Hochster's formula at all.
+instead of by Hochster's formula at all, and the connected-sum grammar is
+read by the two regular expressions that `manifold` used before it parsed
+with `str` methods.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from itertools import chain, combinations, product
 
 from momentangle.gale import CyclicParams, as_subset, is_face
 from momentangle.hilton import moebius
+from momentangle.manifold import ConnectedSumSpec, SphereProduct
 
 # The 16 minimal non-faces of the boundary complex of C(8,4); independently
 # checked by hand against the proper-odd-component criterion.
@@ -577,3 +581,29 @@ def zk_ranks_cellular(m: int, nonfaces, p: int) -> dict[int, int]:
         if h:
             out[k] = h
     return out
+
+
+# ---------------------------------------------------------------------------
+# the connected-sum grammar, as regular expressions
+# ---------------------------------------------------------------------------
+
+_SUMMAND = re.compile(r"^(?:(\d+)\*)?S(\d+)xS(\d+)$", re.IGNORECASE)
+
+
+def parse_connected_sum_regex(text: str) -> ConnectedSumSpec:
+    """`manifold.parse_connected_sum` as it was written with `re`: the
+    whitespace (`\\s`) removed, then each `#`-separated part matched whole,
+    case-insensitively, against `(\\d+\\*)?S\\d+xS\\d+`."""
+    squeezed = re.sub(r"\s+", "", text)
+    if not squeezed:
+        raise ValueError("empty connected-sum description")
+    summands = []
+    for part in squeezed.split("#"):
+        match = _SUMMAND.match(part)
+        if not match:
+            raise ValueError(
+                f"bad summand {part!r}: expected k*S<m>xS<n>, e.g. 16*S5xS7"
+            )
+        mult = int(match.group(1)) if match.group(1) else 1
+        summands.append((mult, SphereProduct(int(match.group(2)), int(match.group(3)))))
+    return ConnectedSumSpec(summands=tuple(summands))

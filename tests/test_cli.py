@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import time
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -535,6 +536,23 @@ class TestJsonWriter:
 
 
 class TestModuleInvocation:
+    def test_help_lists_every_command_and_option(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        for argv, names in [
+            (["--help"], [*cli.COMMANDS, "--json", "--quiet"]),
+            (["verdict", "-h"], ["source", "--vs SPEC", "--q Q", "--json", "--quiet"]),
+            (["faces", "--help"], ["n", "d", "--max-card K", "--count"]),
+        ]:
+            proc = subprocess.run(
+                [sys.executable, "-m", "momentangle", *argv],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 0 and proc.stderr == "", argv
+            assert proc.stdout.startswith("usage: momentangle "), argv
+            rows = [line.split()[0:2] for line in proc.stdout.splitlines() if line.startswith("  ")]
+            for name in names:
+                assert name.split() in [row[: len(name.split())] for row in rows], (argv, name)
+
     def test_python_dash_m(self):
         env = dict(os.environ, PYTHONPATH=str(SRC))
         proc = subprocess.run(
@@ -552,6 +570,190 @@ class TestModuleInvocation:
             capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 1
+
+
+CHOICES = "'faces', 'ideal', 'syzmin', 'wedge', 'homology', 'verdict', 'counterexample'"
+HEADLINE = "16*S5xS7 # 15*S6xS6"
+
+
+class TestArgumentGrammar:
+    """The command table's parser reads argv as argparse read it.  Each
+    error line below is argparse's, recorded under Python 3.11 from the
+    argparse parser this one replaced, except the last three: argparse
+    expanded an abbreviated option name, and this parser refuses it.  Each
+    accepted form prints what its plain form prints."""
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["--json"], "the following arguments are required: command"),
+        (["frobnicate"], f"argument command: invalid choice: 'frobnicate' (choose from {CHOICES})"),
+        (["ideal"], "the following arguments are required: source"),
+        (["faces"], "the following arguments are required: n, d"),
+        (["faces", "8"], "the following arguments are required: d"),
+        (["faces", "x", "3"], "argument n: invalid int value: 'x'"),
+        (["faces", "8", "4", "--max-card", "x"], "argument --max-card: invalid int value: 'x'"),
+        (["verdict"], "the following arguments are required: source, --vs"),
+        (["verdict", "polygon", "5"], "the following arguments are required: --vs"),
+        (["verdict", "cyclic", "8", "4", "--vs"], "argument --vs: expected one argument"),
+        (["verdict", "polygon", "5", "--vs", "--json"], "argument --vs: expected one argument"),
+        (["verdict", "polygon", "5", "--vs", "-1*S3xS3"], "argument --vs: expected one argument"),
+        (["verdict", "polygon", "5", "--vs", "5*S3xS4", "--q", "--json"],
+         "argument --q: expected one argument"),
+        (["verdict", "cyclic", "8", "4", "--vs", "S3xS3", "--q", "x"],
+         "argument --q: invalid int value: 'x'"),
+        (["homology", "a", "b"], "unrecognized arguments: b"),
+        (["homology", "a", "--bogus", "b"], "unrecognized arguments: --bogus b"),
+        (["homology", "a", "b", "--bogus"], "unrecognized arguments: b --bogus"),
+        (["homology", "-1*S3xS3"], "the following arguments are required: spec"),
+        (["ideal", "cyclic", "8", "4", "--bogus"], "unrecognized arguments: --bogus"),
+        (["--bogus", "ideal", "polygon", "5"], "unrecognized arguments: --bogus"),
+        (["counterexample", "x"], "unrecognized arguments: x"),
+        (["--q", "x"], f"argument command: invalid choice: 'x' (choose from {CHOICES})"),
+        (["--vs", "X", "verdict"], f"argument command: invalid choice: 'X' (choose from {CHOICES})"),
+        (["--json=1", "ideal", "polygon", "5"], "argument --json: ignored explicit argument '1'"),
+        # Values the parser accepts and the program refuses.
+        (["faces", "-1", "3"], "C(n,3) needs n >= 4 vertices, got n=-1"),
+        (["wedge", "polygon", "4", "--ceiling", "-1"], "the ceiling must be nonnegative, got -1"),
+        (["homology", "-1 x"], "bad summand '-1x': expected k*S<m>xS<n>, e.g. 16*S5xS7"),
+        (["homology", "-"], "bad summand '-': expected k*S<m>xS<n>, e.g. 16*S5xS7"),
+        (["verdict", "--vs=", "polygon", "5"], "empty connected-sum description"),
+        # Option names are never abbreviated (argparse took --v for --vs).
+        (["verdict", "polygon", "5", "--v", "5*S3xS4"], "the following arguments are required: --vs"),
+        (["wedge", "polygon", "4", "--ceil", "9"], "unrecognized arguments: --ceil"),
+        (["ideal", "cyclic", "8", "4", "--q"], "unrecognized arguments: --q"),
+    ])
+    def test_error_line(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, plain, code", [
+        (["verdict", "polygon", "5", "--vs=5*S3xS4"],
+         ["verdict", "polygon", "5", "--vs", "5*S3xS4"], 2),
+        (["verdict", "cyclic", "8", "4", "--vs", HEADLINE, "--q=4"],
+         ["verdict", "cyclic", "8", "4", "--vs", HEADLINE, "--q", "4"], 2),
+        (["verdict", "cyclic", "8", "4", "--vs", HEADLINE, "--q", "-0"],
+         ["verdict", "cyclic", "8", "4", "--vs", HEADLINE, "--q", "0"], 2),
+        (["verdict", "--vs", "5*S3xS4", "polygon", "5"],
+         ["verdict", "polygon", "5", "--vs", "5*S3xS4"], 2),
+        (["ideal", "--", "cyclic", "8", "4"], ["ideal", "cyclic", "8", "4"], 0),
+        (["verdict", "polygon", "5", "--vs", "S3xS3", "--vs", "5*S3xS4"],
+         ["verdict", "polygon", "5", "--vs", "5*S3xS4"], 2),
+        (["--json", "ideal", "polygon", "5"], ["ideal", "polygon", "5", "--json"], 0),
+        (["faces", "8", "--count", "4"], ["faces", "8", "4", "--count"], 0),
+        (["--quiet", "faces", "6", "3"], ["faces", "6", "3", "--quiet"], 0),
+    ])
+    def test_accepted_form(self, capsys, argv, plain, code):
+        got = run_cli(capsys, *argv)
+        assert got == run_cli(capsys, *plain)
+        assert got[0] == code and got[1] and got[2] == ""
+
+
+class TestClosedFormByRing:
+    """A source takes the even-d closed form when its face ring is that of a
+    cyclic polytope of even dimension, whatever kind of source it is."""
+
+    @staticmethod
+    def write(path, kind, subsets, m):
+        path.write_text(f"vertices {m}\n{kind}\n" + "".join(
+            " ".join(map(str, s)) + "\n" for s in subsets))
+        return str(path)
+
+    def test_closed_form_is_read_off_the_ring(self, tmp_path):
+        edges = [(i, i % 30 + 1) for i in range(1, 31)]
+        assert cli._closed_form(complexes.from_facets(30, edges)) == CyclicParams(30, 2)
+        assert cli._closed_form(complexes.from_cyclic(CyclicParams(7, 6))) == CyclicParams(7, 6)
+        assert cli._closed_form(complexes.from_cyclic(CyclicParams(9, 4))) == CyclicParams(9, 4)
+        for odd in (CyclicParams(9, 5), CyclicParams(6, 5), CyclicParams(7, 3)):
+            assert cli._closed_form(complexes.from_cyclic(odd)) is None
+        # The pentagon 1-3-5-2-4: five generators of size 2, as C(5,2) has.
+        relabelled = complexes.from_facets(5, [(1, 3), (3, 5), (5, 2), (2, 4), (4, 1)])
+        assert relabelled.histogram == ((4, 5),)
+        assert cli._closed_form(relabelled) is None
+
+    def test_file_sources_match_their_cyclic_twins(self, capsys, tmp_path, monkeypatch):
+        general = []
+        zk_ranks = hochster.zk_ranks
+        monkeypatch.setattr(hochster, "zk_ranks", lambda F, p: general.append(p) or zk_ranks(F, p))
+        cli._general_ranks.cache_clear()
+        gon30 = self.write(tmp_path / "gon30.txt", "facets",
+                           [(i, i % 30 + 1) for i in range(1, 31)], 30)
+        c84 = self.write(tmp_path / "c84.txt", "nonfaces", CYCLIC_8_4_MINIMAL_NONFACES, 8)
+        for source, twin, tail in [
+            (["file", gon30], ["polygon", "30"], ["--vs", "2*S3xS3", "--q", "4"]),
+            (["file", c84], ["cyclic", "8", "4"], ["--vs", HEADLINE]),
+            (["file", c84], ["cyclic", "8", "4"], ["--vs", "16*S5xS7"]),
+        ]:
+            code, payload = run_json(capsys, "verdict", *source, *tail)
+            twin_code, twin_payload = run_json(capsys, "verdict", *twin, *tail)
+            assert (code, payload["homology"]) == (twin_code, twin_payload["homology"]), source
+        assert general == []
+
+    def test_gon30_file_difference(self, capsys, tmp_path):
+        gon30 = self.write(tmp_path / "gon30.txt", "facets",
+                           [(i, i % 30 + 1) for i in range(1, 31)], 30)
+        code, payload = run_json(capsys, "verdict", "file", gon30, "--vs", "2*S3xS3", "--q", "4")
+        assert (code, payload["homology"]) == (0, {
+            "fields": ["GF(2)"],
+            "difference": {"field": "GF(2)", "degree": 4, "zk_rank": 7280, "manifold_rank": 0},
+            "q": 4,
+        })
+
+    def test_file_whose_twin_is_refused_takes_the_general_route(self, capsys, tmp_path):
+        # from_cyclic refuses C(73,4) (C(73,4) = 1088430 subsets for a facet
+        # search), while its 2,555 facets pass the guards of a facets file.
+        # The comparison ring is then not built, and the general route
+        # refuses the file with its own message.
+        pairs = [{i, i % 73 + 1} for i in range(1, 74)]
+        facets = sorted({tuple(sorted(a | b)) for a, b in combinations(pairs, 2) if not a & b})
+        path = self.write(tmp_path / "c73_4.txt", "facets", facets, 73)
+        code, out, err = run_cli(capsys, "verdict", "file", path, "--vs", "S5xS7", "--q", "6")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: the generator unions of Hochster's formula would visit ")
+
+    def test_relabelled_pentagon_takes_the_general_route(self, capsys, tmp_path, monkeypatch):
+        general = []
+        zk_ranks = hochster.zk_ranks
+        monkeypatch.setattr(hochster, "zk_ranks", lambda F, p: general.append(p) or zk_ranks(F, p))
+        cli._general_ranks.cache_clear()
+        path = self.write(tmp_path / "pentagon.txt", "facets",
+                          [(1, 3), (3, 5), (5, 2), (2, 4), (4, 1)], 5)
+        # McGavran: Z_K of the pentagon is 5*S3xS4, ranks {0: 1, 3: 5, 4: 5, 7: 1}.
+        code, payload = run_json(capsys, "verdict", "file", path, "--vs", "5*S3xS4")
+        assert (code, payload["homology"]) == (2, {"fields": ALL_FIELDS, "difference": None, "q": None})
+        assert general == list(hochster.FIELDS)
+
+
+# Modules that `import momentangle.cli` must not load: each costs a
+# command-line call milliseconds of start-up.
+HEAVY_MODULES = ("re", "dataclasses", "inspect", "argparse", "gettext", "locale", "json",
+                 "enum", "typing")
+
+
+class TestImportGraph:
+    def test_cli_calls_load_no_heavy_module(self, tmp_path):
+        pentagon = tmp_path / "pentagon.txt"
+        pentagon.write_text("vertices 5\nfacets\n1 3\n3 5\n5 2\n2 4\n4 1\n")
+        calls = [
+            ["faces", "6", "3", "--count"],
+            ["ideal", "polygon", "5"],
+            ["syzmin", "cyclic", "8", "4", "--json"],
+            ["wedge", "cyclic", "8", "4", "--ceiling", "9"],
+            ["homology", HEADLINE, "--json"],
+            ["verdict", "file", str(pentagon), "--vs", "5*S3xS4", "--json"],
+            ["--quiet", "counterexample"],
+            ["--help"],
+        ]
+        script = (
+            "import sys\n"
+            "import momentangle.__main__\n"
+            "from momentangle import cli\n"
+            f"codes = [cli.main(argv) for argv in {calls!r}]\n"
+            f"print(codes, sorted(set({HEAVY_MODULES!r}) & set(sys.modules)), file=sys.stderr)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-s", "-c", script],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.stderr == "[0, 0, 0, 0, 0, 2, 2, 0] []\n"
 
 
 class TestInProcessCalls:
@@ -628,8 +830,15 @@ class TestInProcessCalls:
         code, payload = run_json(capsys, "ideal", "file", str(path))
         assert code == 0 and payload["ideal"]["generators"] == [[1, 3], [2, 4]]
 
-    def test_parser_is_built_once(self):
-        assert cli._build_parser() is cli._build_parser()
+    def test_command_table_is_built_once(self, capsys):
+        # The table and the parser's view of it are built at import; calls only read them.
+        table, index = cli.COMMANDS, cli._SPECS
+        before = copy.deepcopy((table, index))
+        for argv in (["verdict", "polygon", "5", "--vs", "5*S3xS4", "--json"],
+                     ["faces", "6", "3", "--max-card", "2"], ["ideal", "--help"], ["frobnicate"]):
+            run_cli(capsys, *argv)
+        assert cli.COMMANDS is table and cli._SPECS is index
+        assert (table, index) == before
 
     def test_relation_and_wedge_model_are_computed_once(self, capsys, monkeypatch):
         counts = {"min_relation_degree": 0, "borel_model": 0}

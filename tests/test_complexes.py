@@ -1,3 +1,5 @@
+import copy
+import pickle
 import sys
 import time
 from itertools import combinations, islice
@@ -8,6 +10,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import momentangle
+from momentangle import (
+    ConnectedSumSpec,
+    GradedRanks,
+    SphereProduct,
+    SphereSpectrum,
+)
 from momentangle.cli import _monomial
 from momentangle.complexes import (
     FaceRingPresentation,
@@ -417,6 +426,27 @@ class TestFaceRing:
         assert "masks" not in repr(c84_ring)
         twin = FaceRingPresentation(8, c84_ring.generators)
         assert twin == c84_ring and hash(twin) == hash(c84_ring)
+
+    @pytest.mark.parametrize("make, field", [
+        (lambda: CyclicParams(8, 4), "n"),
+        (lambda: FaceRingPresentation(5, ((1, 3), (1, 4))), "m"),
+        (lambda: SphereSpectrum({5: 16, 9: 120}, 9), "ceiling"),
+        (lambda: SphereProduct(7, 5), "m"),
+        (lambda: ConnectedSumSpec(((2, SphereProduct(3, 3)), (1, SphereProduct(2, 4)))), "summands"),
+        (lambda: GradedRanks({0: 1, 3: 2, 6: 1}, 6), "top"),
+    ])
+    def test_value_classes(self, make, field):
+        """Each value class is immutable, equal to an instance built from the
+        same arguments, printed as its constructor call, and copied or
+        pickled through its checks."""
+        a, b = make(), make()
+        assert a == b and a is not b and repr(a) == repr(b)
+        assert eval(repr(a), vars(momentangle)) == a
+        assert pickle.loads(pickle.dumps(a)) == a == copy.deepcopy(a)
+        for name in (field, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, 0)
+        assert a == b
 
     def test_presentation_checks_every_generator_range(self):
         # The lexicographically last generator, (2, 3), lies inside 1..5.

@@ -16,7 +16,7 @@ from momentangle.manifold import (
     poincare_check,
 )
 
-from oracles import connected_sum_ranks_peeling
+from oracles import connected_sum_ranks_peeling, parse_connected_sum_regex
 
 T57 = SphereProduct(5, 7)
 T66 = SphereProduct(6, 6)
@@ -53,6 +53,19 @@ def spec_like_texts():
     return st.one_of(
         st.text(max_size=40), st.lists(alphabet, max_size=20).map("".join), grammar_texts()
     )
+
+
+def unicode_grammar_texts():
+    """Texts near the grammar over the characters the regex grammar treats
+    specially: Unicode decimal digits and whitespace, the case variants of S
+    and x (the long s, U+017F, among them), and look-alikes that it refuses
+    (superscript and fraction digits, the multiplication sign, dotted I)."""
+    alphabet = st.sampled_from([
+        "S", "s", "\u017f", "x", "X", "\u00d7", "*", "#", " ", "\t", "\n", "\u2003",
+        "\x1c", "\x85", "0", "1", "7", "12", "\u0663", "\u06f7", "\uff15", "\u00b2",
+        "\u2155", "\u0130", "K", "_", "+", "-",
+    ])
+    return st.one_of(st.lists(alphabet, max_size=24).map("".join), spec_like_texts())
 
 
 class TestSphereProduct:
@@ -239,6 +252,24 @@ class TestGrammar:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_connected_sum(bad)
+
+    def test_unicode_digits_and_case(self):
+        assert parse_connected_sum("\u0661\u0666*\u017f5XS7 #15 * s6xs\uff16") == M_SPEC
+        with pytest.raises(ValueError, match="bad summand"):
+            parse_connected_sum("S5\u00d7S7")
+
+    @settings(max_examples=500, deadline=None)
+    @given(unicode_grammar_texts())
+    def test_matches_regex_grammar(self, text):
+        """Same spec, or the same error message, as the regex grammar."""
+        def outcome(parse):
+            try:
+                return parse(text)
+            except ValueError as exc:
+                return str(exc)
+
+        got, want = outcome(parse_connected_sum), outcome(parse_connected_sum_regex)
+        assert (type(got), got) == (type(want), want)
 
     @settings(max_examples=300, deadline=None)
     @given(spec_like_texts())
