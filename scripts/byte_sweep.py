@@ -19,10 +19,13 @@ of their edges), a missing file and a bad source; `counterexample`, six
 unrecognized arguments, `--opt=value`, options before positionals, `--`,
 a repeated option, negative values (`--q -0`, `faces -1 3`, `--ceiling
 -1`), `--json` before the subcommand and the abbreviated names `--v` and
-`--ceil`; every call plain, `--json` and `--quiet`.  Larger rings add `ideal` and `syzmin`, with `--json` only:
+`--ceil`, and `wedge --ceiling 1450`, one past the Witt bound, on `polygon
+4` and on `cyclic 5 4`, which has no relation; every call plain, `--json`
+and `--quiet`.  Larger rings add `ideal` and `syzmin`, with `--json` only:
 every `face_ladder` rung of `perfbench/workloads.py`, the probe rings
 C(16,6), C(20,4) and C(14,8), the rings C(19,9) and C(21,8) just inside the
-subset limit, C(20,10), C(22,11) and C(24,12), which are refused, and
+subset limit, C(20,10), C(22,11) and C(24,12), which are refused, C(73,4)
+and C(188,4), on either side of the even-d generator-count guard, and
 polygons 13..30; and `ideal cyclic 1001 1000 --json`, `syzmin cyclic 999 998
 --json`, `ideal cyclic 1000 998 --json` and `ideal cyclic 999 997 --json`,
 refused inputs whose facets would hold about 500 pairs each.  The files go
@@ -54,7 +57,7 @@ from workloads import FACE_LADDER_IDEALS  # noqa: E402
 
 LARGE_RINGS = [
     *FACE_LADDER_IDEALS, (16, 6), (20, 4), (14, 8),
-    (19, 9), (21, 8), (20, 10), (22, 11), (24, 12),
+    (19, 9), (21, 8), (20, 10), (22, 11), (24, 12), (73, 4), (188, 4),
 ]
 
 SPECS = ["16*S5xS7 # 15*S6xS6", "16*S5xS7", "5*S3xS4", "2*S3xS3"]
@@ -109,6 +112,8 @@ MISC_CALLS = [
     ["--json", "ideal", "polygon", "5"],
     ["verdict", "polygon", "5", "--v", "5*S3xS4"],
     ["wedge", "polygon", "4", "--ceil", "9"],
+    ["wedge", "polygon", "4", "--ceiling", "1450"],
+    ["wedge", "cyclic", "5", "4", "--ceiling", "1450"],
 ]
 
 # Runs in the subprocess: argv lists on stdin, one [code, out, err] each on stdout.

@@ -39,7 +39,6 @@ from .hochster import (
 from .hilton import (
     SphereSpectrum,
     borel_model,
-    moebius,
     wedge_spectrum,
 )
 from .manifold import (

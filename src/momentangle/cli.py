@@ -20,11 +20,10 @@ import sys
 from _json import encode_basestring_ascii
 from collections import namedtuple
 from functools import lru_cache
-from math import comb
 
 from . import complexes, hilton, hochster, manifold, syzygy
 from .complexes import FaceRingPresentation
-from .gale import SUBSET_LIMIT, CyclicParams, enumerate_faces, f_vector
+from .gale import CyclicParams, enumerate_faces, f_vector
 
 __all__ = ["build_verdict_report", "main", "run"]
 
@@ -119,19 +118,15 @@ def _closed_form(F: FaceRingPresentation) -> CyclicParams | None:
     """C(F.m, d) if F is the face ring of its boundary for the one even d
     that F's generator sizes allow, else None: the single generator 1..m of
     a simplex boundary gives d = m - 1, and generators all of one size s
-    give d = 2s - 2, with C(m-s, s) + C(m-s-1, s-1) of them (those without
-    vertex 1, and those with it).  The ring of C(m, d) is built, and
-    compared with F, only when F's histogram is that one; a ring that
+    give d = 2s - 2.  The ring of C(m, d) is built, and compared with F,
+    only when F's histogram has that ring's generator count; a ring that
     `from_cyclic`'s guards refuse leaves F to the general route."""
     if len(F.histogram) != 1:
         return None
     (degree, count), = F.histogram
     m, s = F.m, degree // 2
-    if s == m:
-        d, want = m - 1, 1
-    else:
-        d, want = 2 * s - 2, comb(m - s, s) + comb(m - s - 1, s - 1)
-    if d % 2 or d < 2 or count != want:
+    d = m - 1 if s == m else 2 * s - 2
+    if d % 2 or d < 2 or count != complexes.even_cyclic_generator_count(m, d):
         return None
     p = CyclicParams(m, d)
     try:
@@ -444,15 +439,6 @@ def cmd_syzmin(source) -> dict:
 
 def cmd_wedge(source, ceiling: int | None = None) -> dict:
     F, descriptor = _resolve_source(source)
-    # The Witt recurrence takes n - 1 products at each n below the ceiling;
-    # a negative ceiling is left for hilton to refuse.
-    if ceiling is not None and ceiling > 2:
-        products = (ceiling - 1) * (ceiling - 2) // 2
-        if products > SUBSET_LIMIT:
-            raise ValueError(
-                f"the Witt recurrence up to ceiling {ceiling} needs {products} "
-                f"products, above the limit of {SUBSET_LIMIT}"
-            )
     rmin_degree, _ = _relation(F)
     spectrum, q_max = _wedge_model(F)
     if ceiling is None:

@@ -30,6 +30,7 @@ __all__ = [
     "from_facets",
     "from_nonfaces",
     "from_cyclic",
+    "even_cyclic_generator_count",
     "parse_complex",
 ]
 
@@ -237,6 +238,15 @@ def _cyclic_facet_count(n: int, d: int) -> int:
     return 2 * comb(n - k - 1, k) if d % 2 else comb(n - k, k) + comb(n - k - 1, k - 1)
 
 
+def even_cyclic_generator_count(n: int, d: int) -> int:
+    """The generator count of the boundary of C(n, d), d = 2k even: 1 if
+    n = d+1, else the (k+1)-subsets of 1..n with no two cyclically
+    consecutive vertices, C(n-k-1, k+1) without vertex 1 and C(n-k-2, k)
+    with it."""
+    k = d // 2
+    return 1 if n == d + 1 else comb(n - k - 1, k + 1) + comb(n - k - 2, k)
+
+
 def _cyclic_ring(n: int, d: int) -> FaceRingPresentation:
     """The closed-form generators of C(n, d), those with vertex 1 first: sorted."""
     k = d // 2
@@ -254,8 +264,10 @@ def _cyclic_ring(n: int, d: int) -> FaceRingPresentation:
 def from_cyclic(p: CyclicParams) -> FaceRingPresentation:
     """Boundary complex of C(n, d) on n vertices, its generators in the
     closed form of the module docstring.  No facet is built, but guards
-    bound the rest: for a polygon (d = 2) its n(n-3)/2 generators, else
-    C(n, d) for a facet search and 2**d per facet for a closure.
+    bound the rest: for even d its generator count (n(n-3)/2 for a polygon),
+    for odd d the C(n, d) of a facet search, which also bounds the check
+    that generators of two sizes are incomparable, and for every d 2**d per
+    facet for a closure.
 
     Why (Ziegler, Lectures on Polytopes, Thm 0.7): for d = 2k, n >= d+2,
     Gale's condition is invariant under rotation, and S (not 1..n) is a face
@@ -266,12 +278,12 @@ def from_cyclic(p: CyclicParams) -> FaceRingPresentation:
     link of a vertex put between n and 1 in the boundary of C(n+1, 2k+2).
     """
     n, d = p.n, p.d
-    if d == 2:
-        check_subset_count(n * (n - 3) // 2, f"the minimal non-faces of the {n}-gon")
-    else:
+    if d % 2:
         check_subset_count(comb(n, d), f"the facet search of C({n},{d})")
-        check_subset_count(_cyclic_facet_count(n, d) << d,
-                           "the downward closure of the facet list")
+    else:
+        name = f"the {n}-gon" if d == 2 else f"C({n},{d})"
+        check_subset_count(even_cyclic_generator_count(n, d), f"the minimal non-faces of {name}")
+    check_subset_count(_cyclic_facet_count(n, d) << d, "the downward closure of the facet list")
     return _cyclic_ring(n, d)
 
 

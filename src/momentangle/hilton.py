@@ -9,12 +9,13 @@ J. Algebra 183, 1996), which reads only the histogram a_D of generators
 S^(D+1):
 
     c_n = n * a_n + sum over 0 < j < n of a_j * c_(n-j)     (c = t a'/(1 - a))
-    L_n = (1/n) * sum over d | n of mu(n/d) * c_d
+    c_n = sum over d | n of d * L_d
 
-For k copies of S^3 (a = k t^2) it gives the Witt number
-W(k, w) = (1/w) * sum over d | w of mu(d) * k^(w/d) at n = 2w.  Everything
-here is exact integer arithmetic; spectra are always truncated at an explicit
-ceiling, above which multiplicities are unknown rather than zero.
+so each n * L_n is c_n less the terms of its proper divisors.  For k copies
+of S^3 (a = k t^2), c_(2w) = 2 k^w and L_(2w) is the Witt number W(k, w),
+with k^w = sum over d | w of d * W(k, d).  Everything here is exact integer
+arithmetic; spectra are always truncated at an explicit ceiling, above which
+multiplicities are unknown rather than zero.
 """
 
 from __future__ import annotations
@@ -22,48 +23,13 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .complexes import FaceRingPresentation
+from .gale import SUBSET_LIMIT
 
 __all__ = [
     "SphereSpectrum",
-    "moebius",
     "wedge_spectrum",
     "borel_model",
 ]
-
-
-def moebius(n: int) -> int:
-    """The Moebius function: 1 at 1, (-1)^k on squarefree n with k prime
-    factors, 0 when a square divides n.
-
-    >>> [moebius(n) for n in (1, 2, 6, 12)]
-    [1, -1, 1, 0]
-    """
-    if n < 1:
-        raise ValueError(f"moebius is defined on positive integers, got {n}")
-    count = 0
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            count += 1
-        p += 1
-    if n > 1:
-        count += 1
-    return -1 if count % 2 else 1
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
 
 
 class SphereSpectrum(namedtuple("SphereSpectrum", "entries ceiling")):
@@ -100,13 +66,23 @@ def wedge_spectrum(dims, ceiling: int) -> SphereSpectrum:
     S^dims[0] v S^dims[1] v ..., up to the ceiling.
 
     Only the histogram a_D (generators S^(D+1)) is read, by the graded Witt
-    formula; the work is O(ceiling^2) whatever the generator count.
+    formula; the work is O(ceiling^2) whatever the generator count, and a
+    ceiling whose c_n recurrence needs more than SUBSET_LIMIT products is
+    refused before any of it.
 
     >>> wedge_spectrum([5] * 16, 9).entries == {5: 16, 9: 120}
     True
     >>> wedge_spectrum([3, 5], 7).entries == {3: 1, 5: 1, 7: 1}
     True
     """
+    # The c_n recurrence takes n - 1 products at each n below the ceiling;
+    # a negative ceiling is left for SphereSpectrum to refuse.
+    products = (ceiling - 1) * (ceiling - 2) // 2
+    if ceiling > 2 and products > SUBSET_LIMIT:
+        raise ValueError(
+            f"the Witt recurrence up to ceiling {ceiling} needs {products} "
+            f"products, above the limit of {SUBSET_LIMIT}"
+        )
     dims = list(dims)
     if not dims:
         raise ValueError("need at least one wedge summand")
@@ -117,14 +93,17 @@ def wedge_spectrum(dims, ceiling: int) -> SphereSpectrum:
         if dim <= ceiling:
             a[dim - 1] += 1
     c = [0] * ceiling
+    below = [0] * ceiling  # below[n]: sum of d * L_d over the divisors d < n
     entries: dict[int, int] = {}
     for n in range(1, ceiling):
         c[n] = n * a[n] + sum(a[j] * c[n - j] for j in range(1, n))
-        total = sum(moebius(n // d) * c[d] for d in _divisors(n))
+        total = c[n] - below[n]
         if total < 0 or total % n:
             raise ArithmeticError(f"Witt sum {total} is not a multiple of {n}")
         if total:
             entries[n + 1] = total // n
+            for multiple in range(2 * n, ceiling, n):
+                below[multiple] += total
     return SphereSpectrum(entries=entries, ceiling=ceiling)
 
 

@@ -22,7 +22,8 @@ dense mod-p elimination for every vertex subset over tuples and sets, with no
 bitmask and no pruning, or from the cellular chain complex of (D^2, S^1)^K
 instead of by Hochster's formula at all, and the connected-sum grammar is
 read by the two regular expressions that `manifold` used before it parsed
-with `str` methods.
+with `str` methods, and the Moebius function that the necklace count inverts
+with is found by trial division, which `hilton` no longer needs.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from dataclasses import dataclass
 from itertools import chain, combinations, product
 
 from momentangle.gale import CyclicParams, as_subset, is_face
-from momentangle.hilton import moebius
 from momentangle.manifold import ConnectedSumSpec, SphereProduct
 
 # The 16 minimal non-faces of the boundary complex of C(8,4); independently
@@ -334,6 +334,25 @@ def hall_sphere_spectrum(dims, ceiling: int) -> dict[int, int]:
         if dim <= ceiling:
             entries[dim] = entries.get(dim, 0) + 1
     return dict(sorted(entries.items()))
+
+
+def moebius(n: int) -> int:
+    """The Moebius function: 1 at 1, (-1)^k on squarefree n with k prime
+    factors, 0 when a square divides n."""
+    if n < 1:
+        raise ValueError(f"moebius is defined on positive integers, got {n}")
+    count = 0
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            count += 1
+        p += 1
+    if n > 1:
+        count += 1
+    return -1 if count % 2 else 1
 
 
 def _multinomial(total: int, parts) -> int:

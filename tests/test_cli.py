@@ -260,6 +260,13 @@ class TestWedge:
             "above the limit of 1048576\n"
         )
 
+    def test_ceiling_bound_comes_after_the_relation(self, capsys):
+        # hilton holds the ceiling bound, so a source with no relation fails
+        # on that first: C(5,4) is a simplex boundary, one generator.
+        code, out, err = run_cli(capsys, "wedge", "cyclic", "5", "4", "--ceiling", "1450")
+        assert (code, out) == (1, "")
+        assert err == "error: no relations: the ideal needs at least two generators\n"
+
     def test_small_ceilings_give_empty_spectra(self, capsys):
         for ceiling in ("0", "1", "2"):
             code, payload = run_json(capsys, "wedge", "polygon", "4", "--ceiling", ceiling)
@@ -697,16 +704,36 @@ class TestClosedFormByRing:
         })
 
     def test_file_whose_twin_is_refused_takes_the_general_route(self, capsys, tmp_path):
-        # from_cyclic refuses C(73,4) (C(73,4) = 1088430 subsets for a facet
-        # search), while its 2,555 facets pass the guards of a facets file.
-        # The comparison ring is then not built, and the general route
-        # refuses the file with its own message.
+        # The 4,290 minimal non-faces of C(20,10), the 6-subsets of 1..20
+        # with no two cyclically consecutive vertices, pass the guards of a
+        # nonfaces file, while from_cyclic refuses C(20,10) by its closure
+        # guard (3,460 facets of 2**10 subsets).  The comparison ring is then
+        # not built, and the general route refuses the file with its own
+        # message.
+        nonfaces = [c for c in combinations(range(1, 21), 6)
+                    if all((b - a) % 20 not in (1, 19) for a, b in combinations(c, 2))]
+        assert len(nonfaces) == 4290
+        path = self.write(tmp_path / "c20_10.txt", "nonfaces", nonfaces, 20)
+        code, out, err = run_cli(capsys, "verdict", "file", path, "--vs", "4290*S11xS19")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: the generator unions of Hochster's formula would visit ")
+
+    def test_c73_4_facets_file_takes_the_closed_form(self, capsys, tmp_path):
+        # The 2,555 facets of C(73,4): pairs of disjoint cyclic edges.  Its
+        # twin is admitted by its 57,086 generators, so the file takes the
+        # closed form and answers as `cyclic 73 4` does.
         pairs = [{i, i % 73 + 1} for i in range(1, 74)]
         facets = sorted({tuple(sorted(a | b)) for a, b in combinations(pairs, 2) if not a & b})
         path = self.write(tmp_path / "c73_4.txt", "facets", facets, 73)
-        code, out, err = run_cli(capsys, "verdict", "file", path, "--vs", "S5xS7", "--q", "6")
-        assert (code, out) == (1, "")
-        assert err.startswith("error: the generator unions of Hochster's formula would visit ")
+        code, payload = run_json(capsys, "verdict", "file", path, "--vs", "S5xS7", "--q", "6")
+        assert (code, payload["homology"]) == (0, {
+            "fields": ["GF(2)"],
+            "difference": {"field": "GF(2)", "degree": 6, "zk_rank": 2910145, "manifold_rank": 0},
+            "q": 6,
+        })
+        code, payload = run_json(capsys, "verdict", "cyclic", "73", "4", "--vs", "S5xS7")
+        assert (code, payload["homology"]["difference"]) == (
+            0, {"field": "GF(2)", "degree": 5, "zk_rank": 57086, "manifold_rank": 1})
 
     def test_relabelled_pentagon_takes_the_general_route(self, capsys, tmp_path, monkeypatch):
         general = []

@@ -21,6 +21,7 @@ from momentangle.cli import _monomial
 from momentangle.complexes import (
     FaceRingPresentation,
     _cyclic_facet_count,
+    even_cyclic_generator_count,
     from_cyclic,
     from_facets,
     from_nonfaces,
@@ -152,8 +153,9 @@ class TestFactories:
             from_facets(25, [range(1, 26)])
 
     def test_cyclic_refuses_oversized_facet_search(self):
-        with pytest.raises(ValueError, match=f"{comb(24, 12)} subsets"):
-            from_cyclic(CyclicParams(24, 12))
+        # Odd d keeps the C(n, d) guard: C(23,11) = 1352078.
+        with pytest.raises(ValueError, match=f"C\\(23,11\\) would visit {comb(23, 11)} subsets"):
+            from_cyclic(CyclicParams(23, 11))
 
     @pytest.mark.parametrize(
         "n,d", [(22, 11), (20, 10), (999, 998), (1000, 998), (1001, 1000), (999, 997)]
@@ -226,6 +228,34 @@ class TestFromCyclic:
     def test_facet_count(self, n, d):
         assert _cyclic_facet_count(n, d) == len(cyclic_facets_by_filter(n, d))
         assert sorted(cyclic_facets_by_pairings(n, d)) == cyclic_facets_by_filter(n, d)
+
+    @pytest.mark.parametrize(
+        "n,d", [(n, d) for n in range(3, 15) for d in range(2, n, 2)]
+    )
+    def test_even_generator_count(self, n, d):
+        assert even_cyclic_generator_count(n, d) == len(from_cyclic(CyclicParams(n, d)).generators)
+
+    def test_c73_4_is_admitted_by_its_generator_count(self):
+        # C(73,4) = 1088430 would fail a facet-search guard; its 57,086
+        # generators pass, and the ring is that of its 2,555 facets, pairs
+        # of disjoint cyclic edges.
+        pairs = [{i, i % 73 + 1} for i in range(1, 74)]
+        facets = {tuple(sorted(a | b)) for a, b in combinations(pairs, 2) if not a & b}
+        K = from_cyclic(CyclicParams(73, 4))
+        assert len(K.generators) == even_cyclic_generator_count(73, 4) == 57086
+        assert K == from_facets(73, facets)
+
+    def test_c188_4_is_refused_by_its_generator_count(self):
+        # C(187,4) has 1,038,037 generators, under the limit; C(188,4) is refused.
+        assert even_cyclic_generator_count(187, 4) == 1038037
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            from_cyclic(CyclicParams(188, 4))
+        assert time.perf_counter() - start < 0.05
+        assert str(info.value) == (
+            "the minimal non-faces of C(188,4) would visit 1055056 subsets, "
+            "above the limit of 1048576"
+        )
 
     def test_c84_triangle_count(self):
         K = from_cyclic(CyclicParams(8, 4))

@@ -1,3 +1,4 @@
+import time
 from math import comb
 
 import pytest
@@ -9,11 +10,15 @@ from momentangle.gale import CyclicParams
 from momentangle.hilton import (
     SphereSpectrum,
     borel_model,
-    moebius,
     wedge_spectrum,
 )
 
-from oracles import hall_count_by_weight, hall_sphere_spectrum, necklace_sphere_spectrum
+from oracles import (
+    hall_count_by_weight,
+    hall_sphere_spectrum,
+    moebius,
+    necklace_sphere_spectrum,
+)
 
 MOEBIUS_TABLE = {
     1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1, 7: -1, 8: 0, 9: 0,
@@ -119,6 +124,24 @@ class TestWedgeSpectrum:
         for ceiling in (0, 1, 2):
             assert wedge_spectrum([3] * 4, ceiling).entries == {}
 
+    @pytest.mark.parametrize("ceiling", [1450, 10**6])
+    def test_refuses_oversized_ceiling_at_once(self, ceiling):
+        # The c_n recurrence needs (C - 1)(C - 2)/2 products; the bound is
+        # checked before any list of length C is built.
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            wedge_spectrum([3], ceiling)
+        assert time.perf_counter() - start < 0.05
+        assert str(info.value) == (
+            f"the Witt recurrence up to ceiling {ceiling} needs "
+            f"{(ceiling - 1) * (ceiling - 2) // 2} products, above the limit of 1048576"
+        )
+
+    def test_largest_admitted_ceiling(self):
+        # (1449 - 1) * (1449 - 2) / 2 = 1047628 products are admitted.
+        shown = wedge_spectrum([3], 1449)
+        assert shown.ceiling == 1449 and shown.entries == {3: 1}
+
 
 class TestMixedWedgeSpectrum:
     def test_equal_dims_match_plain(self):
@@ -169,7 +192,7 @@ def _series_product(x: list[int], y: list[int]) -> list[int]:
 class TestPBWIdentity:
     """prod_n (1 - t^n)^(-L_n) == 1/(1 - a(t)) as exact power series through
     t^(ceiling - 1), where L_n is the spectrum's multiplicity at n + 1 and a_D
-    counts the generators S^(D+1).  Neither side uses the Moebius inversion or
+    counts the generators S^(D+1).  Neither side uses the divisor-sum sieve or
     the c_n recurrence, and the sizes here are far beyond what enumerating
     exponent vectors could reach."""
 
