@@ -5,13 +5,15 @@ presentation of its face ring (one ideal generator per minimal non-face,
 each the strictly increasing tuple of its vertices).  From a cyclic polytope,
 a polygon or a complex file this package derives that presentation, the
 minimal degree of a relation among the ideal generators with the generator
-pair that reaches it, the wedge-of-spheres model of the associated Borel
-space (`borel_model`), and the homology of the moment-angle complex Z_K by
+pair that reaches it, and the homology of the moment-angle complex Z_K by
 Hochster's formula over GF(2), GF(10007) and GF(3) (`hochster`).  On the
 other side it computes graded homology ranks of connected sums of sphere
 products, which are torsion-free; the CLI compares the two degree by degree
 and field by field, and a difference over any one field rules out a
-homotopy equivalence.
+homotopy equivalence.  `wedge_spectrum` gives the sphere spectrum of a
+wedge of odd spheres; the CLI reads it for the wedge model of the
+associated Borel space, one sphere S^(2|g| - 1) per ideal generator g,
+truncated at rmin - 2.
 """
 
 from .gale import (
@@ -38,7 +40,6 @@ from .hochster import (
 )
 from .hilton import (
     SphereSpectrum,
-    borel_model,
     wedge_spectrum,
 )
 from .manifold import (

@@ -93,12 +93,22 @@ def _relation(F: FaceRingPresentation) -> tuple[int, tuple[int, int]]:
     return syzygy.min_relation_degree(F)
 
 
+def _q_max(F: FaceRingPresentation) -> int:
+    """The top of the wedge model's window, rmin - 2 for rmin the minimal
+    relation degree: for 3 <= q <= q_max the rational rank of pi_q of the
+    Borel space is the multiplicity at q of `_spectrum`, and the rank in
+    degree 2 is `F.m`."""
+    return _relation(F)[0] - 2
+
+
 @lru_cache(maxsize=SOURCE_CACHE_SIZE)
-def _wedge_model(F: FaceRingPresentation) -> tuple[tuple[tuple[int, int], ...], int]:
-    """The wedge model of a face ring, computed once per ring: its spectrum as
-    sorted (dimension, multiplicity) pairs, and its ceiling q_max."""
-    shown = hilton.borel_model(F, _relation(F)[0])
-    return tuple(sorted(shown.entries.items())), shown.ceiling
+def _spectrum(F: FaceRingPresentation, ceiling: int) -> tuple[tuple[int, int], ...]:
+    """The sphere spectrum of a face ring's wedge model up to `ceiling`, as
+    sorted (dimension, multiplicity) pairs, computed once per ring and
+    ceiling.  Each ideal generator r gives a sphere S^(deg(r) - 1), odd
+    since generators have even degree."""
+    shown = hilton.wedge_spectrum([2 * len(g) - 1 for g in F.generators], ceiling)
+    return tuple(sorted(shown.entries.items()))
 
 
 @lru_cache(maxsize=SOURCE_CACHE_SIZE)
@@ -265,18 +275,19 @@ def _homology_block(F: FaceRingPresentation, c: _Candidate, q: int | None) -> di
     return {"fields": fields, "difference": difference, "q": q}
 
 
-def build_verdict_report(source_tokens, manifold_text: str, q: int | None = None) -> dict:
-    F, descriptor = _resolve_source(source_tokens)
+def build_verdict_report(source, vs: str, q: int | None = None) -> dict:
+    F, descriptor = _resolve_source(source)
     if F.is_trivial:
         raise ValueError("the ideal is empty (full simplex): nothing to compare")
     # The verdict does not read the wedge block.
-    spectrum, ceiling = _wedge_model(F)
-    c = _candidate(manifold_text)
+    q_max = _q_max(F)
+    spectrum = _spectrum(F, q_max)
+    c = _candidate(vs)
     homology = _homology_block(F, c, q)
     return {
         "input": {"source": descriptor, "manifold": c.spec},
         "ideal": _ideal_block(F),
-        "wedge": _wedge_block(spectrum, ceiling, ceiling, F.m),
+        "wedge": _wedge_block(spectrum, q_max, q_max, F.m),
         "manifold": _manifold_block(c),
         "homology": homology,
         "verdict": "INCONCLUSIVE" if homology["difference"] is None else "NOT_EQUIVALENT",
@@ -440,13 +451,10 @@ def cmd_syzmin(source) -> dict:
 def cmd_wedge(source, ceiling: int | None = None) -> dict:
     F, descriptor = _resolve_source(source)
     rmin_degree, _ = _relation(F)
-    spectrum, q_max = _wedge_model(F)
+    q_max = _q_max(F)
     if ceiling is None:
         ceiling = q_max
-    else:
-        dims = [2 * len(g) - 1 for g in F.generators]
-        shown = hilton.wedge_spectrum(dims, ceiling)
-        spectrum, ceiling = sorted(shown.entries.items()), shown.ceiling
+    spectrum = _spectrum(F, ceiling)
     notes = []
     if ceiling > q_max:
         notes.append(f"entries above q_max={q_max} lie outside the validated window")
@@ -460,10 +468,6 @@ def cmd_wedge(source, ceiling: int | None = None) -> dict:
 
 def cmd_homology(spec: str) -> dict:
     return {"manifold": _manifold_block(_candidate(spec))}
-
-
-def cmd_verdict(source, vs: str, q: int | None = None) -> dict:
-    return build_verdict_report(source, vs, q=q)
 
 
 def cmd_counterexample() -> dict:
@@ -539,9 +543,10 @@ COMMANDS = {
         _SOURCE, ("[--ceiling C]", int, "truncation ceiling for the displayed spectrum"))),
     "homology": ("graded homology ranks of a connected sum", cmd_homology, text_homology,
                  (("spec", str, "e.g. '16*S5xS7 # 15*S6xS6'"),)),
-    "verdict": ("compare Z_K's homology with a connected sum's, field by field", cmd_verdict,
-                text_verdict, (_SOURCE, ("--vs SPEC", str, "candidate, e.g. '16*S5xS7 # 15*S6xS6'"),
-                               ("[--q Q]", int, "compare degree Q alone, in both Hurewicz windows"))),
+    "verdict": ("compare Z_K's homology with a connected sum's, field by field",
+                build_verdict_report, text_verdict, (
+        _SOURCE, ("--vs SPEC", str, "candidate, e.g. '16*S5xS7 # 15*S6xS6'"),
+        ("[--q Q]", int, "compare degree Q alone, in both Hurewicz windows"))),
     "counterexample": ("run the full C(8,4) pipeline with all artifacts", cmd_counterexample,
                        text_verdict, ()),
 }

@@ -22,13 +22,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .complexes import FaceRingPresentation
 from .gale import SUBSET_LIMIT
 
 __all__ = [
     "SphereSpectrum",
     "wedge_spectrum",
-    "borel_model",
 ]
 
 
@@ -105,22 +103,3 @@ def wedge_spectrum(dims, ceiling: int) -> SphereSpectrum:
             for multiple in range(2 * n, ceiling, n):
                 below[multiple] += total
     return SphereSpectrum(entries=entries, ceiling=ceiling)
-
-
-def borel_model(F: FaceRingPresentation, rmin: int) -> SphereSpectrum:
-    """Sphere spectrum of the wedge model of a face ring's Borel space,
-    truncated at the model's window top q_max = rmin - 2.
-
-    Each ideal generator r contributes a sphere S^(deg(r) - 1), odd since
-    generators have even degree.  For 3 <= q <= q_max, with `rmin` the
-    minimal relation degree, the rational rank of pi_q is the multiplicity
-    at q; the rank in degree 2 is the variable count `F.m`.
-    """
-    if F.is_trivial:
-        raise ValueError("the ideal is empty (full simplex): no wedge model")
-    if len(F.generators) < 2:
-        raise ValueError(
-            "the wedge model needs a minimal relation degree, "
-            "which needs at least two ideal generators"
-        )
-    return wedge_spectrum([2 * len(g) - 1 for g in F.generators], ceiling=rmin - 2)

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,9 @@ from oracles import (
     RP2_FACETS,
     zk_ranks_naive,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import VERDICT_CYCLIC, VERDICT_POLYGONS  # noqa: E402
 
 ALL_FIELDS = ["GF(2)", "GF(10007)", "GF(3)"]
 
@@ -219,6 +223,10 @@ class TestSyzmin:
         path.write_text("vertices 3\nfacets\n1 2 3\n")
         code, out, err = run_cli(capsys, "syzmin", "file", str(path))
         assert code == 1
+        # The empty ideal has no wedge model either.
+        code, out, err = run_cli(capsys, "wedge", "file", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: no relations: the ideal needs at least two generators\n"
 
 
 class TestWedge:
@@ -227,8 +235,9 @@ class TestWedge:
         assert code == 0
         wedge = payload["wedge"]
         assert wedge["spectrum"] == {"5": 16}
-        assert wedge["q_max"] == 6
+        assert wedge["ceiling"] == wedge["q_max"] == 6
         assert wedge["pi2_rank"] == 8
+        assert payload["rmin"]["degree"] == 8
 
     def test_ceiling_override(self, capsys):
         code, payload = run_json(capsys, "wedge", "cyclic", "8", "4", "--ceiling", "9")
@@ -263,9 +272,24 @@ class TestWedge:
     def test_ceiling_bound_comes_after_the_relation(self, capsys):
         # hilton holds the ceiling bound, so a source with no relation fails
         # on that first: C(5,4) is a simplex boundary, one generator.
-        code, out, err = run_cli(capsys, "wedge", "cyclic", "5", "4", "--ceiling", "1450")
-        assert (code, out) == (1, "")
-        assert err == "error: no relations: the ideal needs at least two generators\n"
+        for ceiling in ([], ["--ceiling", "1450"]):
+            code, out, err = run_cli(capsys, "wedge", "cyclic", "5", "4", *ceiling)
+            assert (code, out) == (1, "")
+            assert err == "error: no relations: the ideal needs at least two generators\n"
+
+    @pytest.mark.parametrize("source", [f"polygon {m}" for m in VERDICT_POLYGONS]
+                             + [f"cyclic {n} {d}" for n, d in VERDICT_CYCLIC])
+    def test_one_spectrum_path(self, capsys, source):
+        # Without --ceiling, wedge shows the spectrum at q_max, the one the
+        # verdict's wedge block holds.
+        tokens = source.split()
+        default = run_cli(capsys, "wedge", *tokens, "--json")
+        wedge = json.loads(default[1])["wedge"]
+        explicit = run_cli(capsys, "wedge", *tokens, "--ceiling", str(wedge["q_max"]), "--json")
+        assert explicit == default
+        assert wedge.pop("notes") == []
+        code, verdict = run_json(capsys, "verdict", *tokens, "--vs", "S3xS3")
+        assert code in (0, 2) and verdict["wedge"] == wedge
 
     def test_small_ceilings_give_empty_spectra(self, capsys):
         for ceiling in ("0", "1", "2"):
@@ -866,7 +890,7 @@ class TestInProcessCalls:
         assert (table, index) == before
 
     def test_relation_and_wedge_model_are_computed_once(self, capsys, monkeypatch):
-        counts = {"min_relation_degree": 0, "borel_model": 0}
+        counts = {"min_relation_degree": 0, "wedge_spectrum": 0}
 
         def counting(module, name):
             fn = getattr(module, name)
@@ -878,9 +902,9 @@ class TestInProcessCalls:
             monkeypatch.setattr(module, name, counted)
 
         counting(syzygy, "min_relation_degree")
-        counting(hilton, "borel_model")
+        counting(hilton, "wedge_spectrum")
         cli._relation.cache_clear()
-        cli._wedge_model.cache_clear()
+        cli._spectrum.cache_clear()
         source = ["cyclic", "9", "4"]
         for argv in (
             ["verdict", *source, "--vs", "16*S5xS7 # 15*S6xS6"],
@@ -889,7 +913,7 @@ class TestInProcessCalls:
         ):
             code, out, err = run_cli(capsys, *argv)
             assert code in (0, 2) and err == "", argv
-        assert counts == {"min_relation_degree": 1, "borel_model": 1}
+        assert counts == {"min_relation_degree": 1, "wedge_spectrum": 1}
 
     def test_closed_form_runs_once_per_source(self, capsys, monkeypatch):
         calls = []
@@ -930,6 +954,8 @@ class TestInProcessCalls:
 
     def test_reports_do_not_share_mutable_values(self):
         first = cli.build_verdict_report(["polygon", "5"], "5*S3xS4")
+        # The pentagon's five generators v_i*v_j give five S^3, and q_max = 6 - 2.
+        assert first["wedge"]["spectrum"] == {"3": 5} and first["wedge"]["ceiling"] == 4
         expected = copy.deepcopy(first)
         first["ideal"]["degree_histogram"]["4"] = -1
         first["manifold"]["ranks"]["3"] = -1

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentangle.complexes import FaceRingPresentation, from_cyclic
+from momentangle.complexes import from_cyclic
 from momentangle.gale import CyclicParams
 from momentangle.hilton import (
     SphereSpectrum,
-    borel_model,
     wedge_spectrum,
 )
 
@@ -261,30 +260,3 @@ class TestSphereSpectrum:
             SphereSpectrum({}, ceiling=-1)
         with pytest.raises(ValueError, match="ceiling"):
             wedge_spectrum([5] * 4, -3)
-
-
-class TestBorelModel:
-    """The wedge model is its spectrum truncated at q_max = rmin - 2."""
-
-    def test_c84(self, c84_ring):
-        spectrum = borel_model(c84_ring, 8)
-        assert spectrum.ceiling == 6
-        assert c84_ring.m == 8
-        assert spectrum.entries == {5: 16}
-        ranks = {q: spectrum.entries.get(q, 0) for q in range(3, 7)}
-        assert ranks == {3: 0, 4: 0, 5: 16, 6: 0}
-
-    def test_pentagon(self, pentagon_ring):
-        spectrum = borel_model(pentagon_ring, 6)
-        assert spectrum.ceiling == 4
-        assert spectrum.entries == {3: 5}
-        assert spectrum.entries.get(3, 0) == 5
-
-    def test_rejects_trivial_ideal(self):
-        with pytest.raises(ValueError):
-            borel_model(FaceRingPresentation(4), 8)
-
-    def test_rejects_single_generator(self):
-        F = FaceRingPresentation(4, ((1, 2),))
-        with pytest.raises(ValueError):
-            borel_model(F, 8)

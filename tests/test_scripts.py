@@ -61,7 +61,7 @@ def test_byte_sweep_names_a_changed_text_line(tmp_path):
     assert all(line.startswith("differs: homology ") for line in named)
 
 
-@pytest.mark.parametrize("workload", ["face_ladder", "verdict_batch"])
+@pytest.mark.parametrize("workload", ["face_ladder", "wedge_ceiling", "verdict_batch"])
 def test_traced_benchmark_run_exits_cleanly(workload):
     # A traced run exits 1 if a worker dies (tracer.py cannot import a layer)
     # or if a per-layer ratio divides by zero.  On verdict_batch the CLI's
