@@ -94,10 +94,11 @@ def _relation(F: FaceRingPresentation) -> tuple[int, tuple[int, int]]:
 
 
 def _q_max(F: FaceRingPresentation) -> int:
-    """The top of the wedge model's window, rmin - 2 for rmin the minimal
-    relation degree: for 3 <= q <= q_max the rational rank of pi_q of the
-    Borel space is the multiplicity at q of `_spectrum`, and the rank in
-    degree 2 is `F.m`."""
+    """The top of the wedge window that reports print, rmin - 2 for rmin
+    the minimal relation degree (the degree-2 rank they print is `F.m`).
+    `_spectrum`'s multiplicities are not exact up to it: the square has S^5
+    at q = 5 <= 6, while pi_5(S^3 x S^3) (x) Q = 0.  The exact range is
+    q <= rmin - 4 (ROADMAP items 2 and 8)."""
     return _relation(F)[0] - 2
 
 
@@ -114,7 +115,7 @@ def _spectrum(F: FaceRingPresentation, ceiling: int) -> tuple[tuple[int, int], .
 @lru_cache(maxsize=SOURCE_CACHE_SIZE)
 def _cyclic_ranks(p: CyclicParams) -> tuple[tuple[int, int], ...]:
     """Z_K's ranks for C(n, d), d even, by the closed form: computed once per
-    source, for every field."""
+    polytope, whatever source gives its ring, for every field."""
     return tuple(hochster.cyclic_ranks(p).items())
 
 
@@ -122,41 +123,6 @@ def _cyclic_ranks(p: CyclicParams) -> tuple[tuple[int, int], ...]:
 def _general_ranks(F: FaceRingPresentation, field: int) -> tuple[tuple[int, int], ...]:
     """Z_K's ranks over GF(field) by the general route, once per ring and field."""
     return tuple(hochster.zk_ranks(F, field).items())
-
-
-def _closed_form(F: FaceRingPresentation) -> CyclicParams | None:
-    """C(F.m, d) if F is the face ring of its boundary for the one even d
-    that F's generator sizes allow, else None: the single generator 1..m of
-    a simplex boundary gives d = m - 1, and generators all of one size s
-    give d = 2s - 2.  The ring of C(m, d) is built, and compared with F,
-    only when F's histogram has that ring's generator count; a ring that
-    `from_cyclic`'s guards refuse leaves F to the general route."""
-    if len(F.histogram) != 1:
-        return None
-    (degree, count), = F.histogram
-    m, s = F.m, degree // 2
-    d = m - 1 if s == m else 2 * s - 2
-    if d % 2 or d < 2 or count != complexes.even_cyclic_generator_count(m, d):
-        return None
-    p = CyclicParams(m, d)
-    try:
-        return p if _face_ring(p) == F else None
-    except ValueError:
-        return None
-
-
-def _zk_tables(F: FaceRingPresentation):
-    """Yield (field names, Z_K's sorted (degree, rank) pairs over each of
-    them) in the order of `hochster.FIELDS`: one table for every field from
-    the closed form when F is the boundary of a cyclic polytope of even
-    dimension, whatever its source, else one per field by the general route,
-    each computed only when it is reached."""
-    p = _closed_form(F)
-    if p is not None:
-        yield FIELD_NAMES, _cyclic_ranks(p)
-        return
-    for name, field in zip(FIELD_NAMES, hochster.FIELDS):
-        yield (name,), _general_ranks(F, field)
 
 
 # What a report reads of a candidate connected sum: its canonical text, top
@@ -226,23 +192,25 @@ def _manifold_block(c: _Candidate) -> dict:
     }
 
 
-def _difference(names, zk: dict, candidate: dict, degrees) -> dict | None:
+def _difference(field: str, zk: dict, candidate: dict, degrees) -> dict | None:
     """The first of `degrees` where Z_K's ranks and the candidate's differ,
-    as a report's difference over the first of `names`; None if they agree."""
+    as a report's difference over the field named `field`; None if they agree."""
     q = next((q for q in degrees if zk.get(q, 0) != candidate.get(q, 0)), None)
     if q is None:
         return None
-    return {"field": names[0], "degree": q, "zk_rank": zk.get(q, 0),
+    return {"field": field, "degree": q, "zk_rank": zk.get(q, 0),
             "manifold_rank": candidate.get(q, 0)}
 
 
 def _homology_block(F: FaceRingPresentation, c: _Candidate, q: int | None) -> dict:
     """Z_K's homology against the candidate's: degrees in ascending order,
     the bottom read first, then, only if it agrees, the full ranks field by
-    field in the order of `hochster.FIELDS`.  The first (field, degree) that
-    differs is the difference; a candidate is torsion-free, so any one
-    field's difference rules out a homotopy equivalence.  With `q`, degree q
-    alone, which both sides' Hurewicz windows must admit."""
+    field in the order of `hochster.FIELDS`: by the even-d closed form when
+    `complexes.even_cyclic_twin` finds F to be a cyclic polytope's ring,
+    whatever its source, else by the general route.  The first (field,
+    degree) that differs is the difference; a candidate is torsion-free, so
+    any one field's difference rules out a homotopy equivalence.  With `q`,
+    degree q alone, which both sides' Hurewicz windows must admit."""
     top, bottom = hochster.bottom_ranks(F)
     if q is not None:
         window = manifold.hurewicz_window(manifold.GradedRanks(bottom, top))
@@ -257,21 +225,21 @@ def _homology_block(F: FaceRingPresentation, c: _Candidate, q: int | None) -> di
     else:
         low = (q,) if q <= top else ()
     # The bottom read holds over every field, so a difference there is GF(2)'s.
-    difference = _difference(FIELD_NAMES, bottom, candidate, low)
+    difference = _difference(FIELD_NAMES[0], bottom, candidate, low)
     if difference is not None:
         fields = [FIELD_NAMES[0]]
     elif q is not None and q <= top:
         fields = list(FIELD_NAMES)
     else:
         fields = []
-        for names, ranks in _zk_tables(F):
-            zk = dict(ranks)
+        twin = complexes.even_cyclic_twin(F)
+        for name, field in zip(FIELD_NAMES, hochster.FIELDS):
+            zk = dict(_cyclic_ranks(twin) if twin else _general_ranks(F, field))
             degrees = sorted(zk.keys() | candidate.keys()) if q is None else (q,)
-            difference = _difference(names, zk, candidate, degrees)
+            difference = _difference(name, zk, candidate, degrees)
+            fields.append(name)
             if difference is not None:
-                fields.append(names[0])
                 break
-            fields += names
     return {"fields": fields, "difference": difference, "q": q}
 
 

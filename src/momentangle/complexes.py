@@ -31,6 +31,7 @@ __all__ = [
     "from_nonfaces",
     "from_cyclic",
     "even_cyclic_generator_count",
+    "even_cyclic_twin",
     "parse_complex",
 ]
 
@@ -215,7 +216,10 @@ def from_nonfaces(m: int, nonfaces) -> FaceRingPresentation:
     """Build a complex from a non-face list.
 
     The list is reduced to its minimal elements (the ideal generators).
-    Singleton non-faces are rejected: they would delete a vertex.
+    Singleton non-faces are rejected: they would delete a vertex.  The
+    containment test compares every entry with every larger one, so the
+    count of such pairs, 0 for a one-size list, is checked against the
+    subset limit first.
     """
     nfs = sorted({as_subset(s, m) for s in nonfaces})
     if any(not nf for nf in nfs):
@@ -223,6 +227,9 @@ def from_nonfaces(m: int, nonfaces) -> FaceRingPresentation:
     if any(len(nf) == 1 for nf in nfs):
         bad = [nf[0] for nf in nfs if len(nf) == 1]
         raise ValueError(f"singleton non-faces would leave ghost vertices: {bad}")
+    sizes = Counter(map(len, nfs)).values()
+    pairs = (len(nfs) ** 2 - sum(n * n for n in sizes)) // 2
+    check_subset_count(pairs, "the containment test of the non-face list")
     containers = {j for _, j in _comparable_pairs(list(map(_mask, nfs)))}
     return FaceRingPresentation(m, tuple(nf for j, nf in enumerate(nfs) if j not in containers))
 
@@ -259,6 +266,29 @@ def _cyclic_ring(n: int, d: int) -> FaceRingPresentation:
         gens = [(1, *s) for s in _independent(3, n - 1, k)]
         gens += _independent(2, n, k + 1)
     return FaceRingPresentation(n, tuple(gens))
+
+
+def even_cyclic_twin(F: FaceRingPresentation) -> CyclicParams | None:
+    """C(F.m, d) if F is the ring of its boundary for an even d, else None,
+    read off F's generators as `_cyclic_ring` writes them, with no ring
+    built: the single generator 1..m, m odd, is C(m, m-1); otherwise the
+    generators have one size s, d = 2s-2 with m >= d+2, their count is
+    `even_cyclic_generator_count(m, d)`, and none holds two cyclically
+    consecutive vertices.  Generators are distinct, so they are then every
+    such s-subset, exactly the ring of C(m, d)."""
+    if len(F.histogram) != 1:
+        return None
+    (degree, count), = F.histogram
+    m, s = F.m, degree // 2
+    if s == m:
+        return CyclicParams(m, m - 1) if m % 2 and m > 1 else None
+    d = 2 * s - 2
+    if d < 2 or m < d + 2 or count != even_cyclic_generator_count(m, d):
+        return None
+    # x meets its rotation by one vertex iff it holds two consecutive ones.
+    if any(x & (x >> 1 | (x & 1) << (m - 1)) for x in F.masks):
+        return None
+    return CyclicParams(m, d)
 
 
 def from_cyclic(p: CyclicParams) -> FaceRingPresentation:

@@ -688,16 +688,17 @@ class TestClosedFormByRing:
         return str(path)
 
     def test_closed_form_is_read_off_the_ring(self, tmp_path):
+        twin = complexes.even_cyclic_twin
         edges = [(i, i % 30 + 1) for i in range(1, 31)]
-        assert cli._closed_form(complexes.from_facets(30, edges)) == CyclicParams(30, 2)
-        assert cli._closed_form(complexes.from_cyclic(CyclicParams(7, 6))) == CyclicParams(7, 6)
-        assert cli._closed_form(complexes.from_cyclic(CyclicParams(9, 4))) == CyclicParams(9, 4)
+        assert twin(complexes.from_facets(30, edges)) == CyclicParams(30, 2)
+        assert twin(complexes.from_cyclic(CyclicParams(7, 6))) == CyclicParams(7, 6)
+        assert twin(complexes.from_cyclic(CyclicParams(9, 4))) == CyclicParams(9, 4)
         for odd in (CyclicParams(9, 5), CyclicParams(6, 5), CyclicParams(7, 3)):
-            assert cli._closed_form(complexes.from_cyclic(odd)) is None
+            assert twin(complexes.from_cyclic(odd)) is None
         # The pentagon 1-3-5-2-4: five generators of size 2, as C(5,2) has.
         relabelled = complexes.from_facets(5, [(1, 3), (3, 5), (5, 2), (2, 4), (4, 1)])
         assert relabelled.histogram == ((4, 5),)
-        assert cli._closed_form(relabelled) is None
+        assert twin(relabelled) is None
 
     def test_file_sources_match_their_cyclic_twins(self, capsys, tmp_path, monkeypatch):
         general = []
@@ -727,20 +728,41 @@ class TestClosedFormByRing:
             "q": 4,
         })
 
-    def test_file_whose_twin_is_refused_takes_the_general_route(self, capsys, tmp_path):
+    def test_c20_10_nonfaces_file_takes_the_closed_form(self, capsys, tmp_path):
         # The 4,290 minimal non-faces of C(20,10), the 6-subsets of 1..20
         # with no two cyclically consecutive vertices, pass the guards of a
-        # nonfaces file, while from_cyclic refuses C(20,10) by its closure
-        # guard (3,460 facets of 2**10 subsets).  The comparison ring is then
-        # not built, and the general route refuses the file with its own
-        # message.
+        # nonfaces file, and the closed form is read off them, while
+        # from_cyclic refuses C(20,10) itself by its closure guard (3,460
+        # facets of 2**10 subsets).
         nonfaces = [c for c in combinations(range(1, 21), 6)
                     if all((b - a) % 20 not in (1, 19) for a, b in combinations(c, 2))]
         assert len(nonfaces) == 4290
         path = self.write(tmp_path / "c20_10.txt", "nonfaces", nonfaces, 20)
-        code, out, err = run_cli(capsys, "verdict", "file", path, "--vs", "4290*S11xS19")
+        code, payload = run_json(capsys, "verdict", "file", path, "--vs", "4290*S11xS19")
+        # The bottom read agrees (4,290 classes in degree 11); degree 12 differs.
+        zk_rank = hochster.cyclic_ranks(CyclicParams(20, 10))[12]
+        assert (code, payload["homology"]) == (0, {
+            "fields": ["GF(2)"],
+            "difference": {"field": "GF(2)", "degree": 12, "zk_rank": zk_rank, "manifold_rank": 0},
+            "q": None,
+        })
+        code, out, err = run_cli(capsys, "ideal", "cyclic", "20", "10")
         assert (code, out) == (1, "")
-        assert err.startswith("error: the generator unions of Hochster's formula would visit ")
+        assert err.startswith("error: the downward closure of the facet list would visit ")
+
+    def test_file_verdicts_build_no_cyclic_ring(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        from_cyclic = complexes.from_cyclic
+        monkeypatch.setattr(complexes, "from_cyclic", lambda p: calls.append(p) or from_cyclic(p))
+        cli._face_ring.cache_clear()
+        gon30 = self.write(tmp_path / "gon30.txt", "facets",
+                           [(i, i % 30 + 1) for i in range(1, 31)], 30)
+        c84 = self.write(tmp_path / "c84.txt", "nonfaces", CYCLIC_8_4_MINIMAL_NONFACES, 8)
+        for argv in (["file", gon30, "--vs", "2*S3xS3", "--q", "4"],
+                     ["file", c84, "--vs", HEADLINE], ["file", c84, "--vs", "16*S5xS7"]):
+            code, out, err = run_cli(capsys, "verdict", *argv)
+            assert code in (0, 2) and err == "", argv
+        assert calls == []
 
     def test_c73_4_facets_file_takes_the_closed_form(self, capsys, tmp_path):
         # The 2,555 facets of C(73,4): pairs of disjoint cyclic edges.  Its
@@ -915,7 +937,7 @@ class TestInProcessCalls:
             assert code in (0, 2) and err == "", argv
         assert counts == {"min_relation_degree": 1, "wedge_spectrum": 1}
 
-    def test_closed_form_runs_once_per_source(self, capsys, monkeypatch):
+    def test_closed_form_runs_once_per_source(self, capsys, monkeypatch, tmp_path):
         calls = []
         cyclic_ranks = hochster.cyclic_ranks
 
@@ -925,16 +947,22 @@ class TestInProcessCalls:
 
         monkeypatch.setattr(hochster, "cyclic_ranks", counted)
         cli._cyclic_ranks.cache_clear()
+        gon30 = tmp_path / "gon30.txt"
+        gon30.write_text("vertices 30\nfacets\n" + "".join(
+            f"{i} {i % 30 + 1}\n" for i in range(1, 31)))
         for argv in (
             # INCONCLUSIVE: every field is compared
             ["verdict", "cyclic", "8", "4", "--vs", "16*S5xS7 # 15*S6xS6"],
             ["verdict", "cyclic", "8", "4", "--vs", "16*S5xS7 # 15*S6xS6", "--q", "7"],
             ["verdict", "cyclic", "8", "4", "--vs", "16*S5xS7"],
             ["counterexample"],
+            # The 30-gon's edge file and `polygon 30` share one closed form.
+            ["verdict", "file", str(gon30), "--vs", "2*S3xS3", "--q", "4"],
+            ["verdict", "polygon", "30", "--vs", "2*S3xS3", "--q", "4"],
         ):
             code, out, err = run_cli(capsys, *argv)
             assert code in (0, 2) and err == "", argv
-        assert calls == [CyclicParams(8, 4)]
+        assert calls == [CyclicParams(8, 4), CyclicParams(30, 2)]
 
     def test_polygon_and_cyclic_share_a_face_ring(self, capsys, monkeypatch):
         calls = []

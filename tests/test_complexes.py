@@ -22,6 +22,7 @@ from momentangle.complexes import (
     FaceRingPresentation,
     _cyclic_facet_count,
     even_cyclic_generator_count,
+    even_cyclic_twin,
     from_cyclic,
     from_facets,
     from_nonfaces,
@@ -234,6 +235,31 @@ class TestFromCyclic:
     )
     def test_even_generator_count(self, n, d):
         assert even_cyclic_generator_count(n, d) == len(from_cyclic(CyclicParams(n, d)).generators)
+
+    @pytest.mark.parametrize(
+        "n,d", [(n, d) for n in range(3, 15) for d in range(2, n)]
+    )
+    def test_even_cyclic_twin_finds_even_d(self, n, d):
+        p = CyclicParams(n, d)
+        assert even_cyclic_twin(from_cyclic(p)) == (p if d % 2 == 0 else None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(3, 9), st.data())
+    def test_even_cyclic_twin_matches_ring_equality(self, m, data):
+        # One-size lists drawn near the ring of C(m, 2s-2): its generators
+        # with a few taken out and a few s-subsets put in, so that many
+        # draws have its generator count without being its ring.
+        s = data.draw(st.integers(1, m))
+        pool = list(combinations(range(1, m + 1), s))
+        ring = {g for g in pool if not any((b - a) % m in (1, m - 1) for a, b in combinations(g, 2))}
+        gens = ring - data.draw(st.sets(st.sampled_from(pool), max_size=3))
+        gens |= data.draw(st.sets(st.sampled_from(pool), max_size=2))
+        if not gens:
+            return
+        F = FaceRingPresentation(m, tuple(sorted(gens)))
+        rings = [CyclicParams(m, d) for d in range(2, m, 2)]
+        expected = [p for p in rings if from_cyclic(p) == F]
+        assert even_cyclic_twin(F) == (expected[0] if expected else None)
 
     def test_c73_4_is_admitted_by_its_generator_count(self):
         # C(73,4) = 1088430 would fail a facet-search guard; its 57,086
@@ -563,6 +589,27 @@ class TestIncomparabilityScaling:
         F = from_nonfaces(29, nonfaces)
         assert time.perf_counter() - start < 1.0
         assert supports(F) == nonfaces
+
+
+    def test_mixed_size_nonface_list_is_refused_at_once(self):
+        # 780 2-subsets of 1..40 and 9,880 3-subsets of 41..80: 7,706,400
+        # pairs of sizes 2 and 3 for the containment test.
+        nonfaces = [*combinations(range(1, 41), 2), *combinations(range(41, 81), 3)]
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            from_nonfaces(80, nonfaces)
+        assert time.perf_counter() - start < 1.0
+        assert str(info.value) == (
+            "the containment test of the non-face list would visit 7706400 subsets, "
+            "above the limit of 1048576"
+        )
+
+    def test_mixed_size_nonface_list_at_the_limit(self):
+        # 1,024 listed pairs and 1,024 listed triples: exactly the limit of pairs.
+        nonfaces = [*islice(combinations(range(1, 50), 2), 1024),
+                    *islice(combinations(range(50, 70), 3), 1024)]
+        F = from_nonfaces(69, nonfaces)
+        assert F.degree_histogram() == {4: 1024, 6: 1024}
 
 
 class TestParseComplex:
