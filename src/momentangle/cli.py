@@ -20,6 +20,7 @@ import sys
 from _json import encode_basestring_ascii
 from collections import namedtuple
 from functools import lru_cache
+from itertools import chain
 
 from . import complexes, hilton, hochster, manifold, syzygy
 from .complexes import FaceRingPresentation
@@ -36,7 +37,8 @@ COUNTEREXAMPLE_NOTES = (
     "rings, so they are rationally homotopy equivalent and no rank comparison "
     "separates them",
 )
-# Face rings, their relation, wedge and homology facts, and parsed candidates
+# Face rings, their relation, cyclic twin, wedge and homology facts, their
+# generator rows as the report writer renders them, and parsed candidates
 # kept for repeated inputs across the in-process calls of one interpreter (a
 # benchmark pass, a test session).
 SOURCE_CACHE_SIZE = 64
@@ -91,6 +93,13 @@ def _relation(F: FaceRingPresentation) -> tuple[int, tuple[int, int]]:
     """The minimal relation degree of a face ring and the generator pair that
     reaches it, computed once per ring."""
     return syzygy.min_relation_degree(F)
+
+
+@lru_cache(maxsize=SOURCE_CACHE_SIZE)
+def _twin(F: FaceRingPresentation) -> CyclicParams | None:
+    """The even-d cyclic polytope whose ring F is, or None, decided once per
+    ring (`complexes.even_cyclic_twin` reads every generator)."""
+    return complexes.even_cyclic_twin(F)
 
 
 def _q_max(F: FaceRingPresentation) -> int:
@@ -206,11 +215,11 @@ def _homology_block(F: FaceRingPresentation, c: _Candidate, q: int | None) -> di
     """Z_K's homology against the candidate's: degrees in ascending order,
     the bottom read first, then, only if it agrees, the full ranks field by
     field in the order of `hochster.FIELDS`: by the even-d closed form when
-    `complexes.even_cyclic_twin` finds F to be a cyclic polytope's ring,
-    whatever its source, else by the general route.  The first (field,
-    degree) that differs is the difference; a candidate is torsion-free, so
-    any one field's difference rules out a homotopy equivalence.  With `q`,
-    degree q alone, which both sides' Hurewicz windows must admit."""
+    `_twin` finds F to be a cyclic polytope's ring, whatever its source,
+    else by the general route.  The first (field, degree) that differs is
+    the difference; a candidate is torsion-free, so any one field's
+    difference rules out a homotopy equivalence.  With `q`, degree q alone,
+    which both sides' Hurewicz windows must admit."""
     top, bottom = hochster.bottom_ranks(F)
     if q is not None:
         window = manifold.hurewicz_window(manifold.GradedRanks(bottom, top))
@@ -232,7 +241,7 @@ def _homology_block(F: FaceRingPresentation, c: _Candidate, q: int | None) -> di
         fields = list(FIELD_NAMES)
     else:
         fields = []
-        twin = complexes.even_cyclic_twin(F)
+        twin = _twin(F)
         for name, field in zip(FIELD_NAMES, hochster.FIELDS):
             zk = dict(_cyclic_ranks(twin) if twin else _general_ranks(F, field))
             degrees = sorted(zk.keys() | candidate.keys()) if q is None else (q,)
@@ -448,44 +457,90 @@ def cmd_counterexample() -> dict:
 # JSON report writer
 # ---------------------------------------------------------------------------
 
-def _json(value, indent: str = "\n") -> str:
+# A report's leaves by exact type, each to its text: `bool` is a subclass of
+# `int`, and an `IntEnum` member is an `int` that no report holds.
+_LEAVES = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _json(value) -> str:
     """`value` as JSON, byte for byte what the `json` module's `dumps` prints
     with `sort_keys=True, indent=2`, without the pure-Python encoder that an
     indent makes it use.  Reports are integer-only: dicts with `str` keys,
     lists and tuples, `str`, `int`, `bool` and `None`; any other type raises
-    `TypeError`.  `bool` is a subclass of `int`, so ints are told apart by
-    exact type."""
+    `TypeError`.  The text is written in one pass into one list of pieces,
+    joined once."""
+    leaf = _LEAVES.get(type(value))
+    if leaf is not None:
+        return leaf(value)
+    out = []
+    _write(value, "\n", out.append)
+    return "".join(out)
+
+
+def _write(value, indent: str, emit) -> None:
+    """Emit the pieces of a dict, list or tuple whose first line `indent`
+    (a newline and spaces) indents.  A leaf item is written inside the loop,
+    through `_LEAVES`; only a container item recurses.  A nonempty tuple of
+    nonempty tuples of exact ints, a face ring's generators, is one piece,
+    from `_rows`."""
     kind = type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int:
-        return int.__repr__(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
     inner = indent + "  "
-    sep = "," + inner
+    get = _LEAVES.get
     if kind is dict:
         if not value:
-            return "{}"
+            emit("{}")
+            return
+        sep, comma = "{" + inner, "," + inner
         # A key that is not a str raises TypeError in sorted() or the encoder.
-        body = sep.join([
-            f"{encode_basestring_ascii(key)}: {_json(value[key], inner)}"
-            for key in sorted(value)
-        ])
-        return f"{{{inner}{body}{indent}}}"
-    if kind is list or kind is tuple:
+        for key in sorted(value):
+            item = value[key]
+            write = get(type(item))
+            if write is None:
+                emit(f"{sep}{encode_basestring_ascii(key)}: ")
+                _write(item, inner, emit)
+            else:
+                emit(f"{sep}{encode_basestring_ascii(key)}: {write(item)}")
+            sep = comma
+        emit(indent + "}")
+    elif kind is list or kind is tuple:
         if not value:
-            return "[]"
-        if all(type(item) is int for item in value):
-            body = sep.join(map(int.__repr__, value))
-        else:
-            body = sep.join([_json(item, inner) for item in value])
-        return f"[{inner}{body}{indent}]"
-    raise TypeError(f"{kind.__name__} value {value!r} is not allowed in a report")
+            emit("[]")
+            return
+        # Types are checked before `_rows`' cache is read: ((True, 2),) and
+        # ((1.0, 2),) are keys equal to ((1, 2),), but not rows of ints.
+        if (kind is tuple and {*map(type, value)} == {tuple} and all(value)
+                and {*map(type, chain.from_iterable(value))} == {int}):
+            emit(_rows(value, indent))
+            return
+        sep, comma = "[" + inner, "," + inner
+        for item in value:
+            write = get(type(item))
+            if write is None:
+                emit(sep)
+                _write(item, inner, emit)
+            else:
+                emit(sep + write(item))
+            sep = comma
+        emit(indent + "]")
+    else:
+        raise TypeError(f"{kind.__name__} value {value!r} is not allowed in a report")
+
+
+@lru_cache(maxsize=SOURCE_CACHE_SIZE)
+def _rows(rows: tuple[tuple[int, ...], ...], indent: str) -> str:
+    """`_json`'s text of a nonempty tuple of nonempty tuples of exact ints at
+    `indent`, each row written by one join, once per tuple and indent among
+    the `SOURCE_CACHE_SIZE` most recent, as `_face_ring` builds a repeated
+    source's ring once."""
+    inner = indent + "  "
+    head, sep, tail = "[" + inner + "  ", "," + inner + "  ", inner + "]"
+    body = ("," + inner).join([f"{head}{sep.join(map(int.__repr__, row))}{tail}" for row in rows])
+    return f"[{inner}{body}{indent}]"
 
 
 # ---------------------------------------------------------------------------

@@ -48,14 +48,15 @@ class FaceRingPresentation:
     Every vertex must be a face (no ghost vertices); the factory functions
     enforce this.
 
-    Immutable.  Equality, hash and repr read `m` and `generators` only; two
+    Immutable.  Equality, hash and repr read `m` and `generators` only; three
     attributes are derived from them here: `masks`, one vertex bitmask per
-    generator (bit v-1 for vertex v), and `histogram`, the (degree, generator
+    generator (bit v-1 for vertex v), `histogram`, the (degree, generator
     count) pairs by increasing degree, which every report reads, a verdict
-    twice.
+    twice, and `_hash`, `hash((m, generators))`, which every cache keyed by a
+    ring reads on each lookup.
     """
 
-    __slots__ = ("m", "generators", "masks", "histogram")
+    __slots__ = ("m", "generators", "masks", "histogram", "_hash")
 
     def __init__(self, m: int, generators: tuple[tuple[int, ...], ...] = ()) -> None:
         # Support checks come first: a vertex below 1 has no bitmask.
@@ -80,7 +81,8 @@ class FaceRingPresentation:
         if reduce(or_, masks, 0).bit_length() > m:
             raise ValueError("generator mentions a variable beyond v_m")
         histogram = tuple(sorted(Counter(2 * len(g) for g in generators).items()))
-        for name, value in zip(self.__slots__, (m, generators, masks, histogram)):
+        derived = (m, generators, masks, histogram, hash((m, generators)))
+        for name, value in zip(self.__slots__, derived):
             object.__setattr__(self, name, value)
 
     def _immutable(self, name, *value):
@@ -94,7 +96,7 @@ class FaceRingPresentation:
         return self is other or (self.m, self.generators) == (other.m, other.generators)
 
     def __hash__(self) -> int:
-        return hash((self.m, self.generators))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"FaceRingPresentation(m={self.m!r}, generators={self.generators!r})"

@@ -527,6 +527,14 @@ json_values = st.recursive(
     max_leaves=40,
 )
 
+# Tuples of int tuples, as a face ring's generators are, drawn explicitly:
+# `json_values` reaches them rarely.  Empty tuples and empty rows are drawn
+# too; they take the general path.
+int_rows = st.lists(
+    st.lists(st.integers(min_value=-3, max_value=40) | st.integers(), max_size=6).map(tuple),
+    max_size=8,
+).map(tuple)
+
 
 class TestJsonWriter:
     """`cli._json` prints what `json.dumps(value, sort_keys=True, indent=2)`
@@ -547,9 +555,44 @@ class TestJsonWriter:
         "quote \" backslash \\ newline \n control \x01 accent \u00e9 snowman \u2603",
         {"k": [None, "x", {"n": -5}]},
         None,
+        # Generator rows, at the top, in a list and in a dict, so at three
+        # indents; the same rows at two indents in one report.
+        ((1, 2),),
+        [((1, 3, 5), (2, 4))],
+        {"a": ((1, 3, 5), (2, 4)), "b": [((1, 3, 5), (2, 4))], "c": ((-1, 2**70),)},
+        # Near rows, which take the general path.
+        ((True, 2),),
+        ((),),
+        ((1,), ()),
+        ((1,), [2]),
+        [(1, 2), (3,)],
     ])
     def test_fixed_cases(self, value):
         assert cli._json(value) == canonical(value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(int_rows)
+    def test_rows_match_json_dumps(self, rows):
+        for value in (rows, {"generators": rows}, [0, rows]):
+            assert cli._json(value) == canonical(value)
+
+    def test_rows_are_typed_before_the_cache(self):
+        # The three keys are equal and equally hashed, so only a type check
+        # before `_rows`' cache keeps the first one's text from the others.
+        cli._rows.cache_clear()
+        assert ((1, 2),) == ((True, 2),) == ((1.0, 2),)
+        assert cli._json(((1, 2),)) == canonical(((1, 2),))
+        assert cli._json(((True, 2),)) == canonical(((True, 2),))
+        assert "true" in cli._json(((True, 2),))
+        with pytest.raises(TypeError):
+            cli._json(((1.0, 2),))
+        assert cli._rows.cache_info().currsize == 1
+
+    def test_repeated_rows_are_rendered_once(self):
+        cli._rows.cache_clear()
+        report = cli.cmd_ideal(["cyclic", "9", "4"])
+        assert cli._json(report) == cli._json(cli.cmd_ideal(["cyclic", "9", "4"]))
+        assert cli._rows.cache_info()[:2] == (1, 1)  # hits, misses
 
     @pytest.mark.parametrize("value", [
         1.5,
@@ -560,6 +603,8 @@ class TestJsonWriter:
         {"a": 1, None: 2},
         {True: 1},
         {1, 2},
+        ((1.0, 2),),
+        ((1, enum.IntEnum("Small", "ONE").ONE),),
     ])
     def test_non_report_values_raise(self, value):
         with pytest.raises(TypeError):
@@ -780,6 +825,16 @@ class TestClosedFormByRing:
         code, payload = run_json(capsys, "verdict", "cyclic", "73", "4", "--vs", "S5xS7")
         assert (code, payload["homology"]["difference"]) == (
             0, {"field": "GF(2)", "degree": 5, "zk_rank": 57086, "manifold_rank": 1})
+
+    def test_twin_is_decided_once_per_ring(self, capsys, monkeypatch):
+        calls = []
+        twin = complexes.even_cyclic_twin
+        monkeypatch.setattr(complexes, "even_cyclic_twin", lambda F: calls.append(F) or twin(F))
+        cli._twin.cache_clear()
+        for spec in (HEADLINE, "15*S6xS6 # 16*S5xS7"):
+            code, out, err = run_cli(capsys, "verdict", "cyclic", "8", "4", "--vs", spec)
+            assert (code, err) == (2, ""), spec
+        assert calls == [complexes.from_cyclic(CyclicParams(8, 4))]
 
     def test_relabelled_pentagon_takes_the_general_route(self, capsys, tmp_path, monkeypatch):
         general = []

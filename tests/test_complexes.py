@@ -483,6 +483,15 @@ class TestFaceRing:
         twin = FaceRingPresentation(8, c84_ring.generators)
         assert twin == c84_ring and hash(twin) == hash(c84_ring)
 
+    def test_hash_is_that_of_m_and_generators(self, c84_ring):
+        # The hash is computed once, at construction; copies and pickles
+        # rebuild it through the constructor.
+        for F in (c84_ring, copy.copy(c84_ring), copy.deepcopy(c84_ring),
+                  pickle.loads(pickle.dumps(c84_ring))):
+            assert hash(F) == hash((F.m, F.generators)) == hash((8, c84_ring.generators))
+        with pytest.raises(AttributeError):
+            c84_ring._hash = 0
+
     @pytest.mark.parametrize("make, field", [
         (lambda: CyclicParams(8, 4), "n"),
         (lambda: FaceRingPresentation(5, ((1, 3), (1, 4))), "m"),
