@@ -37,7 +37,7 @@ COUNTEREXAMPLE_NOTES = (
     "rings, so they are rationally homotopy equivalent and no rank comparison "
     "separates them",
 )
-# Face rings, their relation, cyclic twin, wedge and homology facts, their
+# Face rings, their relation, wedge and homology facts, their
 # generator rows as the report writer renders them, and parsed candidates
 # kept for repeated inputs across the in-process calls of one interpreter (a
 # benchmark pass, a test session).
@@ -95,19 +95,12 @@ def _relation(F: FaceRingPresentation) -> tuple[int, tuple[int, int]]:
     return syzygy.min_relation_degree(F)
 
 
-@lru_cache(maxsize=SOURCE_CACHE_SIZE)
-def _twin(F: FaceRingPresentation) -> CyclicParams | None:
-    """The even-d cyclic polytope whose ring F is, or None, decided once per
-    ring (`complexes.even_cyclic_twin` reads every generator)."""
-    return complexes.even_cyclic_twin(F)
-
-
 def _q_max(F: FaceRingPresentation) -> int:
     """The top of the wedge window that reports print, rmin - 2 for rmin
     the minimal relation degree (the degree-2 rank they print is `F.m`).
     `_spectrum`'s multiplicities are not exact up to it: the square has S^5
     at q = 5 <= 6, while pi_5(S^3 x S^3) (x) Q = 0.  The exact range is
-    q <= rmin - 4 (ROADMAP items 2 and 8)."""
+    q <= rmin - 4 (ROADMAP item 2)."""
     return _relation(F)[0] - 2
 
 
@@ -122,10 +115,12 @@ def _spectrum(F: FaceRingPresentation, ceiling: int) -> tuple[tuple[int, int], .
 
 
 @lru_cache(maxsize=SOURCE_CACHE_SIZE)
-def _cyclic_ranks(p: CyclicParams) -> tuple[tuple[int, int], ...]:
-    """Z_K's ranks for C(n, d), d even, by the closed form: computed once per
-    polytope, whatever source gives its ring, for every field."""
-    return tuple(hochster.cyclic_ranks(p).items())
+def _closed_form(F: FaceRingPresentation) -> tuple[tuple[int, int], ...] | None:
+    """Z_K's ranks by the even-d closed form, as sorted (degree, rank) pairs,
+    when `complexes.even_cyclic_twin` names the polytope whose ring F is, else
+    None: decided once per ring, whatever source gives it, for every field."""
+    twin = complexes.even_cyclic_twin(F)
+    return tuple(sorted(hochster.cyclic_ranks(twin).items())) if twin else None
 
 
 @lru_cache(maxsize=SOURCE_CACHE_SIZE)
@@ -214,12 +209,12 @@ def _difference(field: str, zk: dict, candidate: dict, degrees) -> dict | None:
 def _homology_block(F: FaceRingPresentation, c: _Candidate, q: int | None) -> dict:
     """Z_K's homology against the candidate's: degrees in ascending order,
     the bottom read first, then, only if it agrees, the full ranks field by
-    field in the order of `hochster.FIELDS`: by the even-d closed form when
-    `_twin` finds F to be a cyclic polytope's ring, whatever its source,
-    else by the general route.  The first (field, degree) that differs is
-    the difference; a candidate is torsion-free, so any one field's
-    difference rules out a homotopy equivalence.  With `q`, degree q alone,
-    which both sides' Hurewicz windows must admit."""
+    field in the order of `hochster.FIELDS`: by `_closed_form` when F is an
+    even-d cyclic polytope's ring, whatever its source, else by the general
+    route.  The first (field, degree) that differs is the difference; a
+    candidate is torsion-free, so any one field's difference rules out a
+    homotopy equivalence.  With `q`, degree q alone, which both sides'
+    Hurewicz windows must admit."""
     top, bottom = hochster.bottom_ranks(F)
     if q is not None:
         window = manifold.hurewicz_window(manifold.GradedRanks(bottom, top))
@@ -241,9 +236,9 @@ def _homology_block(F: FaceRingPresentation, c: _Candidate, q: int | None) -> di
         fields = list(FIELD_NAMES)
     else:
         fields = []
-        twin = _twin(F)
+        closed = _closed_form(F)
         for name, field in zip(FIELD_NAMES, hochster.FIELDS):
-            zk = dict(_cyclic_ranks(twin) if twin else _general_ranks(F, field))
+            zk = dict(closed or _general_ranks(F, field))
             degrees = sorted(zk.keys() | candidate.keys()) if q is None else (q,)
             difference = _difference(name, zk, candidate, degrees)
             fields.append(name)

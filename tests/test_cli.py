@@ -297,6 +297,50 @@ class TestWedge:
             assert code == 0 and payload["wedge"]["spectrum"] == {}
 
 
+class TestVerdictReadsNoWedgeFact:
+    """README step 6: the verdict reads neither the relation degree nor the
+    wedge model.  With `_q_max` and `_spectrum` replaced and the caches
+    cleared, each verdict's homology block, verdict and exit code are
+    unchanged; only its `wedge` block shows the replacement."""
+
+    @staticmethod
+    def verdicts(capsys, source, specs):
+        reports = []
+        for spec in specs:
+            code, payload = run_json(capsys, "verdict", *source, "--vs", spec)
+            reports.append((code, payload["homology"], payload["verdict"], payload["wedge"]))
+        return reports
+
+    @pytest.mark.parametrize("source", [f"polygon {m}" for m in VERDICT_POLYGONS]
+                             + [f"cyclic {n} {d}" for n, d in VERDICT_CYCLIC] + ["rp2"])
+    def test_wedge_facts_are_not_read(self, capsys, monkeypatch, tmp_path, source):
+        tokens = source.split()
+        if source == "rp2":
+            path = tmp_path / "rp2.txt"
+            path.write_text("vertices 6\nfacets\n" + "".join(
+                " ".join(map(str, f)) + "\n" for f in RP2_FACETS))
+            tokens = ["file", str(path)]
+        # The second candidate agrees with the bottom read (its lowest
+        # generators' classes), so the full ranks are compared field by field.
+        _, ideal = run_json(capsys, "ideal", *tokens)
+        histogram = ideal["ideal"]["degree_histogram"]
+        degree = min(map(int, histogram))
+        specs = ["S3xS3", f"{histogram[str(degree)]}*S{degree - 1}xS{degree}"]
+        plain = self.verdicts(capsys, tokens, specs)
+        difference = plain[1][1]["difference"]
+        assert difference is None or difference["degree"] >= degree
+        for cached in (cli._face_ring, cli._relation, cli._spectrum, cli._closed_form,
+                       cli._general_ranks, cli._candidate):
+            cached.cache_clear()
+        monkeypatch.setattr(cli, "_q_max", lambda F: 1)
+        monkeypatch.setattr(cli, "_spectrum", lambda F, ceiling: ((3, 1),))
+        patched = self.verdicts(capsys, tokens, specs)
+        for before, after in zip(plain, patched):
+            assert after[:3] == before[:3], source
+            assert after[3] == {"spectrum": {"3": 1}, "ceiling": 1, "q_max": 1,
+                                "pi2_rank": before[3]["pi2_rank"]}
+
+
 class TestHomology:
     def test_headline_table(self, capsys):
         code, payload = run_json(capsys, "homology", "16*S5xS7 # 15*S6xS6")
@@ -830,7 +874,7 @@ class TestClosedFormByRing:
         calls = []
         twin = complexes.even_cyclic_twin
         monkeypatch.setattr(complexes, "even_cyclic_twin", lambda F: calls.append(F) or twin(F))
-        cli._twin.cache_clear()
+        cli._closed_form.cache_clear()
         for spec in (HEADLINE, "15*S6xS6 # 16*S5xS7"):
             code, out, err = run_cli(capsys, "verdict", "cyclic", "8", "4", "--vs", spec)
             assert (code, err) == (2, ""), spec
@@ -993,15 +1037,16 @@ class TestInProcessCalls:
         assert counts == {"min_relation_degree": 1, "wedge_spectrum": 1}
 
     def test_closed_form_runs_once_per_source(self, capsys, monkeypatch, tmp_path):
-        calls = []
-        cyclic_ranks = hochster.cyclic_ranks
+        calls, twins = [], []
+        cyclic_ranks, twin = hochster.cyclic_ranks, complexes.even_cyclic_twin
 
         def counted(p):
             calls.append(p)
             return cyclic_ranks(p)
 
         monkeypatch.setattr(hochster, "cyclic_ranks", counted)
-        cli._cyclic_ranks.cache_clear()
+        monkeypatch.setattr(complexes, "even_cyclic_twin", lambda F: twins.append(F) or twin(F))
+        cli._closed_form.cache_clear()
         gon30 = tmp_path / "gon30.txt"
         gon30.write_text("vertices 30\nfacets\n" + "".join(
             f"{i} {i % 30 + 1}\n" for i in range(1, 31)))
@@ -1018,6 +1063,8 @@ class TestInProcessCalls:
             code, out, err = run_cli(capsys, *argv)
             assert code in (0, 2) and err == "", argv
         assert calls == [CyclicParams(8, 4), CyclicParams(30, 2)]
+        # One twin test per ring: the edge file's ring is polygon 30's.
+        assert twins == [complexes.from_cyclic(p) for p in calls]
 
     def test_polygon_and_cyclic_share_a_face_ring(self, capsys, monkeypatch):
         calls = []
