@@ -529,12 +529,14 @@ def _write(value, indent: str, emit) -> None:
 @lru_cache(maxsize=SOURCE_CACHE_SIZE)
 def _rows(rows: tuple[tuple[int, ...], ...], indent: str) -> str:
     """`_json`'s text of a nonempty tuple of nonempty tuples of exact ints at
-    `indent`, each row written by one join, once per tuple and indent among
-    the `SOURCE_CACHE_SIZE` most recent, as `_face_ring` builds a repeated
-    source's ring once."""
+    `indent`, once per tuple and indent among the `SOURCE_CACHE_SIZE` most
+    recent, as `_face_ring` builds a repeated source's ring once.  Each row
+    is written through one `%d` template per row length, in one C-level pass
+    over the rows; `%d` writes an exact int as `int.__repr__` does."""
     inner = indent + "  "
     head, sep, tail = "[" + inner + "  ", "," + inner + "  ", inner + "]"
-    body = ("," + inner).join([f"{head}{sep.join(map(int.__repr__, row))}{tail}" for row in rows])
+    template = {n: head + sep.join(["%d"] * n) + tail for n in set(map(len, rows))}
+    body = ("," + inner).join(map(str.__mod__, map(template.__getitem__, map(len, rows)), rows))
     return f"[{inner}{body}{indent}]"
 
 

@@ -14,7 +14,8 @@ missing from g_i, and the other way round.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, compress, repeat
+from operator import eq
 
 from .complexes import FaceRingPresentation
 
@@ -29,21 +30,24 @@ def min_relation_degree(F: FaceRingPresentation) -> tuple[int, tuple[int, int]]:
     contributed by a pair is 2 * popcount(a | b) (the lcm degree).  Ties go
     to the lexicographically first index pair.  Two incomparable generators
     have a union of at least s + 1 vertices, s the smallest generator size,
-    so the scan stops at the first pair of degree 2 * (s + 1): no later pair
-    can be smaller, and ties go to the earlier pair anyway.
+    and of at least s + 2 unless both have size s.  So the pairs of two
+    size-s generators are scanned first, in index order, and the first of
+    them of degree 2 * (s + 1) is the answer: no pair is smaller, and every
+    earlier pair is larger.  Only if none reaches that bound are all pairs
+    scanned.
     """
     masks = F.masks
     if len(masks) < 2:
         raise ValueError(
             "no relations: the ideal needs at least two generators"
         )
-    bound = 2 * (min(map(int.bit_count, masks)) + 1)
-    best: tuple[int, int, int] | None = None
-    for i, j in combinations(range(len(masks)), 2):
-        deg = 2 * (masks[i] | masks[j]).bit_count()
-        if best is None or deg < best[0]:
-            best = (deg, i, j)
-            if deg == bound:
-                break
-    deg, i, j = best
+    s = F.histogram[0][0] // 2
+    smallest = compress(range(len(masks)), map(eq, map(int.bit_count, masks), repeat(s)))
+    for i, j in combinations(list(smallest), 2):
+        if (masks[i] | masks[j]).bit_count() == s + 1:
+            return 2 * (s + 1), (i, j)
+    deg, i, j = min(
+        (2 * (masks[i] | masks[j]).bit_count(), i, j)
+        for i, j in combinations(range(len(masks)), 2)
+    )
     return deg, (i, j)

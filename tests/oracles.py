@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import chain, combinations, permutations, product
 
 from momentangle.gale import CyclicParams, as_subset, is_face
 from momentangle.manifold import ConnectedSumSpec, SphereProduct
@@ -179,6 +179,16 @@ def first_comparable_pair(supports):
         if set(a).issubset(b) or set(b).issubset(a):
             return a, b
     return None
+
+
+def comparable_pairs_by_sets(supports) -> set[tuple[int, int]]:
+    """Every index pair (i, j) of a list of distinct supports with
+    supports[i] a proper subset of supports[j]."""
+    return {
+        (i, j)
+        for (i, a), (j, b) in permutations(enumerate(supports), 2)
+        if set(a) < set(b)
+    }
 
 
 def lcm_quotients(a, b) -> tuple[list[int], list[int]]:

@@ -1,13 +1,15 @@
 import copy
 import pickle
+import random
 import sys
 import time
+from collections import Counter
 from itertools import combinations, islice
 from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import momentangle
@@ -20,6 +22,7 @@ from momentangle import (
 from momentangle.cli import _monomial
 from momentangle.complexes import (
     FaceRingPresentation,
+    _comparable_pairs,
     _cyclic_facet_count,
     even_cyclic_generator_count,
     even_cyclic_twin,
@@ -33,8 +36,10 @@ from momentangle.gale import CyclicParams, f_vector, is_face as cyclic_is_face
 from oracles import (
     CYCLIC_8_4_MINIMAL_NONFACES,
     PENTAGON_MINIMAL_NONFACES,
+    comparable_pairs_by_sets,
     cyclic_facets_by_filter,
     cyclic_facets_by_pairings,
+    first_comparable_pair,
     minimal_elements_bruteforce,
     minimal_nonfaces_bruteforce,
     presentation_refusal,
@@ -92,6 +97,72 @@ def generator_lists(draw):
         bad = tuple(draw(st.lists(st.integers(-2, 9), max_size=5)))
         sups.insert(draw(st.integers(0, len(sups))), bad)
     return m, sups
+
+
+@st.composite
+def many_small_supports(draw):
+    """(m, supports) like `generator_lists`, but with eight to fifteen
+    2-subsets of 1..6 and one to three supports of three or four vertices on
+    1..9, so the 2-subsets usually outnumber a larger support's 2-subsets and
+    `_comparable_pairs` looks those up (in about four in five sorted lists);
+    drawn supports may repeat, and the list is sorted unless a drawn flag
+    says otherwise."""
+    m = draw(st.integers(4, 9))
+    pairs = st.sets(st.integers(1, 6), min_size=2, max_size=2)
+    larger = st.sets(st.integers(1, 9), min_size=3, max_size=4)
+    raw = draw(st.lists(pairs, min_size=8, max_size=15)) + draw(st.lists(larger, min_size=1, max_size=3))
+    sups = [tuple(sorted(s)) for s in raw]
+    if draw(st.booleans()):
+        sups.sort()
+    return m, sups
+
+
+def subset_lookup_fires(sups):
+    """Whether `_comparable_pairs` looks subsets up on these sorted supports:
+    some size has more distinct supports than a larger size's support has
+    subsets of that size."""
+    counts = Counter(map(len, set(sups)))
+    sizes = sorted(counts)
+    return any(comb(big, small) < counts[small]
+               for k, small in enumerate(sizes) for big in sizes[k + 1 :])
+
+
+def masks_of(sups):
+    return tuple(sum(1 << (v - 1) for v in s) for s in sups)
+
+
+def check_presentation(m, sups):
+    """The constructor accepts what the oracle accepts, with the masks of the
+    supports, and refuses the rest with the oracle's message."""
+    want = presentation_refusal(m, sups)
+    if want is None:
+        F = FaceRingPresentation(m, tuple(sups))
+        assert F.masks == masks_of(sups)
+    else:
+        with pytest.raises(ValueError) as info:
+            FaceRingPresentation(m, tuple(sups))
+        assert str(info.value) == want
+
+
+def odd_cyclic_with_a_comparable_extra():
+    """Each odd-d ring C(n, d), n <= 14, with one more support: the first
+    (k+1)-generator plus its smallest missing vertex, or the first
+    (k+2)-generator less its last vertex; only those on which
+    `_comparable_pairs` looks subsets up."""
+    cases = []
+    for d in range(3, 13, 2):
+        k = d // 2
+        for n in range(d + 2, 15):
+            gens = list(from_cyclic(CyclicParams(n, d)).generators)
+            small = next(g for g in gens if len(g) == k + 1)
+            big = next(g for g in gens if len(g) == k + 2)
+            above = tuple(sorted((*small, min(set(range(1, n + 1)) - set(small)))))
+            for extra in (above, big[:-1]):
+                sups = sorted([*gens, extra])
+                if subset_lookup_fires(sups):
+                    label = "-".join(map(str, extra))
+                    cases.append(pytest.param(n, sups, id=f"C{n}_{d}+{label}"))
+    return cases
 
 
 def nonface_lists():
@@ -528,15 +599,50 @@ class TestFaceRing:
     @example((0, [(1, 2)]))
     @example((3, [(2, 3), (1, 3), (0,)]))
     def test_constructor_matches_pairwise_oracle(self, args):
+        check_presentation(*args)
+
+
+class TestComparablePairRoutes:
+    """`_comparable_pairs` matches two sizes by looking a larger support's
+    subsets up among the smaller supports when those outnumber the subsets,
+    and by testing mask pairs otherwise; both routes yield every proper
+    containment, so the constructor's first pair and refusal are the
+    oracle's, and `from_nonfaces` keeps exactly the minimal entries."""
+
+    @pytest.mark.parametrize("m, sups", odd_cyclic_with_a_comparable_extra())
+    def test_odd_cyclic_ring_with_a_comparable_extra(self, m, sups):
+        assert subset_lookup_fires(sups)
+        pairs = set(_comparable_pairs(tuple(sups), masks_of(sups)))
+        assert pairs == comparable_pairs_by_sets(sups)
+        i, j = min(map(sorted, pairs))
+        assert (sups[i], sups[j]) == first_comparable_pair(sups)
+        check_presentation(m, sups)
+
+    def test_odd_cyclic_cases_cover_every_odd_d(self):
+        ids = [case.id for case in odd_cyclic_with_a_comparable_extra()]
+        assert {i.split("+")[0].split("_")[1] for i in ids} >= {"3", "5", "7", "9"}
+        assert len(ids) >= 40
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_nonface_list_of_many_pairs_and_a_few_triples(self, seed):
+        rng = random.Random(seed)
+        nonfaces = [*rng.sample(list(combinations(range(1, 10), 2)), 12),
+                    *rng.sample(list(combinations(range(1, 10), 3)), 3)]
+        listed = sorted(nonfaces)
+        assert subset_lookup_fires(listed)
+        assert set(_comparable_pairs(listed, masks_of(listed))) == comparable_pairs_by_sets(listed)
+        assert supports(from_nonfaces(9, nonfaces)) == minimal_elements_bruteforce(9, nonfaces)
+
+    @settings(max_examples=300, deadline=None)
+    @given(many_small_supports())
+    def test_many_small_supports_match_the_oracles(self, args):
         m, sups = args
-        want = presentation_refusal(m, sups)
-        if want is None:
-            F = FaceRingPresentation(m, tuple(sups))
-            assert F.masks == tuple(sum(1 << (v - 1) for v in s) for s in sups)
-        else:
-            with pytest.raises(ValueError) as info:
-                FaceRingPresentation(m, tuple(sups))
-            assert str(info.value) == want
+        if sups == sorted(sups):
+            event("subset lookup" if subset_lookup_fires(sups) else "mask tests")
+            distinct = sorted(set(sups))
+            assert set(_comparable_pairs(distinct, masks_of(distinct))) == (
+                comparable_pairs_by_sets(distinct))
+        check_presentation(m, sups)
 
 
 class TestIncomparabilityScaling:
@@ -581,6 +687,14 @@ class TestIncomparabilityScaling:
         ):
             FaceRingPresentation(27, tuple(sups))
         assert time.perf_counter() - start < 1.0
+
+    def test_largest_admitted_odd_five_ring(self):
+        # C(43, 5): 9,139 generators of size 3 and 703 of size 4, matched by
+        # four subset lookups per size-4 generator, not 6.4 million mask tests.
+        start = time.perf_counter()
+        F = from_cyclic(CyclicParams(43, 5))
+        assert time.perf_counter() - start < 0.25
+        assert F.degree_histogram() == {6: 9139, 8: 703}
 
     def test_large_polygon(self):
         # 244,300 generators on 700-bit masks; duplicates are read off sorted

@@ -89,6 +89,15 @@ class TestMinRelationDegree:
         assert min_relation_degree(F) == (6, (0, 1))
         assert time.perf_counter() - start < 0.1
 
+    def test_odd_cyclic_stops_among_the_smallest_generators(self):
+        # C(43,5): the 703 generators of size 4 come first, so a scan in index
+        # order meets about 6.9 million pairs before the first pair of two
+        # size-3 generators, which reaches the lower bound 2 * (3 + 1).
+        F = from_cyclic(CyclicParams(43, 5))
+        start = time.perf_counter()
+        assert min_relation_degree(F) == (8, (703, 704))
+        assert time.perf_counter() - start < 0.1
+
     def test_single_generator_errors(self):
         F = FaceRingPresentation(3, ((1, 2),))
         with pytest.raises(ValueError, match="at least two"):
@@ -167,7 +176,7 @@ class TestPairScanOracle:
 
     # d = n - 1 is a simplex boundary: one generator, so no pair to scan.
     @pytest.mark.parametrize(
-        "n,d", [(n, d) for n in range(3, 12) for d in range(2, n - 1)]
+        "n,d", [(n, d) for n in range(3, 15) for d in range(2, n - 1)]
     )
     def test_cyclic(self, capsys, n, d):
         F = from_cyclic(CyclicParams(n, d))
@@ -177,6 +186,18 @@ class TestPairScanOracle:
     @pytest.mark.parametrize("m", range(4, 13))
     def test_polygons(self, capsys, m):
         self.check(from_cyclic(CyclicParams(m, 2)), self.report(capsys, "polygon", str(m)))
+
+    # No two smallest generators reach the lower bound 2 * (s + 1), so every
+    # pair is scanned; in the last three the first minimal pair has two sizes.
+    @pytest.mark.parametrize("m, sups", [
+        (4, ((1, 2), (3, 4))),
+        (5, ((1, 2), (1, 3, 5), (3, 4))),
+        (6, ((1, 2, 3), (1, 4), (5, 6))),
+        (7, ((1, 2, 3), (1, 4, 5, 6), (2, 7))),
+    ])
+    def test_smallest_pairs_short_of_the_bound(self, m, sups):
+        F = FaceRingPresentation(m, sups)
+        self.check(F, rmin_block(F))
 
 
 class TestInvariance:
