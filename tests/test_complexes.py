@@ -619,9 +619,10 @@ class TestComparablePairRoutes:
         check_presentation(m, sups)
 
     def test_odd_cyclic_cases_cover_every_odd_d(self):
+        # 45 cases: d = 3, 5, 7, 9 and 11 give 17, 13, 9, 5 and 1.
         ids = [case.id for case in odd_cyclic_with_a_comparable_extra()]
-        assert {i.split("+")[0].split("_")[1] for i in ids} >= {"3", "5", "7", "9"}
-        assert len(ids) >= 40
+        assert {i.split("+")[0].split("_")[1] for i in ids} == {"3", "5", "7", "9", "11"}
+        assert len(ids) == 45
 
     @pytest.mark.parametrize("seed", range(8))
     def test_nonface_list_of_many_pairs_and_a_few_triples(self, seed):
