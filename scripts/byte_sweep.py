@@ -24,9 +24,11 @@ a repeated option, negative values (`--q -0`, `faces -1 3`, `--ceiling
 and `--quiet`.  Larger rings add `ideal` and `syzmin`, with `--json` only:
 every `face_ladder` rung of `perfbench/workloads.py`, the probe rings
 C(16,6), C(20,4) and C(14,8), the rings C(19,9) and C(21,8) just inside the
-subset limit, C(20,10), C(22,11) and C(24,12), which are refused, C(73,4)
-and C(188,4), on either side of the even-d generator-count guard, and
-polygons 13..30; and `ideal cyclic 1001 1000 --json`, `syzmin cyclic 999 998
+subset limit, C(20,10), C(22,11), C(24,12) and C(23,11), which are
+refused, C(73,4) and C(188,4), on either side of the even-d generator-count
+guard, C(1451,3), just past it for d = 3, the odd-d rings C(43,5), C(44,5),
+C(185,3) and C(186,3), on either side of C(n, d) = 2**20, and polygons
+13..30; and `ideal cyclic 1001 1000 --json`, `syzmin cyclic 999 998
 --json`, `ideal cyclic 1000 998 --json` and `ideal cyclic 999 997 --json`,
 refused inputs whose facets would hold about 500 pairs each.  The files go
 to one temporary directory shared by both trees, so paths in the output
@@ -58,6 +60,7 @@ from workloads import FACE_LADDER_IDEALS  # noqa: E402
 LARGE_RINGS = [
     *FACE_LADDER_IDEALS, (16, 6), (20, 4), (14, 8),
     (19, 9), (21, 8), (20, 10), (22, 11), (24, 12), (73, 4), (188, 4),
+    (43, 5), (44, 5), (185, 3), (186, 3), (1451, 3), (23, 11),
 ]
 
 SPECS = ["16*S5xS7 # 15*S6xS6", "16*S5xS7", "5*S3xS4", "2*S3xS3"]

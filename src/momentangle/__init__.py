@@ -11,9 +11,10 @@ other side it computes graded homology ranks of connected sums of sphere
 products, which are torsion-free; the CLI compares the two degree by degree
 and field by field, and a difference over any one field rules out a
 homotopy equivalence.  `wedge_spectrum` gives the sphere spectrum of a
-wedge of odd spheres; the CLI reads it for the wedge model of the
-associated Borel space, one sphere S^(2|g| - 1) per ideal generator g,
-truncated at rmin - 2.
+wedge of odd spheres from its histogram of sphere dimensions; the CLI reads
+it for the wedge model of the associated Borel space, one sphere
+S^(2|g| - 1) per ideal generator g, so the face ring's generator histogram
+with each degree less one, truncated at rmin - 2.
 """
 
 from .gale import (

@@ -95,22 +95,13 @@ def _relation(F: FaceRingPresentation) -> tuple[int, tuple[int, int]]:
     return syzygy.min_relation_degree(F)
 
 
-def _q_max(F: FaceRingPresentation) -> int:
-    """The top of the wedge window that reports print, rmin - 2 for rmin
-    the minimal relation degree (the degree-2 rank they print is `F.m`).
-    `_spectrum`'s multiplicities are not exact up to it: the square has S^5
-    at q = 5 <= 6, while pi_5(S^3 x S^3) (x) Q = 0.  The exact range is
-    q <= rmin - 4 (ROADMAP item 2)."""
-    return _relation(F)[0] - 2
-
-
 @lru_cache(maxsize=SOURCE_CACHE_SIZE)
 def _spectrum(F: FaceRingPresentation, ceiling: int) -> tuple[tuple[int, int], ...]:
     """The sphere spectrum of a face ring's wedge model up to `ceiling`, as
     sorted (dimension, multiplicity) pairs, computed once per ring and
-    ceiling.  Each ideal generator r gives a sphere S^(deg(r) - 1), odd
-    since generators have even degree."""
-    shown = hilton.wedge_spectrum([2 * len(g) - 1 for g in F.generators], ceiling)
+    ceiling.  Each ideal generator of degree 2s gives a sphere S^(2s - 1),
+    so the wedge's histogram is the ring's, each degree less one."""
+    shown = hilton.wedge_spectrum({degree - 1: n for degree, n in F.histogram}, ceiling)
     return tuple(sorted(shown.entries.items()))
 
 
@@ -156,7 +147,7 @@ def _ideal_block(F: FaceRingPresentation) -> dict:
         "m": F.m,
         "size": len(F.generators),
         "generators": F.generators,
-        "degree_histogram": {str(d): c for d, c in F.degree_histogram().items()},
+        "degree_histogram": {str(d): c for d, c in F.histogram},
     }
 
 
@@ -176,13 +167,21 @@ def _witness_block(F: FaceRingPresentation, degree: int, pair: tuple[int, int]) 
     }
 
 
-def _wedge_block(spectrum, ceiling: int, q_max: int, m: int) -> dict:
-    """`spectrum` is the sorted (dimension, multiplicity) pairs up to `ceiling`."""
+def _wedge_block(F: FaceRingPresentation, ceiling: int | None = None) -> dict:
+    """The wedge model's spectrum up to `ceiling`, by default q_max, the top
+    of the window that reports print: rmin - 2 for rmin the minimal relation
+    degree (the degree-2 rank they print is `F.m`).  The multiplicities are
+    not exact up to q_max: the square has S^5 at q = 5 <= 6, while
+    pi_5(S^3 x S^3) (x) Q = 0.  The exact range is q <= rmin - 4 (ROADMAP
+    item 2)."""
+    q_max = _relation(F)[0] - 2
+    if ceiling is None:
+        ceiling = q_max
     return {
-        "spectrum": {str(k): v for k, v in spectrum},
+        "spectrum": {str(k): v for k, v in _spectrum(F, ceiling)},
         "ceiling": ceiling,
         "q_max": q_max,
-        "pi2_rank": m,
+        "pi2_rank": F.m,
     }
 
 
@@ -252,14 +251,13 @@ def build_verdict_report(source, vs: str, q: int | None = None) -> dict:
     if F.is_trivial:
         raise ValueError("the ideal is empty (full simplex): nothing to compare")
     # The verdict does not read the wedge block.
-    q_max = _q_max(F)
-    spectrum = _spectrum(F, q_max)
+    wedge = _wedge_block(F)
     c = _candidate(vs)
     homology = _homology_block(F, c, q)
     return {
         "input": {"source": descriptor, "manifold": c.spec},
         "ideal": _ideal_block(F),
-        "wedge": _wedge_block(spectrum, q_max, q_max, F.m),
+        "wedge": wedge,
         "manifold": _manifold_block(c),
         "homology": homology,
         "verdict": "INCONCLUSIVE" if homology["difference"] is None else "NOT_EQUIVALENT",
@@ -422,19 +420,16 @@ def cmd_syzmin(source) -> dict:
 
 def cmd_wedge(source, ceiling: int | None = None) -> dict:
     F, descriptor = _resolve_source(source)
-    rmin_degree, _ = _relation(F)
-    q_max = _q_max(F)
-    if ceiling is None:
-        ceiling = q_max
-    spectrum = _spectrum(F, ceiling)
-    notes = []
-    if ceiling > q_max:
-        notes.append(f"entries above q_max={q_max} lie outside the validated window")
+    wedge = _wedge_block(F, ceiling)
+    q_max = wedge["q_max"]
+    wedge["notes"] = []
+    if wedge["ceiling"] > q_max:
+        wedge["notes"].append(f"entries above q_max={q_max} lie outside the validated window")
     return {
         "input": {"source": descriptor},
         "ideal": _ideal_block(F),
-        "rmin": {"degree": rmin_degree},
-        "wedge": {**_wedge_block(spectrum, ceiling, q_max, F.m), "notes": notes},
+        "rmin": {"degree": _relation(F)[0]},
+        "wedge": wedge,
     }
 
 

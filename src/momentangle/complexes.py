@@ -30,7 +30,7 @@ __all__ = [
     "from_facets",
     "from_nonfaces",
     "from_cyclic",
-    "even_cyclic_generator_count",
+    "cyclic_generator_count",
     "even_cyclic_twin",
     "parse_complex",
 ]
@@ -51,9 +51,10 @@ class FaceRingPresentation:
     Immutable.  Equality, hash and repr read `m` and `generators` only; three
     attributes are derived from them here: `masks`, one vertex bitmask per
     generator (bit v-1 for vertex v), `histogram`, the (degree, generator
-    count) pairs by increasing degree, which every report reads, a verdict
-    twice, and `_hash`, `hash((m, generators))`, which every cache keyed by a
-    ring reads on each lookup.
+    count) pairs by increasing degree, the one view of generator counts that
+    reports, the bottom read and the wedge spectrum take, and `_hash`,
+    `hash((m, generators))`, which every cache keyed by a ring reads on each
+    lookup.
     """
 
     __slots__ = ("m", "generators", "masks", "histogram", "_hash")
@@ -124,9 +125,6 @@ class FaceRingPresentation:
     @property
     def is_trivial(self) -> bool:
         return not self.generators
-
-    def degree_histogram(self) -> dict[int, int]:
-        return dict(self.histogram)
 
 
 def _refuse_support(generators) -> None:
@@ -287,13 +285,17 @@ def _cyclic_facet_count(n: int, d: int) -> int:
     return 2 * comb(n - k - 1, k) if d % 2 else comb(n - k, k) + comb(n - k - 1, k - 1)
 
 
-def even_cyclic_generator_count(n: int, d: int) -> int:
-    """The generator count of the boundary of C(n, d), d = 2k even: 1 if
-    n = d+1, else the (k+1)-subsets of 1..n with no two cyclically
-    consecutive vertices, C(n-k-1, k+1) without vertex 1 and C(n-k-2, k)
-    with it."""
+def cyclic_generator_count(n: int, d: int) -> int:
+    """The generator count of the boundary of C(n, d), as `_cyclic_ring`
+    writes its generators: 1 if n = d+1; else for d = 2k, C(n-k-1, k+1)
+    without vertex 1 and C(n-k-2, k) with it, and for d = 2k+1, C(n-k-3, k)
+    holding 1 and n and C(n-k-2, k+1) inside 2..n-1."""
     k = d // 2
-    return 1 if n == d + 1 else comb(n - k - 1, k + 1) + comb(n - k - 2, k)
+    if n == d + 1:
+        return 1
+    if d % 2:
+        return comb(n - k - 3, k) + comb(n - k - 2, k + 1)
+    return comb(n - k - 1, k + 1) + comb(n - k - 2, k)
 
 
 def _cyclic_ring(n: int, d: int) -> FaceRingPresentation:
@@ -315,7 +317,7 @@ def even_cyclic_twin(F: FaceRingPresentation) -> CyclicParams | None:
     read off F's generators as `_cyclic_ring` writes them, with no ring
     built: the single generator 1..m, m odd, is C(m, m-1); otherwise the
     generators have one size s, d = 2s-2 with m >= d+2, their count is
-    `even_cyclic_generator_count(m, d)`, and none holds two cyclically
+    `cyclic_generator_count(m, d)`, and none holds two cyclically
     consecutive vertices.  Generators are distinct, so they are then every
     such s-subset, exactly the ring of C(m, d)."""
     if len(F.histogram) != 1:
@@ -325,7 +327,7 @@ def even_cyclic_twin(F: FaceRingPresentation) -> CyclicParams | None:
     if s == m:
         return CyclicParams(m, m - 1) if m % 2 and m > 1 else None
     d = 2 * s - 2
-    if d < 2 or m < d + 2 or count != even_cyclic_generator_count(m, d):
+    if d < 2 or m < d + 2 or count != cyclic_generator_count(m, d):
         return None
     # x meets its rotation by one vertex iff it holds two consecutive ones.
     if any(x & (x >> 1 | (x & 1) << (m - 1)) for x in F.masks):
@@ -335,13 +337,12 @@ def even_cyclic_twin(F: FaceRingPresentation) -> CyclicParams | None:
 
 def from_cyclic(p: CyclicParams) -> FaceRingPresentation:
     """Boundary complex of C(n, d) on n vertices, its generators in the
-    closed form of the module docstring.  No facet is built, but guards
-    bound the rest: for even d its generator count (n(n-3)/2 for a polygon),
-    for odd d the C(n, d) of a facet search, and for every d 2**d per facet
-    for a closure.  The odd-d guard no longer bounds the ring's own cost:
-    the check that generators of two sizes are incomparable takes k+2
-    lookups per larger generator (`_comparable_pairs`), so C(43, 5), the
-    largest admitted C(n, 5), builds in about 0.03 s.
+    closed form of the module docstring.  No facet is built, but two guards
+    bound the rest: its generator count (`cyclic_generator_count`, n(n-3)/2
+    for a polygon), and 2**d per facet for a closure, the only one that
+    binds C(n, n-1) and large d.  For odd d the check that generators of two
+    sizes are incomparable takes k+2 lookups per larger generator
+    (`_comparable_pairs`), so the count bounds the ring's own cost too.
 
     Why (Ziegler, Lectures on Polytopes, Thm 0.7): for d = 2k, n >= d+2,
     Gale's condition is invariant under rotation, and S (not 1..n) is a face
@@ -352,11 +353,8 @@ def from_cyclic(p: CyclicParams) -> FaceRingPresentation:
     link of a vertex put between n and 1 in the boundary of C(n+1, 2k+2).
     """
     n, d = p.n, p.d
-    if d % 2:
-        check_subset_count(comb(n, d), f"the facet search of C({n},{d})")
-    else:
-        name = f"the {n}-gon" if d == 2 else f"C({n},{d})"
-        check_subset_count(even_cyclic_generator_count(n, d), f"the minimal non-faces of {name}")
+    name = f"the {n}-gon" if d == 2 else f"C({n},{d})"
+    check_subset_count(cyclic_generator_count(n, d), f"the minimal non-faces of {name}")
     check_subset_count(_cyclic_facet_count(n, d) << d, "the downward closure of the facet list")
     return _cyclic_ring(n, d)
 

@@ -6,7 +6,7 @@ the wedge summands.  A basic product of generators S^(D_1+1), ..., S^(D_w+1)
 contributes a sphere of dimension D_1 + ... + D_w + 1, and the number L_n of
 spheres of dimension n + 1 is given by the graded Witt formula (Kang-Kim,
 J. Algebra 183, 1996), which reads only the histogram a_D of generators
-S^(D+1):
+S^(D+1), the one argument besides a ceiling that `wedge_spectrum` takes:
 
     c_n = n * a_n + sum over 0 < j < n of a_j * c_(n-j)     (c = t a'/(1 - a))
     c_n = sum over d | n of d * L_d
@@ -50,27 +50,19 @@ class SphereSpectrum(namedtuple("SphereSpectrum", "entries ceiling")):
         return super().__new__(cls, entries, ceiling)
 
 
-def _check_generator_dim(dim: int) -> None:
-    if dim % 2 == 0:
-        raise ValueError(
-            f"only wedges of odd-dimensional spheres are supported, got S^{dim}"
-        )
-    if dim < 3:
-        raise ValueError(f"generator spheres must be simply connected, got S^{dim}")
-
-
-def wedge_spectrum(dims, ceiling: int) -> SphereSpectrum:
+def wedge_spectrum(histogram, ceiling: int) -> SphereSpectrum:
     """Sphere spectrum of the loop-space splitting of a wedge of odd spheres
-    S^dims[0] v S^dims[1] v ..., up to the ceiling.
+    up to the ceiling, the wedge given by its histogram: {D + 1: a_D}, a_D
+    summands S^(D+1) for each sphere dimension D + 1.
 
-    Only the histogram a_D (generators S^(D+1)) is read, by the graded Witt
-    formula; the work is O(ceiling^2) whatever the generator count, and a
-    ceiling whose c_n recurrence needs more than SUBSET_LIMIT products is
-    refused before any of it.
+    The graded Witt formula reads only that histogram; the work is
+    O(ceiling^2) whatever the summand count, and a ceiling whose c_n
+    recurrence needs more than SUBSET_LIMIT products is refused before any
+    of it.
 
-    >>> wedge_spectrum([5] * 16, 9).entries == {5: 16, 9: 120}
+    >>> wedge_spectrum({5: 16}, 9).entries == {5: 16, 9: 120}
     True
-    >>> wedge_spectrum([3, 5], 7).entries == {3: 1, 5: 1, 7: 1}
+    >>> wedge_spectrum({3: 1, 5: 1}, 7).entries == {3: 1, 5: 1, 7: 1}
     True
     """
     # The c_n recurrence takes n - 1 products at each n below the ceiling;
@@ -81,15 +73,20 @@ def wedge_spectrum(dims, ceiling: int) -> SphereSpectrum:
             f"the Witt recurrence up to ceiling {ceiling} needs {products} "
             f"products, above the limit of {SUBSET_LIMIT}"
         )
-    dims = list(dims)
-    if not dims:
+    if not histogram:
         raise ValueError("need at least one wedge summand")
-    for dim in sorted(set(dims)):
-        _check_generator_dim(dim)
     a = [0] * ceiling  # a[D] for D < ceiling; larger D cannot reach the ceiling
-    for dim in dims:
+    for dim, count in sorted(histogram.items()):
+        if dim % 2 == 0:
+            raise ValueError(
+                f"only wedges of odd-dimensional spheres are supported, got S^{dim}"
+            )
+        if dim < 3:
+            raise ValueError(f"generator spheres must be simply connected, got S^{dim}")
+        if count < 1:
+            raise ValueError(f"summand counts are positive, got {count} at S^{dim}")
         if dim <= ceiling:
-            a[dim - 1] += 1
+            a[dim - 1] = count
     c = [0] * ceiling
     below = [0] * ceiling  # below[n]: sum of d * L_d over the divisors d < n
     entries: dict[int, int] = {}

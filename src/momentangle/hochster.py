@@ -40,7 +40,7 @@ FIELDS = (2, 10007, 3)
 
 def bottom_ranks(F) -> tuple[int, dict[int, int]]:
     """(2j0 - 1, the ranks of Z_K in degrees 0..2j0-1), j0 the smallest
-    generator size, read off `F.degree_histogram()` over every field.
+    generator size, read off `F.histogram` over every field.
 
     A subset J with fewer than j0 vertices spans a simplex, and one with
     j0 vertices spans a simplex or, for a generator, the sphere S^(j0-2);
@@ -51,10 +51,9 @@ def bottom_ranks(F) -> tuple[int, dict[int, int]]:
     >>> bottom_ranks(from_cyclic(CyclicParams(8, 4)))
     (5, {0: 1, 5: 16})
     """
-    histogram = F.degree_histogram()
-    if not histogram:
+    if not F.histogram:
         raise ValueError("the ideal is empty (full simplex): Z_K is a point")
-    degree, count = next(iter(histogram.items()))
+    degree, count = F.histogram[0]
     return degree - 1, {0: 1, degree - 1: count}
 
 

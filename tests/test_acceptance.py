@@ -51,7 +51,7 @@ from oracles import (
 
 def _witt(k: int, w: int) -> int:
     """Witt number W(k, w) from the S^3 column of the wedge spectrum."""
-    return wedge_spectrum([3] * k, 2 * w + 1).entries.get(2 * w + 1, 0)
+    return wedge_spectrum({3: k}, 2 * w + 1).entries.get(2 * w + 1, 0)
 
 
 class _criterion:

@@ -280,16 +280,15 @@ class TestWedge:
     @pytest.mark.parametrize("source", [f"polygon {m}" for m in VERDICT_POLYGONS]
                              + [f"cyclic {n} {d}" for n, d in VERDICT_CYCLIC])
     def test_one_spectrum_path(self, capsys, source):
-        # Without --ceiling, wedge shows the spectrum at q_max, the one the
-        # verdict's wedge block holds.
+        # Without --ceiling, wedge shows the spectrum at q_max; that the
+        # verdict's wedge block is this one is
+        # TestVerdictReadsNoWedgeFact::test_verdict_wedge_block_is_the_wedge_report.
         tokens = source.split()
         default = run_cli(capsys, "wedge", *tokens, "--json")
         wedge = json.loads(default[1])["wedge"]
         explicit = run_cli(capsys, "wedge", *tokens, "--ceiling", str(wedge["q_max"]), "--json")
         assert explicit == default
-        assert wedge.pop("notes") == []
-        code, verdict = run_json(capsys, "verdict", *tokens, "--vs", "S3xS3")
-        assert code in (0, 2) and verdict["wedge"] == wedge
+        assert wedge["notes"] == []
 
     def test_small_ceilings_give_empty_spectra(self, capsys):
         for ceiling in ("0", "1", "2"):
@@ -299,9 +298,23 @@ class TestWedge:
 
 class TestVerdictReadsNoWedgeFact:
     """README step 6: the verdict reads neither the relation degree nor the
-    wedge model.  With `_q_max` and `_spectrum` replaced and the caches
-    cleared, each verdict's homology block, verdict and exit code are
-    unchanged; only its `wedge` block shows the replacement."""
+    wedge model.  With `_wedge_block` replaced and the caches cleared, each
+    verdict's homology block, verdict and exit code are unchanged; only its
+    `wedge` block shows the replacement.  Unreplaced, that block is the one
+    `wedge SOURCE --json` prints, less its notes: `_wedge_block` builds both."""
+
+    SOURCES = ([f"polygon {m}" for m in VERDICT_POLYGONS]
+               + [f"cyclic {n} {d}" for n, d in VERDICT_CYCLIC] + ["rp2"])
+
+    @staticmethod
+    def tokens(source, tmp_path):
+        """The CLI tokens of a source; "rp2" is a facets file of RP2_FACETS."""
+        if source != "rp2":
+            return source.split()
+        path = tmp_path / "rp2.txt"
+        path.write_text("vertices 6\nfacets\n" + "".join(
+            " ".join(map(str, f)) + "\n" for f in RP2_FACETS))
+        return ["file", str(path)]
 
     @staticmethod
     def verdicts(capsys, source, specs):
@@ -311,15 +324,9 @@ class TestVerdictReadsNoWedgeFact:
             reports.append((code, payload["homology"], payload["verdict"], payload["wedge"]))
         return reports
 
-    @pytest.mark.parametrize("source", [f"polygon {m}" for m in VERDICT_POLYGONS]
-                             + [f"cyclic {n} {d}" for n, d in VERDICT_CYCLIC] + ["rp2"])
+    @pytest.mark.parametrize("source", SOURCES)
     def test_wedge_facts_are_not_read(self, capsys, monkeypatch, tmp_path, source):
-        tokens = source.split()
-        if source == "rp2":
-            path = tmp_path / "rp2.txt"
-            path.write_text("vertices 6\nfacets\n" + "".join(
-                " ".join(map(str, f)) + "\n" for f in RP2_FACETS))
-            tokens = ["file", str(path)]
+        tokens = self.tokens(source, tmp_path)
         # The second candidate agrees with the bottom read (its lowest
         # generators' classes), so the full ranks are compared field by field.
         _, ideal = run_json(capsys, "ideal", *tokens)
@@ -332,13 +339,22 @@ class TestVerdictReadsNoWedgeFact:
         for cached in (cli._face_ring, cli._relation, cli._spectrum, cli._closed_form,
                        cli._general_ranks, cli._candidate):
             cached.cache_clear()
-        monkeypatch.setattr(cli, "_q_max", lambda F: 1)
-        monkeypatch.setattr(cli, "_spectrum", lambda F, ceiling: ((3, 1),))
+        monkeypatch.setattr(cli, "_wedge_block", lambda F: {
+            "spectrum": {"3": 1}, "ceiling": 1, "q_max": 1, "pi2_rank": F.m})
         patched = self.verdicts(capsys, tokens, specs)
         for before, after in zip(plain, patched):
             assert after[:3] == before[:3], source
             assert after[3] == {"spectrum": {"3": 1}, "ceiling": 1, "q_max": 1,
                                 "pi2_rank": before[3]["pi2_rank"]}
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_verdict_wedge_block_is_the_wedge_report(self, capsys, tmp_path, source):
+        tokens = self.tokens(source, tmp_path)
+        code, report = run_json(capsys, "wedge", *tokens)
+        wedge = report["wedge"]
+        assert code == 0 and wedge.pop("notes") == []
+        code, verdict = run_json(capsys, "verdict", *tokens, "--vs", "S3xS3")
+        assert code in (0, 2) and verdict["wedge"] == wedge
 
 
 class TestHomology:
@@ -1127,7 +1143,7 @@ class TestReadme:
         ns: dict = {}
         exec(block, ns)
         assert len(ns["F"].generators) == 16 and ns["F"].is_face({1, 3, 8})
-        assert ns["F"].generators[0] == (1, 3, 5)
+        assert ns["F"].generators[0] == (1, 3, 5) and ns["F"].histogram == ((6, 16),)
         assert (ns["rmin"], ns["i"], ns["j"]) == (8, 0, 1)
         assert ns["wedge"].entries == {5: 16} and ns["wedge"].ceiling == 6
         assert hurewicz_window(ns["g"]) == 8

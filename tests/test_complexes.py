@@ -24,7 +24,7 @@ from momentangle.complexes import (
     FaceRingPresentation,
     _comparable_pairs,
     _cyclic_facet_count,
-    even_cyclic_generator_count,
+    cyclic_generator_count,
     even_cyclic_twin,
     from_cyclic,
     from_facets,
@@ -180,7 +180,7 @@ class TestMonomial:
     """A generator is the squarefree monomial on its vertex tuple."""
 
     def test_degree_doubles_support(self):
-        assert FaceRingPresentation(5, ((1, 3, 5),)).degree_histogram() == {6: 1}
+        assert FaceRingPresentation(5, ((1, 3, 5),)).histogram == ((6, 1),)
 
     def test_str(self):
         assert _monomial((2, 4, 8)) == "v2*v4*v8"
@@ -225,9 +225,29 @@ class TestFactories:
             from_facets(25, [range(1, 26)])
 
     def test_cyclic_refuses_oversized_facet_search(self):
-        # Odd d keeps the C(n, d) guard: C(23,11) = 1352078.
-        with pytest.raises(ValueError, match=f"C\\(23,11\\) would visit {comb(23, 11)} subsets"):
+        # Odd d is guarded by its generator count, as even d is.  C(23,11)
+        # has 11,011 generators, so the closure guard refuses it, at once;
+        # C(1451,3) has 1,049,075, refused by their count before any is
+        # built; C(44,5) is admitted by its 10,621, although C(44, 5) is
+        # 1,086,008, above the subset limit.
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
             from_cyclic(CyclicParams(23, 11))
+        assert time.perf_counter() - start < 0.05
+        assert str(info.value) == (
+            "the downward closure of the facet list would visit 25346048 "
+            "subsets, above the limit of 1048576"
+        )
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            from_cyclic(CyclicParams(1451, 3))
+        assert time.perf_counter() - start < 0.05
+        assert str(info.value) == (
+            "the minimal non-faces of C(1451,3) would visit 1049075 subsets, "
+            "above the limit of 1048576"
+        )
+        F = from_cyclic(CyclicParams(44, 5))
+        assert len(F.generators) == cyclic_generator_count(44, 5) == 10621
 
     @pytest.mark.parametrize(
         "n,d", [(22, 11), (20, 10), (999, 998), (1000, 998), (1001, 1000), (999, 997)]
@@ -302,10 +322,11 @@ class TestFromCyclic:
         assert sorted(cyclic_facets_by_pairings(n, d)) == cyclic_facets_by_filter(n, d)
 
     @pytest.mark.parametrize(
-        "n,d", [(n, d) for n in range(3, 15) for d in range(2, n, 2)]
+        "n,d", [(n, d) for n in range(3, 15) for d in range(2, n)]
     )
     def test_even_generator_count(self, n, d):
-        assert even_cyclic_generator_count(n, d) == len(from_cyclic(CyclicParams(n, d)).generators)
+        # Every d, odd ones included: the count guards both parities.
+        assert cyclic_generator_count(n, d) == len(from_cyclic(CyclicParams(n, d)).generators)
 
     @pytest.mark.parametrize(
         "n,d", [(n, d) for n in range(3, 15) for d in range(2, n)]
@@ -339,12 +360,12 @@ class TestFromCyclic:
         pairs = [{i, i % 73 + 1} for i in range(1, 74)]
         facets = {tuple(sorted(a | b)) for a, b in combinations(pairs, 2) if not a & b}
         K = from_cyclic(CyclicParams(73, 4))
-        assert len(K.generators) == even_cyclic_generator_count(73, 4) == 57086
+        assert len(K.generators) == cyclic_generator_count(73, 4) == 57086
         assert K == from_facets(73, facets)
 
     def test_c188_4_is_refused_by_its_generator_count(self):
         # C(187,4) has 1,038,037 generators, under the limit; C(188,4) is refused.
-        assert even_cyclic_generator_count(187, 4) == 1038037
+        assert cyclic_generator_count(187, 4) == 1038037
         start = time.perf_counter()
         with pytest.raises(ValueError) as info:
             from_cyclic(CyclicParams(188, 4))
@@ -524,12 +545,12 @@ class TestFaceRing:
     def test_c84(self, c84_ring):
         assert c84_ring.m == 8
         assert len(c84_ring.generators) == 16
-        assert c84_ring.degree_histogram() == {6: 16}
+        assert c84_ring.histogram == ((6, 16),)
 
     def test_pentagon(self, pentagon_ring):
         assert pentagon_ring.m == 5
         assert len(pentagon_ring.generators) == 5
-        assert pentagon_ring.degree_histogram() == {4: 5}
+        assert pentagon_ring.histogram == ((4, 5),)
 
     def test_full_simplex_is_trivial(self):
         F = from_facets(4, [(1, 2, 3, 4)])
@@ -666,7 +687,7 @@ class TestIncomparabilityScaling:
     def test_two_sizes(self):
         sups = [*combinations(range(1, 15), 3), *combinations(range(15, 28), 5)]
         F = self.timed_build(27, sups)
-        assert F.degree_histogram() == {6: comb(14, 3), 10: comb(13, 5)}
+        assert F.histogram == ((6, comb(14, 3)), (10, comb(13, 5)))
 
     def test_violation_across_sizes_is_caught(self):
         # The only comparable pair is (1, 2, 3) < (1, 2, 3, 15), across sizes.
@@ -689,13 +710,13 @@ class TestIncomparabilityScaling:
             FaceRingPresentation(27, tuple(sups))
         assert time.perf_counter() - start < 1.0
 
-    def test_largest_admitted_odd_five_ring(self):
+    def test_odd_five_ring_builds_by_subset_lookups(self):
         # C(43, 5): 9,139 generators of size 3 and 703 of size 4, matched by
         # four subset lookups per size-4 generator, not 6.4 million mask tests.
         start = time.perf_counter()
         F = from_cyclic(CyclicParams(43, 5))
         assert time.perf_counter() - start < 0.25
-        assert F.degree_histogram() == {6: 9139, 8: 703}
+        assert F.histogram == ((6, 9139), (8, 703))
 
     def test_large_polygon(self):
         # 244,300 generators on 700-bit masks; duplicates are read off sorted
@@ -733,7 +754,7 @@ class TestIncomparabilityScaling:
         nonfaces = [*islice(combinations(range(1, 50), 2), 1024),
                     *islice(combinations(range(50, 70), 3), 1024)]
         F = from_nonfaces(69, nonfaces)
-        assert F.degree_histogram() == {4: 1024, 6: 1024}
+        assert F.histogram == ((4, 1024), (6, 1024))
 
 
 class TestParseComplex:

@@ -1,4 +1,5 @@
 import time
+from collections import Counter
 from math import comb
 
 import pytest
@@ -45,7 +46,7 @@ class TestMoebius:
 def witt(k: int, w: int) -> int:
     """Witt number W(k, w), read from the S^3 column: a weight-w basic product
     on copies of S^3 is a sphere of dimension 2w + 1."""
-    return wedge_spectrum([3] * k, 2 * w + 1).entries.get(2 * w + 1, 0)
+    return wedge_spectrum({3: k}, 2 * w + 1).entries.get(2 * w + 1, 0)
 
 
 class TestBasicProductCount:
@@ -86,25 +87,30 @@ class TestBasicProductCount:
 
 class TestWedgeSpectrum:
     def test_sixteen_s5(self):
-        assert wedge_spectrum([5] * 16, 9).entries == {5: 16, 9: 120}
+        assert wedge_spectrum({5: 16}, 9).entries == {5: 16, 9: 120}
 
     def test_single_summand(self):
-        assert wedge_spectrum([5], 30).entries == {5: 1}
+        assert wedge_spectrum({5: 1}, 30).entries == {5: 1}
 
     def test_two_s3(self):
-        assert wedge_spectrum([3] * 2, 7).entries == {3: 2, 5: 1, 7: 2}
+        assert wedge_spectrum({3: 2}, 7).entries == {3: 2, 5: 1, 7: 2}
 
     def test_rejects_even_dimension(self):
         with pytest.raises(ValueError):
-            wedge_spectrum([4] * 3, 10)
+            wedge_spectrum({4: 3}, 10)
 
     def test_rejects_circle(self):
         with pytest.raises(ValueError):
-            wedge_spectrum([1] * 3, 10)
+            wedge_spectrum({1: 3}, 10)
 
     def test_rejects_empty_wedge(self):
         with pytest.raises(ValueError):
-            wedge_spectrum([], 10)
+            wedge_spectrum({}, 10)
+
+    def test_rejects_zero_count(self):
+        # A histogram lists the dimensions the wedge has: a count of 0 is refused.
+        with pytest.raises(ValueError, match=r"^summand counts are positive, got 0 at S\^3$"):
+            wedge_spectrum({3: 0}, 10)
 
     def test_dimensions_are_arithmetic_progression(self):
         for k in (2, 3, 5):
@@ -115,13 +121,13 @@ class TestWedgeSpectrum:
                     for w in range(1, ceiling)
                     if (dim - 1) * w + 1 <= ceiling
                 }
-                got = set(wedge_spectrum([dim] * k, ceiling).entries)
+                got = set(wedge_spectrum({dim: k}, ceiling).entries)
                 assert got == expected
 
     def test_ceiling_below_bottom_gives_empty(self):
-        assert wedge_spectrum([5] * 4, 4).entries == {}
+        assert wedge_spectrum({5: 4}, 4).entries == {}
         for ceiling in (0, 1, 2):
-            assert wedge_spectrum([3] * 4, ceiling).entries == {}
+            assert wedge_spectrum({3: 4}, ceiling).entries == {}
 
     @pytest.mark.parametrize("ceiling", [1450, 10**6])
     def test_refuses_oversized_ceiling_at_once(self, ceiling):
@@ -129,7 +135,7 @@ class TestWedgeSpectrum:
         # checked before any list of length C is built.
         start = time.perf_counter()
         with pytest.raises(ValueError) as info:
-            wedge_spectrum([3], ceiling)
+            wedge_spectrum({3: 1}, ceiling)
         assert time.perf_counter() - start < 0.05
         assert str(info.value) == (
             f"the Witt recurrence up to ceiling {ceiling} needs "
@@ -138,7 +144,7 @@ class TestWedgeSpectrum:
 
     def test_largest_admitted_ceiling(self):
         # (1449 - 1) * (1449 - 2) / 2 = 1047628 products are admitted.
-        shown = wedge_spectrum([3], 1449)
+        shown = wedge_spectrum({3: 1}, 1449)
         assert shown.ceiling == 1449 and shown.entries == {3: 1}
 
 
@@ -147,22 +153,22 @@ class TestMixedWedgeSpectrum:
         for k in range(1, 6):
             for dim in (3, 5, 7, 9):
                 for ceiling in (6, 12, 18, 24, 30):
-                    got = wedge_spectrum([dim] * k, ceiling).entries
+                    got = wedge_spectrum({dim: k}, ceiling).entries
                     oracle = necklace_sphere_spectrum([dim] * k, ceiling)
                     assert got == oracle, (k, dim, ceiling)
 
     def test_two_mixed_generators(self):
-        assert wedge_spectrum([3, 5], 7).entries == {3: 1, 5: 1, 7: 1}
+        assert wedge_spectrum({3: 1, 5: 1}, 7).entries == {3: 1, 5: 1, 7: 1}
 
     def test_three_mixed_generators(self):
-        assert wedge_spectrum([3, 3, 5], 5).entries == {3: 2, 5: 2}
+        assert wedge_spectrum({3: 2, 5: 1}, 5).entries == {3: 2, 5: 2}
 
     @pytest.mark.parametrize(
         "dims,ceiling",
         [([3, 3], 11), ([3, 5], 13), ([3, 3, 5], 9), ([5, 7], 17), ([3, 5, 7], 11)],
     )
     def test_matches_hall_enumeration(self, dims, ceiling):
-        got = wedge_spectrum(dims, ceiling).entries
+        got = wedge_spectrum(Counter(dims), ceiling).entries
         assert got == hall_sphere_spectrum(dims, ceiling)
 
     @settings(max_examples=60, deadline=None)
@@ -171,16 +177,16 @@ class TestMixedWedgeSpectrum:
         st.integers(1, 21),
     )
     def test_matches_necklace_oracle(self, dims, ceiling):
-        got = wedge_spectrum(dims, ceiling).entries
+        got = wedge_spectrum(Counter(dims), ceiling).entries
         assert got == necklace_sphere_spectrum(dims, ceiling), (dims, ceiling)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            wedge_spectrum([], 10)
+            wedge_spectrum({}, 10)
 
     def test_rejects_even(self):
         with pytest.raises(ValueError):
-            wedge_spectrum([5, 6], 10)
+            wedge_spectrum({5: 1, 6: 1}, 10)
 
 
 def _series_product(x: list[int], y: list[int]) -> list[int]:
@@ -197,7 +203,7 @@ class TestPBWIdentity:
 
     @staticmethod
     def check(dims, ceiling):
-        spectrum = wedge_spectrum(dims, ceiling)
+        spectrum = wedge_spectrum(Counter(dims), ceiling)
         a = [0] * ceiling
         for dim in dims:
             if dim <= ceiling:
@@ -230,15 +236,15 @@ class TestRationalRankWedge:
     of the wedge model in degree q is the spectrum's multiplicity at q."""
 
     def test_bottom_degree(self):
-        s = wedge_spectrum([5] * 16, 9)
+        s = wedge_spectrum({5: 16}, 9)
         assert s.entries.get(5, 0) == 16
 
     def test_gap_degree_is_zero(self):
-        s = wedge_spectrum([5] * 16, 9)
+        s = wedge_spectrum({5: 16}, 9)
         assert s.entries.get(6, 0) == 0
 
     def test_weight_two_degree(self):
-        s = wedge_spectrum([5] * 16, 9)
+        s = wedge_spectrum({5: 16}, 9)
         assert s.entries.get(9, 0) == 120
 
 
@@ -259,4 +265,4 @@ class TestSphereSpectrum:
         with pytest.raises(ValueError, match="ceiling"):
             SphereSpectrum({}, ceiling=-1)
         with pytest.raises(ValueError, match="ceiling"):
-            wedge_spectrum([5] * 4, -3)
+            wedge_spectrum({5: 4}, -3)
