@@ -281,10 +281,10 @@ def _witness_text(witness: dict) -> str:
     return f"({gi}) * {mi} == ({gj}) * {mj}"
 
 
-def _generator_rows(supports, per_row: int = 4):
+def _generator_rows(supports):
     gens = [_monomial(s) for s in supports]
-    for i in range(0, len(gens), per_row):
-        yield "  " + "  ".join(gens[i : i + per_row])
+    for i in range(0, len(gens), 4):
+        yield "  " + "  ".join(gens[i : i + 4])
 
 
 def _describe_source(descriptor: dict) -> str:

@@ -3,8 +3,8 @@
 Vertices are identified with the indices 1..n, ordered like the curve
 parameters they come from.  Whether a subset of vertices spans a face is a
 purely order-combinatorial question (Gale's evenness criterion), so no
-coordinates are ever materialized: everything here works on sorted integer
-tuples.
+coordinates are ever materialized: faces are sorted integer tuples, and
+face counts are read off the h-vector (`h_vector`).
 
 The criterion counts *proper odd components*: maximal runs of consecutive
 indices that have odd length and touch neither vertex 1 nor vertex n.  A
@@ -25,6 +25,7 @@ __all__ = [
     "as_subset",
     "is_face",
     "enumerate_faces",
+    "h_vector",
     "f_vector",
     "is_q_neighborly",
 ]
@@ -125,12 +126,20 @@ def enumerate_faces(p: CyclicParams, max_card: int) -> list[tuple[int, ...]]:
     return out
 
 
+def h_vector(p: CyclicParams) -> tuple[int, ...]:
+    """The h-vector of the boundary of C(n, d): h_i = C(n-d-1+i, i) for
+    i <= d/2, h_i = h_(d-i) (upper bound theorem; Ziegler, Sec. 8.4).
+
+    >>> h_vector(CyclicParams(8, 4))
+    (1, 4, 10, 4, 1)
+    """
+    return tuple(comb(p.n - p.d - 1 + min(i, p.d - i), min(i, p.d - i)) for i in range(p.d + 1))
+
+
 def f_vector(p: CyclicParams) -> tuple[int, ...]:
     """Face counts (f_0, ..., f_{d-1}) of the boundary complex of C(n, d).
 
-    Closed form, no enumeration: the h-vector of C(n, d) is
-    h_i = C(n-d-1+i, i) for i <= d/2, extended by the Dehn-Sommerville
-    symmetry h_i = h_{d-i} (upper bound theorem), and
+    Closed form, no enumeration: with h = `h_vector(p)`,
     sum_j f_{j-1} t^(d-j) = sum_i h_i (1+t)^(d-i), evaluated by Horner's
     rule P <- P*(1+t) + h_i: d+1 binomials and (d+1)(d+2)/2 additions.  A
     dimension whose addition count is above SUBSET_LIMIT (d >= 1447) is
@@ -147,9 +156,9 @@ def f_vector(p: CyclicParams) -> tuple[int, ...]:
             f"above the limit of {SUBSET_LIMIT}"
         )
     P: list[int] = []  # coefficients of t^0, t^1, ...
-    for i in range(d + 1):
+    for h in h_vector(p):
         P = [a + b for a, b in zip(P + [0], [0] + P)]
-        P[0] += comb(n - d - 1 + min(i, d - i), min(i, d - i))
+        P[0] += h
     return tuple(reversed(P[:d]))
 
 

@@ -19,7 +19,7 @@ Three routes, cheapest first:
 - the even-d closed form (`cyclic_ranks`) for the boundary of C(n, d), d
   even: each H~(K_J) is free and sits in degree d/2-1 alone, so its rank is
   a reduced Euler characteristic and the sum over |J| = j is one binomial
-  sum over the f-vector, the same over every field;
+  sum over the h-vector (`gale.h_vector`), the same over every field;
 - the general route (`betti_table`): one elimination per subset J that is
   the union of the generators inside it (any other K_J is a cone), over
   GF(p) for a prime p.
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .gale import CyclicParams, check_subset_count, f_vector
+from .gale import CyclicParams, check_subset_count, h_vector
 
 __all__ = ["FIELDS", "bottom_ranks", "cyclic_ranks", "betti_table", "zk_ranks"]
 
@@ -61,16 +61,18 @@ def cyclic_ranks(p: CyclicParams) -> dict[int, int]:
     """The ranks of Z_K for the boundary K of C(n, d), d even, over every
     field: degree 0, then for 0 < j < n
 
-        b_(j+d/2) = (-1)^(d/2-1) * sum over s >= 0 of (-1)^(s-1) f_(s-1) C(n-s, j-s)
+        b_(j+d/2) = (-1)^(d/2) * sum over i of (-1)^i h_i C(n-d, j-i),
 
-    with f_(-1) = 1, and the top class in degree n + d.
+    max(0, j-n+d) <= i <= min(j, d), and the top class in degree n + d.
 
     K is d/2-neighbourly, so K_J holds the full (d/2-1)-skeleton on J, and
     by Alexander duality on the (d-1)-sphere K, H~_i(K_J) is H~^(d-2-i) of
     the full subcomplex on the other vertices.  So for J neither empty nor
     every vertex, H~(K_J) is free and sits in degree d/2-1 alone, where its
-    rank is (-1)^(d/2-1) times the reduced Euler characteristic; a face with
-    s vertices lies in C(n-s, j-s) subsets J of size j.
+    rank is (-1)^(d/2-1) times the reduced Euler characteristic: a face with
+    s vertices lies in C(n-s, j-s) sets J of size j, and sum_s f_(s-1) x^s =
+    sum_i h_i x^i (1+x)^(d-i) at x = -y/(1+y) turns that f-vector sum into
+    this one, whose at most n * (min(d, n-d) + 1) terms are counted first.
 
     >>> cyclic_ranks(CyclicParams(8, 4))
     {0: 1, 5: 16, 6: 30, 7: 16, 12: 1}
@@ -78,34 +80,34 @@ def cyclic_ranks(p: CyclicParams) -> dict[int, int]:
     n, d = p.n, p.d
     if d % 2:
         raise ValueError(f"the closed form needs an even dimension, got d={d}")
-    f = (1, *f_vector(p))  # f[s]: the faces with s vertices
-    sign = -1 if d % 4 == 0 else 1  # (-1)^(d/2-1)
+    check_subset_count(n * (min(d, n - d) + 1), f"the closed form of C({n},{d})")
+    h, half = h_vector(p), d // 2
     ranks = {0: 1}
     for j in range(1, n):
-        total = sum((f[s] if s % 2 else -f[s]) * comb(n - s, j - s) for s in range(min(j, d) + 1))
+        terms = range(max(0, j - n + d), min(j, d) + 1)
+        total = sum((-h[i] if (half + i) % 2 else h[i]) * comb(n - d, j - i) for i in terms)
         if total:
-            ranks[j + d // 2] = sign * total
+            ranks[j + half] = total
     ranks[n + d] = 1
     return ranks
 
 
-def _faces(m: int, gens) -> list[int]:
+def _faces(m: int, gens) -> list[list[int]]:
     """Every face of the complex on 1..m with minimal non-faces `gens` (as
-    bitmasks), the empty face first, by size.  A face f with a vertex v
-    above its top one added is a face unless a generator through v lies in
-    it."""
+    bitmasks), one list per size, [0] (the empty face) first.  A face f with
+    a vertex v above its top one added is a face unless a generator through
+    v lies in it."""
     through = [[g for g in gens if g >> v & 1] for v in range(m)]
-    faces, layer = [0], [0]
-    while layer:
-        layer = [
+    layers = [[0]]
+    while layers[-1]:
+        layers.append([
             x
-            for f in layer
+            for f in layers[-1]
             for v in range(f.bit_length(), m)
             for x in (f | 1 << v,)
             if not any(g & x == g for g in through[v])
-        ]
-        faces += layer
-    return faces
+        ])
+    return layers[:-1]
 
 
 def _rank_gf2(rows) -> int:
@@ -167,10 +169,10 @@ def betti_table(F, p: int) -> dict[tuple[int, int], int]:
     for g in gens:
         unions |= {u | g for u in unions}
     faces = _faces(m, gens)
-    check_subset_count(len(unions) * len(faces), "the face tests of Hochster's formula")
-    index = {f: k for k, f in enumerate(faces)}
-    rows = {}
-    for f in faces:  # the boundary of f: f less its t-th vertex, sign (-1)^t
+    check_subset_count(len(unions) * sum(map(len, faces)), "the face tests of Hochster's formula")
+    index = {f: k for layer in faces for k, f in enumerate(layer)}  # f's place in its layer
+    rows = {}  # the boundaries ranked: f less its t-th vertex, sign (-1)^t, for |f| >= 2
+    for f in (f for layer in faces[2:] for f in layer):
         terms, x = {}, f
         while x:
             low = x & -x
@@ -178,15 +180,12 @@ def betti_table(F, p: int) -> dict[tuple[int, int], int]:
             terms[index[f ^ low]] = 1 if len(terms) % 2 == 0 else p - 1
         rows[f] = sum(1 << k for k in terms) if p == 2 else terms
     rank = _rank_gf2 if p == 2 else lambda r: _rank_mod(r, p)
-    by_size: dict[int, list[int]] = {}
-    for f in faces[1:]:
-        by_size.setdefault(f.bit_count(), []).append(f)
     table: dict[tuple[int, int], int] = {}
     for J in unions:
         j = J.bit_count()
         layers = [[0]]  # the faces of K_J by size, the empty face first
-        for s in range(1, j + 1):
-            inside = [f for f in by_size.get(s, ()) if f & J == f]
+        for layer in faces[1 : j + 1]:
+            inside = [f for f in layer if f & J == f]
             if not inside:
                 break
             layers.append(inside)

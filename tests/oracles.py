@@ -14,7 +14,8 @@ derived from those facets instead of read off the closed form, Gale's criterion
 splits a subset into run objects instead of counting runs in one pass, and
 neighborliness tests every q-subset instead of reading the closed-form
 f-vector, the f-vector itself is summed from binomials instead of by
-Horner's rule, generator pairs are compared and joined as Python sets
+Horner's rule, the even-d closed form of Z_K's ranks is an alternating sum
+over that f-vector instead of over the h-vector, generator pairs are compared and joined as Python sets
 instead of as vertex bitmasks, relation multipliers are set differences
 instead of filtered generator tuples, a report's witness is checked by
 multiplying it out, and the homology of a moment-angle complex is found by a
@@ -280,6 +281,26 @@ def f_vector_binomial(n: int, d: int) -> tuple[int, ...]:
     return tuple(
         sum(math.comb(d - i, j - i) * h[i] for i in range(j + 1)) for j in range(1, d + 1)
     )
+
+
+def cyclic_ranks_by_f_vector(n: int, d: int) -> dict[int, int]:
+    """Z_K's ranks for the boundary of C(n, d), d even: degree 0, then for
+    0 < j < n
+
+        b_(j+d/2) = (-1)^(d/2-1) * sum over s >= 0 of (-1)^(s-1) f_(s-1) C(n-s, j-s)
+
+    with f_(-1) = 1 and f from `f_vector_binomial`, and the top class in
+    degree n + d: the reduced Euler characteristics of the K_J, summed face
+    by face, instead of the h-vector sum of `hochster.cyclic_ranks`."""
+    f = (1, *f_vector_binomial(n, d))  # f[s]: the faces with s vertices
+    sign = -1 if d % 4 == 0 else 1  # (-1)^(d/2-1)
+    ranks = {0: 1}
+    for j in range(1, n):
+        total = sum((f[s] if s % 2 else -f[s]) * math.comb(n - s, j - s) for s in range(min(j, d) + 1))
+        if total:
+            ranks[j + d // 2] = sign * total
+    ranks[n + d] = 1
+    return ranks
 
 
 # ---------------------------------------------------------------------------

@@ -250,12 +250,16 @@ class TestFactories:
         assert len(F.generators) == cyclic_generator_count(44, 5) == 10621
 
     @pytest.mark.parametrize(
-        "n,d", [(22, 11), (20, 10), (999, 998), (1000, 998), (1001, 1000), (999, 997)]
+        "n,d",
+        [(22, 11), (20, 10), (999, 998), (1000, 998), (1001, 1000), (999, 997), (1000, 996)],
     )
     def test_cyclic_refuses_oversized_closure_at_once(self, n, d):
-        # Admitted by the C(n, d) guard; each of the f_(d-1) facets has
-        # 2**d subsets, so the closure guard refuses, from the facet count
-        # alone: C(1000, 998) has 250,000 facets, and none is built.
+        # Admitted by the generator-count guard; each of the f_(d-1) facets
+        # has 2**d subsets, so the closure guard refuses, from the facet count
+        # alone: C(1000, 998) has 250,000 facets, and none is built.  It is
+        # also the only bound on generator size: C(1000, 996) has 250,000
+        # generators of 499 vertices each, 124,750,000 tuple entries.
+        assert cyclic_generator_count(n, d) <= 1048576
         p = CyclicParams(n, d)
         closure = f_vector(p)[-1] << d
         start = time.perf_counter()

@@ -12,6 +12,7 @@ from momentangle.gale import (
     check_subset_count,
     enumerate_faces,
     f_vector,
+    h_vector,
     is_face,
     is_q_neighborly,
 )
@@ -156,6 +157,18 @@ def test_subset_limit_is_inclusive():
     check_subset_count(SUBSET_LIMIT, "a scan at the limit")
     with pytest.raises(ValueError, match=f"{SUBSET_LIMIT + 1} subsets"):
         check_subset_count(SUBSET_LIMIT + 1, "a scan past the limit")
+
+
+class TestHVector:
+    def test_c84(self):
+        assert h_vector(CyclicParams(8, 4)) == (1, 4, 10, 4, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 64), st.integers(1, 200))
+    def test_sums_to_the_facet_count(self, d, extra):
+        h = h_vector(CyclicParams(d + extra, d))
+        assert h == h[::-1] and h[0] == 1
+        assert sum(h) == f_vector_binomial(d + extra, d)[-1]
 
 
 class TestFVector:

@@ -14,6 +14,7 @@ from oracles import (
     CYCLIC_8_4_MINIMAL_NONFACES,
     PENTAGON_MINIMAL_NONFACES,
     RP2_FACETS,
+    cyclic_ranks_by_f_vector,
     hochster_table_naive,
     zk_ranks_cellular,
     zk_ranks_naive,
@@ -60,6 +61,43 @@ class TestKnownAnswers:
         ranks = {p: hochster.zk_ranks(F, p) for p in hochster.FIELDS}
         assert ranks[10007] == ranks[3] == {0: 1, 5: 10, 6: 15, 7: 6}
         assert ranks[2] == {**ranks[10007], 8: 1, 9: 1}
+
+
+class TestClosedForm:
+    """`cyclic_ranks` sums over the h-vector; the oracle sums the same
+    Euler characteristics over the f-vector."""
+
+    @pytest.mark.parametrize("d", range(2, 41, 2))
+    def test_equals_f_vector_sum(self, d):
+        for n in range(d + 1, d + 40):
+            assert hochster.cyclic_ranks(CyclicParams(n, d)) == cyclic_ranks_by_f_vector(n, d), n
+
+    @pytest.mark.parametrize("n,d", [(187, 4), (1449, 2), (300, 298)])
+    def test_equals_f_vector_sum_on_large_rings(self, n, d):
+        assert hochster.cyclic_ranks(CyclicParams(n, d)) == cyclic_ranks_by_f_vector(n, d)
+
+    def test_deep_simplex_boundary_is_fast(self):
+        # C(1447, 1446) is the boundary of the 1446-simplex, so Z_K = S^2893;
+        # its 2,894 terms are under the limit, and each is one small binomial.
+        start = time.perf_counter()
+        ranks = hochster.cyclic_ranks(CyclicParams(1447, 1446))
+        assert time.perf_counter() - start < 0.1
+        assert ranks == {0: 1, 2893: 1}
+
+    def test_oversized_closed_form_is_refused_at_once(self):
+        # 10000 * (min(5000, 5000) + 1) = 50,010,000 terms.
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            hochster.cyclic_ranks(CyclicParams(10000, 5000))
+        assert time.perf_counter() - start < 0.05
+        assert str(info.value) == (
+            "the closed form of C(10000,5000) would visit 50010000 subsets, "
+            "above the limit of 1048576"
+        )
+
+    def test_odd_dimension_is_refused(self):
+        with pytest.raises(ValueError, match="even dimension"):
+            hochster.cyclic_ranks(CyclicParams(8, 5))
 
 
 class TestGeneralRouteOracles:
