@@ -23,7 +23,7 @@ from itertools import chain, combinations, compress, count, groupby, islice, rep
 from math import comb
 from operator import add, and_, eq, le, lt, or_
 
-from .gale import CyclicParams, as_subset, check_subset_count
+from .gale import CyclicParams, as_subset, check_subset_count, comb_floor
 
 __all__ = [
     "FaceRingPresentation",
@@ -223,7 +223,7 @@ def from_facets(m: int, facets) -> FaceRingPresentation:
         more = f", ...] ({n_missing} in all)" if n_missing > 10 else "]"
         raise ValueError(f"ghost vertices (in no facet): [{shown}{more}")
     closure = sum(1 << mask.bit_count() for mask in masks)
-    check_subset_count(closure, "the downward closure of the facet list")
+    check_subset_count(closure, "the downward closure of the facet list", "subsets")
     ext = {0: covered}
     for facet in masks:
         f = facet
@@ -242,7 +242,7 @@ def from_facets(m: int, facets) -> FaceRingPresentation:
         if new:
             news.append((f, new))
     total = sum(new.bit_count() for _, new in news)
-    check_subset_count(total, "the minimal non-faces of the facet list")
+    check_subset_count(total, "the minimal non-faces of the facet list", "generators")
     nonfaces = []
     for f, new in news:
         while new:
@@ -269,7 +269,7 @@ def from_nonfaces(m: int, nonfaces) -> FaceRingPresentation:
         raise ValueError(f"singleton non-faces would leave ghost vertices: {bad}")
     sizes = Counter(map(len, nfs)).values()
     pairs = (len(nfs) ** 2 - sum(n * n for n in sizes)) // 2
-    check_subset_count(pairs, "the containment test of the non-face list")
+    check_subset_count(pairs, "the containment test of the non-face list", "pairs")
     containers = {j for _, j in _comparable_pairs(nfs, list(map(_mask, nfs)))}
     return FaceRingPresentation(m, tuple(nf for j, nf in enumerate(nfs) if j not in containers))
 
@@ -289,13 +289,14 @@ def cyclic_generator_count(n: int, d: int) -> int:
     """The generator count of the boundary of C(n, d), as `_cyclic_ring`
     writes its generators: 1 if n = d+1; else for d = 2k, C(n-k-1, k+1)
     without vertex 1 and C(n-k-2, k) with it, and for d = 2k+1, C(n-k-3, k)
-    holding 1 and n and C(n-k-2, k+1) inside 2..n-1."""
+    holding 1 and n and C(n-k-2, k+1) inside 2..n-1.  Each binomial is a
+    `gale.comb_floor`: from 2**64 on a lower bound, which no built ring has."""
     k = d // 2
     if n == d + 1:
         return 1
     if d % 2:
-        return comb(n - k - 3, k) + comb(n - k - 2, k + 1)
-    return comb(n - k - 1, k + 1) + comb(n - k - 2, k)
+        return comb_floor(n - k - 3, k) + comb_floor(n - k - 2, k + 1)
+    return comb_floor(n - k - 1, k + 1) + comb_floor(n - k - 2, k)
 
 
 def _cyclic_ring(n: int, d: int) -> FaceRingPresentation:
@@ -354,8 +355,10 @@ def from_cyclic(p: CyclicParams) -> FaceRingPresentation:
     """
     n, d = p.n, p.d
     name = f"the {n}-gon" if d == 2 else f"C({n},{d})"
-    check_subset_count(cyclic_generator_count(n, d), f"the minimal non-faces of {name}")
-    check_subset_count(_cyclic_facet_count(n, d) << d, "the downward closure of the facet list")
+    generators = cyclic_generator_count(n, d)
+    check_subset_count(generators, f"the minimal non-faces of {name}", "generators")
+    closure = _cyclic_facet_count(n, d) << min(d, 64)  # from d = 64 on, a lower bound
+    check_subset_count(closure, "the downward closure of the facet list", "subsets")
     return _cyclic_ring(n, d)
 
 

@@ -15,12 +15,13 @@ odd components.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations
+from itertools import accumulate, combinations, repeat
 from math import comb
 
 __all__ = [
     "SUBSET_LIMIT",
     "check_subset_count",
+    "comb_floor",
     "CyclicParams",
     "as_subset",
     "is_face",
@@ -34,14 +35,21 @@ __all__ = [
 SUBSET_LIMIT = 2**20
 
 
-def check_subset_count(estimate: int, what: str) -> None:
-    """Refuse, with ValueError, an enumeration estimated to visit more than
-    SUBSET_LIMIT vertex subsets: oversized inputs fail at once instead of
-    running for minutes."""
-    if estimate > SUBSET_LIMIT:
-        raise ValueError(
-            f"{what} would visit {estimate} subsets, above the limit of {SUBSET_LIMIT}"
-        )
+def check_subset_count(count: int, what: str, unit: str) -> None:
+    """The one work-limit rule: refuse, with ValueError, work of more than
+    SUBSET_LIMIT `unit`s, so oversized inputs fail at once.  A count of
+    2**64 or more, which may be a lower bound (`comb_floor`), is worded
+    "at least 2^k" from its bit length, never in decimal."""
+    if count > SUBSET_LIMIT:
+        k = count.bit_length() - 1
+        shown = f"at least 2^{k}" if k >= 64 else count
+        raise ValueError(f"{what} would need {shown} {unit}, above the limit of {SUBSET_LIMIT}")
+
+
+def comb_floor(a: int, b: int) -> int:
+    """comb(a, b), or 2**64 <= 2**min(b, a-b) <= comb(a, b) from min(b, a-b)
+    = 64 on: a count for `check_subset_count` that builds no large binomial."""
+    return comb(a, b) if min(b, a - b) < 64 else 1 << 64
 
 
 class CyclicParams(namedtuple("CyclicParams", "n d")):
@@ -111,19 +119,12 @@ def enumerate_faces(p: CyclicParams, max_card: int) -> list[tuple[int, ...]]:
     """
     if not 0 <= max_card <= p.d:
         raise ValueError(f"max_card must lie in 0..{p.d}, got {max_card}")
-    n_subsets = 0
-    for k in range(max_card + 1):  # stop once past the limit: the full sum can be huge
-        n_subsets += comb(p.n, k)
-        if n_subsets > SUBSET_LIMIT:
-            break
-    what = f"enumerating the faces of C({p.n},{p.d}) with at most {k} vertices"
-    check_subset_count(n_subsets, what)
-    out: list[tuple[int, ...]] = []
-    for k in range(1, max_card + 1):
-        out.extend(
-            c for c in combinations(range(1, p.n + 1), k) if is_face(c, p)
-        )
-    return out
+    # The sum up to k is at least 2**k, so the rule stops this lazy sum by k = 21.
+    for k, subsets in enumerate(accumulate(map(comb, repeat(p.n), range(max_card + 1)))):
+        what = f"enumerating the faces of C({p.n},{p.d}) with at most {k} vertices"
+        check_subset_count(subsets, what, "subsets")
+    vertices = range(1, p.n + 1)
+    return [c for k in range(1, max_card + 1) for c in combinations(vertices, k) if is_face(c, p)]
 
 
 def h_vector(p: CyclicParams) -> tuple[int, ...]:
@@ -133,7 +134,12 @@ def h_vector(p: CyclicParams) -> tuple[int, ...]:
     >>> h_vector(CyclicParams(8, 4))
     (1, 4, 10, 4, 1)
     """
-    return tuple(comb(p.n - p.d - 1 + min(i, p.d - i), min(i, p.d - i)) for i in range(p.d + 1))
+    e, half = p.n - p.d - 1, p.d // 2
+    k = min(e, half)  # h_i takes min(i, e) factors, counted first
+    what = f"the h-vector of C({p.n},{p.d})"
+    check_subset_count(k * (2 * half + 1 - k) // 2, what, "binomial factors")
+    low = [comb(e + i, i) for i in range(half + 1)]
+    return tuple(low + low[p.d - half - 1 :: -1])
 
 
 def f_vector(p: CyclicParams) -> tuple[int, ...]:
@@ -141,20 +147,14 @@ def f_vector(p: CyclicParams) -> tuple[int, ...]:
 
     Closed form, no enumeration: with h = `h_vector(p)`,
     sum_j f_{j-1} t^(d-j) = sum_i h_i (1+t)^(d-i), evaluated by Horner's
-    rule P <- P*(1+t) + h_i: d+1 binomials and (d+1)(d+2)/2 additions.  A
-    dimension whose addition count is above SUBSET_LIMIT (d >= 1447) is
-    refused with ValueError at once.
+    rule P <- P*(1+t) + h_i: d+1 binomials and (d+1)(d+2)/2 additions,
+    counted first, so d >= 1447 is refused with ValueError at once.
 
     >>> f_vector(CyclicParams(8, 4))
     (8, 28, 40, 20)
     """
     n, d = p.n, p.d
-    additions = (d + 1) * (d + 2) // 2
-    if additions > SUBSET_LIMIT:
-        raise ValueError(
-            f"the f-vector of C({n},{d}) needs (d+1)(d+2)/2 = {additions} additions, "
-            f"above the limit of {SUBSET_LIMIT}"
-        )
+    check_subset_count((d + 1) * (d + 2) // 2, f"the f-vector of C({n},{d})", "additions")
     P: list[int] = []  # coefficients of t^0, t^1, ...
     for h in h_vector(p):
         P = [a + b for a, b in zip(P + [0], [0] + P)]

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .gale import SUBSET_LIMIT
+from .gale import check_subset_count
 
 __all__ = [
     "SphereSpectrum",
@@ -67,12 +67,8 @@ def wedge_spectrum(histogram, ceiling: int) -> SphereSpectrum:
     """
     # The c_n recurrence takes n - 1 products at each n below the ceiling;
     # a negative ceiling is left for SphereSpectrum to refuse.
-    products = (ceiling - 1) * (ceiling - 2) // 2
-    if ceiling > 2 and products > SUBSET_LIMIT:
-        raise ValueError(
-            f"the Witt recurrence up to ceiling {ceiling} needs {products} "
-            f"products, above the limit of {SUBSET_LIMIT}"
-        )
+    products = (ceiling - 1) * (ceiling - 2) // 2 if ceiling > 2 else 0
+    check_subset_count(products, f"the Witt recurrence up to ceiling {ceiling}", "products")
     if not histogram:
         raise ValueError("need at least one wedge summand")
     a = [0] * ceiling  # a[D] for D < ceiling; larger D cannot reach the ceiling

@@ -80,7 +80,7 @@ def cyclic_ranks(p: CyclicParams) -> dict[int, int]:
     n, d = p.n, p.d
     if d % 2:
         raise ValueError(f"the closed form needs an even dimension, got d={d}")
-    check_subset_count(n * (min(d, n - d) + 1), f"the closed form of C({n},{d})")
+    check_subset_count(n * (min(d, n - d) + 1), f"the closed form of C({n},{d})", "terms")
     h, half = h_vector(p), d // 2
     ranks = {0: 1}
     for j in range(1, n):
@@ -164,12 +164,13 @@ def betti_table(F, p: int) -> dict[tuple[int, int], int]:
     {(0, 0): 1, (1, 2): 5, (2, 3): 5, (3, 5): 1}
     """
     m, gens = F.m, F.masks
-    check_subset_count(len(gens) << m, "the generator unions of Hochster's formula")
+    steps = len(gens) << min(m, 64)  # from m = 64 on, a lower bound
+    check_subset_count(steps, "the generator unions of Hochster's formula", "steps")
     unions = {0}
     for g in gens:
         unions |= {u | g for u in unions}
     faces = _faces(m, gens)
-    check_subset_count(len(unions) * sum(map(len, faces)), "the face tests of Hochster's formula")
+    check_subset_count(len(unions) * sum(map(len, faces)), "Hochster's formula", "face tests")
     index = {f: k for layer in faces for k, f in enumerate(layer)}  # f's place in its layer
     rows = {}  # the boundaries ranked: f less its t-th vertex, sign (-1)^t, for |f| >= 2
     for f in (f for layer in faces[2:] for f in layer):

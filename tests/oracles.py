@@ -55,6 +55,32 @@ RP2_FACETS = [
     (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
 ]
 
+# K12: a 2-neighbourly triangulated 4-sphere on 12 vertices, 72 facets, found
+# by a seeded triangle-flip search from the boundary of C(12,5).  Its full
+# subcomplexes on 1..6 and on 7..12 are 6-vertex real projective planes, so
+# its Z_K has 2-torsion.  Flips keep the PL type, not polytopality: whether
+# K12 is a polytope boundary is not known.
+K12_FACETS = [
+    (1, 2, 3, 9, 10), (1, 2, 3, 9, 12), (1, 2, 3, 10, 12), (1, 2, 6, 8, 9),
+    (1, 2, 6, 8, 12), (1, 2, 6, 9, 10), (1, 2, 6, 10, 12), (1, 2, 8, 9, 12),
+    (1, 3, 4, 9, 10), (1, 3, 4, 9, 11), (1, 3, 4, 10, 12), (1, 3, 4, 11, 12),
+    (1, 3, 9, 11, 12), (1, 4, 5, 9, 10), (1, 4, 5, 9, 12), (1, 4, 5, 10, 12),
+    (1, 4, 9, 11, 12), (1, 5, 6, 7, 9), (1, 5, 6, 7, 10), (1, 5, 6, 9, 12),
+    (1, 5, 6, 10, 12), (1, 5, 7, 9, 10), (1, 6, 7, 9, 10), (1, 6, 8, 9, 12),
+    (2, 3, 5, 8, 9), (2, 3, 5, 8, 11), (2, 3, 5, 9, 11), (2, 3, 8, 9, 12),
+    (2, 3, 8, 10, 11), (2, 3, 8, 10, 12), (2, 3, 9, 10, 11), (2, 4, 5, 8, 9),
+    (2, 4, 5, 8, 11), (2, 4, 5, 9, 11), (2, 4, 6, 7, 8), (2, 4, 6, 7, 11),
+    (2, 4, 6, 8, 9), (2, 4, 6, 9, 11), (2, 4, 7, 8, 11), (2, 6, 7, 8, 11),
+    (2, 6, 8, 10, 11), (2, 6, 8, 10, 12), (2, 6, 9, 10, 11), (3, 4, 6, 7, 10),
+    (3, 4, 6, 7, 11), (3, 4, 6, 9, 10), (3, 4, 6, 9, 11), (3, 4, 7, 10, 12),
+    (3, 4, 7, 11, 12), (3, 5, 6, 7, 10), (3, 5, 6, 7, 11), (3, 5, 6, 10, 11),
+    (3, 5, 7, 10, 12), (3, 5, 7, 11, 12), (3, 5, 8, 9, 12), (3, 5, 8, 10, 11),
+    (3, 5, 8, 10, 12), (3, 5, 9, 11, 12), (3, 6, 9, 10, 11), (4, 5, 7, 8, 9),
+    (4, 5, 7, 8, 11), (4, 5, 7, 9, 10), (4, 5, 7, 10, 12), (4, 5, 7, 11, 12),
+    (4, 5, 9, 11, 12), (4, 6, 7, 8, 9), (4, 6, 7, 9, 10), (5, 6, 7, 8, 9),
+    (5, 6, 7, 8, 11), (5, 6, 8, 9, 12), (5, 6, 8, 10, 11), (5, 6, 8, 10, 12),
+]
+
 
 # ---------------------------------------------------------------------------
 # minimal non-faces: exhaustive subset scan against the facet list

@@ -188,6 +188,30 @@ class TestInputLimits:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv,text,want",
+        [
+            (["ideal", "cyclic", "3000000", "2000000"], None,
+             "the minimal non-faces of C(3000000,2000000) would need at least 2^65 generators"),
+            (["ideal", "cyclic", "300000", "200000"], None,
+             "the minimal non-faces of C(300000,200000) would need at least 2^65 generators"),
+            (["verdict", "file"], "vertices 1000000000\nnonfaces\n1 2\n3 4\n",
+             "the generator unions of Hochster's formula would need at least 2^65 steps"),
+        ],
+    )
+    def test_astronomical_counts_are_bounded_not_built(self, capsys, tmp_path, argv, text, want):
+        # The binomial generator count and the 2**m unions are compared with
+        # the limit through lower bounds of 2**64, worded by their bit length.
+        if text is not None:
+            path = tmp_path / "complex.txt"
+            path.write_text(text)
+            argv = argv + [str(path), "--vs", "2*S3xS4"]
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == f"error: {want}, above the limit of 1048576\n"
+
     def test_huge_polygon_edge_file_exits_one_quickly(self, capsys, tmp_path):
         # 4 closure subsets per edge pass the closure guard; the 4,495,500
         # minimal non-faces are counted, and refused, before any is built.
@@ -199,8 +223,8 @@ class TestInputLimits:
         assert time.perf_counter() - start < 1.0
         assert code == 1 and out == ""
         assert err == (
-            "error: the minimal non-faces of the facet list would visit 4495500 "
-            "subsets, above the limit of 1048576\n"
+            "error: the minimal non-faces of the facet list would need 4495500 "
+            "generators, above the limit of 1048576\n"
         )
 
 
@@ -265,7 +289,7 @@ class TestWedge:
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (1, "")
         assert err == (
-            "error: the Witt recurrence up to ceiling 1450 needs 1049076 products, "
+            "error: the Witt recurrence up to ceiling 1450 would need 1049076 products, "
             "above the limit of 1048576\n"
         )
 
@@ -853,7 +877,7 @@ class TestClosedFormByRing:
         })
         code, out, err = run_cli(capsys, "ideal", "cyclic", "20", "10")
         assert (code, out) == (1, "")
-        assert err.startswith("error: the downward closure of the facet list would visit ")
+        assert err.startswith("error: the downward closure of the facet list would need ")
 
     def test_file_verdicts_build_no_cyclic_ring(self, capsys, tmp_path, monkeypatch):
         calls = []

@@ -154,9 +154,9 @@ class TestEnumerateFaces:
 
 
 def test_subset_limit_is_inclusive():
-    check_subset_count(SUBSET_LIMIT, "a scan at the limit")
+    check_subset_count(SUBSET_LIMIT, "a scan at the limit", "subsets")
     with pytest.raises(ValueError, match=f"{SUBSET_LIMIT + 1} subsets"):
-        check_subset_count(SUBSET_LIMIT + 1, "a scan past the limit")
+        check_subset_count(SUBSET_LIMIT + 1, "a scan past the limit", "subsets")
 
 
 class TestHVector:
@@ -209,7 +209,7 @@ class TestFVector:
         # d = 1447 is the first dimension with (d+1)(d+2)/2 above SUBSET_LIMIT.
         with pytest.raises(
             ValueError,
-            match=r"needs \(d\+1\)\(d\+2\)/2 = 1049076 additions, above the limit",
+            match=r"C\(1448,1447\) would need 1049076 additions, above the limit",
         ):
             f_vector(CyclicParams(1448, 1447))
 

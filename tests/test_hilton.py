@@ -138,7 +138,7 @@ class TestWedgeSpectrum:
             wedge_spectrum({3: 1}, ceiling)
         assert time.perf_counter() - start < 0.05
         assert str(info.value) == (
-            f"the Witt recurrence up to ceiling {ceiling} needs "
+            f"the Witt recurrence up to ceiling {ceiling} would need "
             f"{(ceiling - 1) * (ceiling - 2) // 2} products, above the limit of 1048576"
         )
 

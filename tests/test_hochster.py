@@ -1,4 +1,6 @@
 import time
+from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -6,12 +8,13 @@ from hypothesis import strategies as st
 
 from momentangle import hochster
 from momentangle.cli import main
-from momentangle.complexes import from_cyclic, from_facets, from_nonfaces
+from momentangle.complexes import FaceRingPresentation, from_cyclic, from_facets, from_nonfaces
 from momentangle.gale import CyclicParams
 from momentangle.syzygy import min_relation_degree
 
 from oracles import (
     CYCLIC_8_4_MINIMAL_NONFACES,
+    K12_FACETS,
     PENTAGON_MINIMAL_NONFACES,
     RP2_FACETS,
     cyclic_ranks_by_f_vector,
@@ -91,7 +94,7 @@ class TestClosedForm:
             hochster.cyclic_ranks(CyclicParams(10000, 5000))
         assert time.perf_counter() - start < 0.05
         assert str(info.value) == (
-            "the closed form of C(10000,5000) would visit 50010000 subsets, "
+            "the closed form of C(10000,5000) would need 50010000 terms, "
             "above the limit of 1048576"
         )
 
@@ -197,3 +200,32 @@ class TestGuard:
         assert (code, captured.out) == (1, "")
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "Hochster's formula" in captured.err
+
+
+class TestK12:
+    """K12 (`oracles.K12_FACETS`): a 2-neighbourly 4-sphere with an RP^2 as
+    the full subcomplex on 1..6, so its Z_K has 2-torsion."""
+
+    K = from_facets(12, K12_FACETS)
+
+    def test_f_vector_and_ridges(self):
+        faces = {s for f in K12_FACETS for k in range(1, 6) for s in combinations(f, k)}
+        assert tuple(sum(len(s) == k for s in faces) for k in range(1, 6)) == (12, 66, 164, 180, 72)
+        ridges = Counter(r for f in K12_FACETS for r in combinations(f, 4))
+        assert set(ridges.values()) == {2}
+
+    def test_two_neighbourly_with_rp2_on_the_first_six_vertices(self):
+        assert all(self.K.is_face(e) for e in combinations(range(1, 13), 2))
+        # The minimal non-faces of a full subcomplex are those of K inside it.
+        K_J = FaceRingPresentation(6, tuple(g for g in self.K.generators if g[-1] <= 6))
+        assert K_J == from_facets(6, RP2_FACETS)
+        assert hochster.zk_ranks(K_J, 2) != hochster.zk_ranks(K_J, 3)
+
+    def test_general_route_is_refused_on_its_face_tests(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            hochster.zk_ranks(self.K, 2)
+        assert time.perf_counter() - start < 1.0
+        assert str(info.value) == (
+            "Hochster's formula would need 1434015 face tests, above the limit of 1048576"
+        )
