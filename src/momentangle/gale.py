@@ -47,8 +47,8 @@ def check_subset_count(count: int, what: str, unit: str) -> None:
 
 
 def comb_floor(a: int, b: int) -> int:
-    """comb(a, b), or 2**64 <= 2**min(b, a-b) <= comb(a, b) from min(b, a-b)
-    = 64 on: a count for `check_subset_count` that builds no large binomial."""
+    """comb(a, b) below 64 factors (min(b, a-b) < 64), else its lower bound
+    2**64 <= 2**min(b, a-b): a count for `check_subset_count`, never large."""
     return comb(a, b) if min(b, a - b) < 64 else 1 << 64
 
 
