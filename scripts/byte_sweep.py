@@ -11,9 +11,10 @@ from `--help`, counts as the exit code).  The set covers `ideal`, `syzmin`,
 `wedge` (no ceiling, `--ceiling 13`, `--ceiling -1`) and `verdict` (four
 candidate specs, no `--q` and `--q` 2/4/6/9) on polygons 3..12, every C(n,d)
 with n <= 10 and 1 <= d <= n, the file sources of `perfbench/expected.json`,
-nine edge-case files (three of them larger facet lists: the edges of the
+ten edge-case files (three of them larger facet lists: the edges of the
 30-gon, every 3-subset of 1..9, and the RP^2 facets listed twice with some
-of their edges), a missing file and a bad source; `counterexample`, six
+of their edges; one a nonfaces list of 699 pairs and 699 triples through
+vertex 1 whose sizes alternate in sorted order), a missing file and a bad source; `counterexample`, six
 `homology` specs, `faces` for n <= 9 (plain, `--count`, `--max-card 2`,
 `--max-card 99`), help, and the argument grammar: missing, invalid and
 unrecognized arguments, `--opt=value`, options before positionals, `--`,
@@ -81,6 +82,8 @@ EDGE_FILES = {
     "triples9": "vertices 9\nfacets\n"
                 + "".join(f"{a} {b} {c}\n" for a, b, c in combinations(range(1, 10), 3)),
     "rp2_repeated": "vertices 6\nfacets\n" + 2 * RP2_FACETS + "2 1\n6 4\n5\n",
+    "alternating": "vertices 2099\nnonfaces\n"
+                   + "".join(f"1 {3 * j}\n1 {3 * j + 1} {3 * j + 2}\n" for j in range(1, 700)),
 }
 DEEP_CALLS = [
     ["ideal", "cyclic", "1001", "1000", "--json"],

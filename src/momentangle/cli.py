@@ -388,18 +388,41 @@ def text_verdict(report: dict, quiet: bool):
 # subcommands: each returns its report
 # ---------------------------------------------------------------------------
 
+def _check_printable(count: int, what: str) -> None:
+    """Refuse a count with more decimal digits than this Python writes as
+    text (`sys.get_int_max_str_digits()`; 0, or no such function, means no
+    limit), naming both digit counts.  The count is never written: its bit
+    length times log10(2), rounded up, bounds its digits, so a count far
+    below the limit costs one multiplication; otherwise its digits are
+    counted from that product rounded down, up to the first power of ten
+    above the count."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    bits = count.bit_length()
+    if limit and bits * 30103 // 100000 >= limit:
+        digits = (bits - 1) * 30102999566 // 10**11 + 1
+        while count >= 10**digits:
+            digits += 1
+        if digits > limit:
+            raise ValueError(
+                f"{what} would need {digits} digits, above the limit of {limit} "
+                "digits that this Python writes for an integer"
+            )
+
+
 def cmd_faces(n: int, d: int, max_card: int | None = None, count: bool = False) -> dict:
     p = CyclicParams(n, d)
     if max_card is None:
         max_card = p.d
     if not 0 <= max_card <= p.d:
         raise ValueError(f"max_card must lie in 0..{p.d}, got {max_card}")
+    counts = f_vector(p)[:max_card]
     report = {
         "input": {"kind": "cyclic", "n": p.n, "d": p.d, "max_card": max_card},
-        "counts": {str(k): f for k, f in enumerate(f_vector(p)[:max_card], start=1)},
+        "counts": {str(k): f for k, f in enumerate(counts, start=1)},
     }
     if not count:
         report["faces"] = [list(face) for face in enumerate_faces(p, max_card)]
+    _check_printable(max(counts, default=0), f"the face counts of C({p.n},{p.d})")
     return report
 
 
@@ -525,14 +548,15 @@ def _write(value, indent: str, emit) -> None:
 def _rows(rows: tuple[tuple[int, ...], ...], indent: str) -> str:
     """`_json`'s text of a nonempty tuple of nonempty tuples of exact ints at
     `indent`, once per tuple and indent among the `SOURCE_CACHE_SIZE` most
-    recent, as `_face_ring` builds a repeated source's ring once.  Each row
-    is written through one `%d` template per row length, in one C-level pass
-    over the rows; `%d` writes an exact int as `int.__repr__` does."""
+    recent, as `_face_ring` builds a repeated source's ring once.  The rows'
+    `%d` templates, one per row length, are joined into one format, and
+    one `%` writes every int of every row through it; `%d` writes an exact
+    int as `int.__repr__` does."""
     inner = indent + "  "
     head, sep, tail = "[" + inner + "  ", "," + inner + "  ", inner + "]"
     template = {n: head + sep.join(["%d"] * n) + tail for n in set(map(len, rows))}
-    body = ("," + inner).join(map(str.__mod__, map(template.__getitem__, map(len, rows)), rows))
-    return f"[{inner}{body}{indent}]"
+    body = ("," + inner).join(map(template.__getitem__, map(len, rows)))
+    return f"[{inner}{body % tuple(chain.from_iterable(rows))}{indent}]"
 
 
 # ---------------------------------------------------------------------------

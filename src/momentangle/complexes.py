@@ -21,7 +21,7 @@ from collections import Counter
 from functools import reduce
 from itertools import chain, combinations, compress, count, groupby, islice, repeat
 from math import comb
-from operator import add, and_, eq, le, lt, or_
+from operator import add, and_, eq, itemgetter, le, lshift, lt, ne, or_, rshift
 
 from .gale import CyclicParams, as_subset, check_subset_count, comb_floor
 
@@ -60,37 +60,47 @@ class FaceRingPresentation:
     __slots__ = ("m", "generators", "masks", "histogram", "_hash")
 
     def __init__(self, m: int, generators: tuple[tuple[int, ...], ...] = ()) -> None:
-        # Support checks come first: a vertex below 1 has no bitmask.  They run
-        # as C-level passes over all generators; only a refusal walks the
-        # supports in turn, for the first bad one's message.  A sorted support
-        # whose mask has one bit per entry is strictly increasing.
-        vertices = set(chain.from_iterable(generators))
-        fine = all(generators) and min(vertices, default=1) >= 1
-        if fine:
-            bit = {v: 1 << (v - 1) for v in vertices}
-            masks = tuple(map(sum, map(map, repeat(bit.__getitem__), generators)))
-            fine = all(map(eq, map(int.bit_count, masks), map(len, generators))) and all(
-                map(eq, map(sorted, generators), map(list, generators)))
-        if not fine:
-            _refuse_support(generators)
+        # Support checks come first: a vertex below 1 has no bitmask.  They
+        # run by column: `_columns` cuts the generators into runs of one
+        # size, and column i of a run holds entry i of each of its supports
+        # (a run of empty supports has no column).  So a run is strictly
+        # increasing iff each column lies below the next, entry by entry,
+        # and its least vertex is its first column's least; each is a C-level
+        # pass over a whole column, and only a refusal walks the supports in
+        # turn, for the first bad one's message.
+        runs, grouped = _columns(generators)
+        for run in runs:
+            if not (run and min(run[0]) >= 1
+                    and all(map(all, map(map, repeat(lt), run, islice(run, 1, None))))):
+                _refuse_support(generators)
         if m < 1:
             raise ValueError(f"vertex count must be positive, got {m}")
+        # A run's masks OR its columns' bits in, bit v for vertex v, and are
+        # shifted down by one in a last pass, back in order if sorted.
+        one, bits = repeat(1), []
+        for run in runs:
+            acc = map(lshift, one, run[0])
+            for column in islice(run, 1, None):
+                acc = map(or_, acc, map(lshift, one, column))
+            bits += acc
+        if grouped is not None:
+            bits = map(dict(zip(grouped, bits)).__getitem__, generators)
+        masks = tuple(map(rshift, bits, one))
         # Strictly sorted generators repeat no support, so with one size they
         # hold no comparable pair.
         strict = all(map(lt, generators, islice(generators, 1, None)))
         if not strict and not all(map(le, generators, islice(generators, 1, None))):
             raise ValueError("generators must be lexicographically sorted")
-        sizes = Counter(map(len, generators))
-        if not strict or len(sizes) > 1:
+        if not strict or len(runs) > 1:
             pair = min(map(sorted, _comparable_pairs(generators, masks)), default=None)
             if pair is not None:
                 i, j = pair
                 raise ValueError(
                     f"generators must be incomparable: {generators[i]} vs {generators[j]}"
                 )
-        if max(vertices, default=0) > m:
+        if max(map(max, map(itemgetter(-1), runs)), default=0) > m:
             raise ValueError("generator mentions a variable beyond v_m")
-        histogram = tuple(sorted((2 * s, n) for s, n in sizes.items()))
+        histogram = tuple(sorted([(2 * len(run), len(run[0])) for run in runs]))
         derived = (m, generators, masks, histogram, hash((m, generators)))
         for name, value in zip(self.__slots__, derived):
             object.__setattr__(self, name, value)
@@ -137,6 +147,19 @@ def _refuse_support(generators) -> None:
             raise ValueError(f"support must be strictly increasing, got {g}")
         if g[0] < 1:
             raise ValueError(f"variable indices start at 1, got {g}")
+
+
+def _columns(generators):
+    """The generators' runs of one size, each as its list of columns, and
+    None if each size already forms one run of consecutive generators;
+    otherwise the runs of the generators stably sorted by size, and that
+    sorted list."""
+    lengths = [*map(len, generators)]
+    starts = [0, *compress(count(1), map(ne, lengths, islice(lengths, 1, None)))]
+    if len(starts) == len({*lengths}):
+        return [[*zip(*generators[a:b])] for a, b in zip(starts, starts[1:] + [None])], None
+    grouped = sorted(generators, key=len)
+    return [[*zip(*run)] for _, run in groupby(grouped, len)], grouped
 
 
 def _mask(members) -> int:
@@ -274,9 +297,14 @@ def from_nonfaces(m: int, nonfaces) -> FaceRingPresentation:
     return FaceRingPresentation(m, tuple(nf for j, nf in enumerate(nfs) if j not in containers))
 
 
-def _independent(lo: int, hi: int, k: int):
-    """The k-subsets of lo..hi with no two consecutive members, lexicographic."""
-    return map(tuple, map(map, repeat(add), combinations(range(lo, hi - k + 2), k), repeat(range(k))))
+def _independent(lo: int, hi: int, k: int) -> list:
+    """The k-subsets of lo..hi with no two consecutive members, in
+    lexicographic order, as k columns: column i holds member i of each
+    subset, column i of `combinations(range(lo, hi - k + 2), k)` shifted up
+    by i in one C-level pass.  `zip(*columns)` lists the subsets; with no
+    subset the columns are k empty ones, so a zip with `repeat` ends too."""
+    columns = [*zip(*combinations(range(lo, hi - k + 2), k))] or [()] * k
+    return [*map(map, repeat(add), columns, map(repeat, range(k)))]
 
 
 def _cyclic_facet_count(n: int, d: int) -> int:
@@ -300,17 +328,18 @@ def cyclic_generator_count(n: int, d: int) -> int:
 
 
 def _cyclic_ring(n: int, d: int) -> FaceRingPresentation:
-    """The closed-form generators of C(n, d), those with vertex 1 first: sorted."""
+    """The closed-form generators of C(n, d), those with vertex 1 first: sorted.
+    Each is zipped from `_independent`'s columns and the constant columns of
+    vertex 1, and of n for odd d."""
     k = d // 2
     if n == d + 1:
-        gens = [tuple(range(1, n + 1))]
+        gens = (tuple(range(1, n + 1)),)
     elif d % 2:
-        gens = [(1, *s, n) for s in _independent(3, n - 2, k)]
-        gens += _independent(2, n - 1, k + 1)
+        gens = (*zip(repeat(1), *_independent(3, n - 2, k), repeat(n)),
+                *zip(*_independent(2, n - 1, k + 1)))
     else:
-        gens = [(1, *s) for s in _independent(3, n - 1, k)]
-        gens += _independent(2, n, k + 1)
-    return FaceRingPresentation(n, tuple(gens))
+        gens = (*zip(repeat(1), *_independent(3, n - 1, k)), *zip(*_independent(2, n, k + 1)))
+    return FaceRingPresentation(n, gens)
 
 
 def even_cyclic_twin(F: FaceRingPresentation) -> CyclicParams | None:

@@ -195,6 +195,15 @@ def presentation_refusal(m: int, supports) -> str | None:
     return None
 
 
+def degree_histogram(supports) -> tuple[tuple[int, int], ...]:
+    """The (degree, count) pairs of a generator list by increasing degree,
+    degree twice the support size, counted support by support."""
+    counts: dict[int, int] = {}
+    for s in supports:
+        counts[2 * len(s)] = counts.get(2 * len(s), 0) + 1
+    return tuple(sorted(counts.items()))
+
+
 # ---------------------------------------------------------------------------
 # generator-pair scans: every pair, on vertex sets
 # ---------------------------------------------------------------------------

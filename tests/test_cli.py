@@ -212,6 +212,47 @@ class TestInputLimits:
         assert (code, out) == (1, "")
         assert err == f"error: {want}, above the limit of 1048576\n"
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python writes integers of any length")
+    def test_face_counts_past_the_digit_limit_are_refused(self, capsys):
+        # The f-vector guard counts additions, not digits: C(10**9, 1446)'s
+        # counts pass it, and its largest has 4,969 digits.
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            for argv in (["faces", "1000000000", "1446", "--count"],
+                         ["--json", "faces", "1000000000", "1446", "--count", "--quiet"]):
+                code, out, err = run_cli(capsys, *argv)
+                assert (code, out) == (1, ""), argv
+                assert err == (
+                    "error: the face counts of C(1000000000,1446) would need 4969 digits, "
+                    "above the limit of 4300 digits that this Python writes for an integer\n"
+                ), argv
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python writes integers of any length")
+    def test_digit_count_of_a_refused_count_is_exact(self):
+        # Either side of each power of ten around the limit of 640, a count
+        # of at most 640 digits passes, and a longer one is refused with
+        # the length of its text as its digit count.
+        saved = sys.get_int_max_str_digits()
+        try:
+            for k in range(600, 700):
+                for count in (10**k - 1, 10**k, 3 * 10**k, 10**(k + 1) - 1):
+                    sys.set_int_max_str_digits(0)
+                    digits = len(str(count))
+                    sys.set_int_max_str_digits(640)
+                    if digits <= 640:
+                        cli._check_printable(count, "x")
+                        continue
+                    with pytest.raises(ValueError) as info:
+                        cli._check_printable(count, "x")
+                    assert str(info.value).startswith(f"x would need {digits} digits, "), count
+        finally:
+            sys.set_int_max_str_digits(saved)
+
     def test_huge_polygon_edge_file_exits_one_quickly(self, capsys, tmp_path):
         # 4 closure subsets per edge pass the closure guard; the 4,495,500
         # minimal non-faces are counted, and refused, before any is built.

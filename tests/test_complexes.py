@@ -39,6 +39,7 @@ from oracles import (
     comparable_pairs_by_sets,
     cyclic_facets_by_filter,
     cyclic_facets_by_pairings,
+    degree_histogram,
     first_comparable_pair,
     minimal_elements_bruteforce,
     minimal_nonfaces_bruteforce,
@@ -117,6 +118,42 @@ def many_small_supports(draw):
     return m, sups
 
 
+FLAWS = ("repeat", "unsorted", "zero", "empty", "swap")
+
+
+@st.composite
+def alternating_runs(draw):
+    """(m, supports) whose sizes alternate run by run: runs of one to three
+    supports, each run's size, 2 to 4, unlike the size before it, so a size
+    often forms two runs or more.  Each support's least vertex lies one or
+    two above the last one's, so the list is sorted and keeps its runs; its
+    other vertices lie within nine above it, so containments occur.  Half
+    the lists get one flaw: a support repeated in place or reversed, a 0
+    vertex put first in one, an empty support inserted or two neighbours
+    swapped; m lies within ten above the last least vertex, so some
+    vertices lie beyond v_m."""
+    sups, size, low = [], None, 0
+    for _ in range(draw(st.integers(1, 6))):
+        size = draw(st.sampled_from([s for s in (2, 3, 4) if s != size]))
+        for _ in range(draw(st.integers(1, 3))):
+            low += draw(st.integers(1, 2))
+            rest = st.sets(st.integers(low + 1, low + 9), min_size=size - 1, max_size=size - 1)
+            sups.append((low, *sorted(draw(rest))))
+    flaw = draw(st.sampled_from(FLAWS)) if draw(st.booleans()) else None
+    i = draw(st.integers(0, len(sups) - 1))
+    if flaw == "repeat":
+        sups.insert(i, sups[i])
+    elif flaw == "unsorted":
+        sups[i] = sups[i][::-1]
+    elif flaw == "zero":
+        sups[i] = (0, *sups[i][1:])
+    elif flaw == "empty":
+        sups.insert(i, ())
+    elif flaw == "swap" and i + 1 < len(sups):
+        sups[i], sups[i + 1] = sups[i + 1], sups[i]
+    return draw(st.integers(low + 1, low + 11)), sups
+
+
 def subset_lookup_fires(sups):
     """Whether `_comparable_pairs` looks subsets up on these sorted supports:
     some size has more distinct supports than a larger size's support has
@@ -132,12 +169,14 @@ def masks_of(sups):
 
 
 def check_presentation(m, sups):
-    """The constructor accepts what the oracle accepts, with the masks of the
-    supports, and refuses the rest with the oracle's message."""
+    """The constructor accepts what the oracle accepts, with the masks and
+    the size counts of the supports, and refuses the rest with the oracle's
+    message."""
     want = presentation_refusal(m, sups)
     if want is None:
         F = FaceRingPresentation(m, tuple(sups))
         assert F.masks == masks_of(sups)
+        assert F.histogram == degree_histogram(sups)
     else:
         with pytest.raises(ValueError) as info:
             FaceRingPresentation(m, tuple(sups))
@@ -631,6 +670,19 @@ class TestFaceRing:
     @example((3, [(2, 3), (1, 3), (0,)]))
     def test_constructor_matches_pairwise_oracle(self, args):
         check_presentation(*args)
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(alternating_runs())
+    def test_alternating_runs_match_the_pairwise_oracle(self, args):
+        # A size that forms two runs or more is grouped by one sort, and its
+        # masks are put back in the generators' order.
+        m, sups = args
+        lengths = [*map(len, sups)]
+        runs = 1 + sum(a != b for a, b in zip(lengths, lengths[1:]))
+        event("grouped by sort" if runs > len(set(lengths)) else "runs in place")
+        event("accepted" if presentation_refusal(m, sups) is None else "refused")
+        check_presentation(m, sups)
 
 
 class TestComparablePairRoutes:
