@@ -301,10 +301,12 @@ def _independent(lo: int, hi: int, k: int) -> list:
     """The k-subsets of lo..hi with no two consecutive members, in
     lexicographic order, as k columns: column i holds member i of each
     subset, column i of `combinations(range(lo, hi - k + 2), k)` shifted up
-    by i in one C-level pass.  `zip(*columns)` lists the subsets; with no
-    subset the columns are k empty ones, so a zip with `repeat` ends too."""
-    columns = [*zip(*combinations(range(lo, hi - k + 2), k))] or [()] * k
-    return [*map(map, repeat(add), columns, map(repeat, range(k)))]
+    by i, each in one C-level pass.  `zip(*columns)` lists the subsets.
+    Columns are read with `itemgetter`: `zip(*subsets)` would keep one
+    iterator per subset alive at once, and on C(187,4)'s million subsets
+    that sets the cyclic garbage collector off again and again."""
+    subsets = [*combinations(range(lo, hi - k + 2), k)]
+    return [map(add, map(itemgetter(i), subsets), repeat(i)) for i in range(k)]
 
 
 def _cyclic_facet_count(n: int, d: int) -> int:
