@@ -14,9 +14,9 @@ with n <= 10 and 1 <= d <= n, the file sources of `perfbench/expected.json`,
 ten edge-case files (three of them larger facet lists: the edges of the
 30-gon, every 3-subset of 1..9, and the RP^2 facets listed twice with some
 of their edges; one a nonfaces list of 699 pairs and 699 triples through
-vertex 1 whose sizes alternate in sorted order), a missing file and a bad source; `counterexample`, six
-`homology` specs, `faces` for n <= 9 (plain, `--count`, `--max-card 2`,
-`--max-card 99`), help, and the argument grammar: missing, invalid and
+vertex 1 whose sizes alternate in sorted order), a missing file and a bad
+source; `counterexample`, six `homology` specs, `faces` for n <= 9 (plain,
+`--count`, `--max-card 2`, `--max-card 99`), help, and the argument grammar: missing, invalid and
 unrecognized arguments, `--opt=value`, options before positionals, `--`,
 a repeated option, negative values (`--q -0`, `faces -1 3`, `--ceiling
 -1`), `--json` before the subcommand and the abbreviated names `--v` and

@@ -671,7 +671,6 @@ class TestFaceRing:
     def test_constructor_matches_pairwise_oracle(self, args):
         check_presentation(*args)
 
-
     @settings(max_examples=300, deadline=None)
     @given(alternating_runs())
     def test_alternating_runs_match_the_pairwise_oracle(self, args):
