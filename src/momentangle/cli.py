@@ -6,25 +6,24 @@ view of that dict.  Exit code 0 means NOT_EQUIVALENT was established (or no
 verdict was asked for), 2 means INCONCLUSIVE, 1 means error.
 
 Every shell call pays for start-up, so importing this module loads, besides
-the package, only `collections`, `functools`, `itertools`, `math`,
-`operator` and `_json` of the standard library: no `argparse`, `re`, `json`
-or `dataclasses`.  One table, `COMMANDS`, declares the subcommands, their
-arguments and their help; it and the parser's view of it are built at
-import, so a call only reads them.  The parser reads an argv as argparse
-did and words its errors as argparse did, but takes no abbreviated option
-names."""
+the package, only `itertools`, `math`, `operator` and the C accelerators
+`_functools` and `_json` of the standard library: no `argparse`, `re`,
+`json`, `dataclasses`, `collections` or `functools`.  One table,
+`COMMANDS`, declares the subcommands, their arguments and their help; it
+and the parser's view of it are built at import, so a call only reads them.
+The parser reads an argv as argparse did and words its errors as argparse
+did, but takes no abbreviated option names."""
 
 from __future__ import annotations
 
 import sys
+from _functools import _lru_cache_wrapper
 from _json import encode_basestring_ascii
-from collections import namedtuple
-from functools import lru_cache
 from itertools import chain
 
 from . import complexes, hilton, hochster, manifold, syzygy
 from .complexes import FaceRingPresentation
-from .gale import CyclicParams, enumerate_faces, f_vector
+from .gale import CyclicParams, Record, enumerate_faces, f_vector
 
 __all__ = ["build_verdict_report", "main", "run"]
 
@@ -44,11 +43,32 @@ COUNTEREXAMPLE_NOTES = (
 SOURCE_CACHE_SIZE = 64
 
 
+class _CacheInfo(Record):
+    """A cache's counts, as `functools.lru_cache`'s `cache_info()` gives them."""
+
+    __slots__ = ()
+
+    def __new__(cls, hits: int, misses: int, maxsize: int, currsize: int):
+        return super().__new__(cls, (hits, misses, maxsize, currsize))
+
+
+def _source_cache(function):
+    """`function` kept as `functools.lru_cache(maxsize=SOURCE_CACHE_SIZE)`
+    keeps it, by the C object that lru_cache itself returns, so a hit costs
+    what it costs there, without importing `functools`.  A call that raises
+    is not kept; `cache_info()` and `cache_clear()` are lru_cache's."""
+    wrapper = _lru_cache_wrapper(function, SOURCE_CACHE_SIZE, False, _CacheInfo)
+    for name in ("__module__", "__name__", "__qualname__", "__doc__", "__annotations__"):
+        setattr(wrapper, name, getattr(function, name))
+    wrapper.__wrapped__ = function
+    return wrapper
+
+
 # ---------------------------------------------------------------------------
 # source resolution and report blocks
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=SOURCE_CACHE_SIZE)
+@_source_cache
 def _face_ring(key) -> FaceRingPresentation:
     """The face ring of a source, keyed by its CyclicParams (a polygon's
     included) or its file's text, so an edited file is never served stale.
@@ -88,14 +108,14 @@ def _resolve_source(tokens) -> tuple[FaceRingPresentation, dict]:
     raise ValueError(usage)
 
 
-@lru_cache(maxsize=SOURCE_CACHE_SIZE)
+@_source_cache
 def _relation(F: FaceRingPresentation) -> tuple[int, tuple[int, int]]:
     """The minimal relation degree of a face ring and the generator pair that
     reaches it, computed once per ring."""
     return syzygy.min_relation_degree(F)
 
 
-@lru_cache(maxsize=SOURCE_CACHE_SIZE)
+@_source_cache
 def _spectrum(F: FaceRingPresentation, ceiling: int) -> tuple[tuple[int, int], ...]:
     """The sphere spectrum of a face ring's wedge model up to `ceiling`, as
     sorted (dimension, multiplicity) pairs, computed once per ring and
@@ -105,7 +125,7 @@ def _spectrum(F: FaceRingPresentation, ceiling: int) -> tuple[tuple[int, int], .
     return tuple(sorted(shown.entries.items()))
 
 
-@lru_cache(maxsize=SOURCE_CACHE_SIZE)
+@_source_cache
 def _closed_form(F: FaceRingPresentation) -> tuple[tuple[int, int], ...] | None:
     """Z_K's ranks by the even-d closed form, as sorted (degree, rank) pairs,
     when `complexes.even_cyclic_twin` names the polytope whose ring F is, else
@@ -114,20 +134,27 @@ def _closed_form(F: FaceRingPresentation) -> tuple[tuple[int, int], ...] | None:
     return tuple(sorted(hochster.cyclic_ranks(twin).items())) if twin else None
 
 
-@lru_cache(maxsize=SOURCE_CACHE_SIZE)
+@_source_cache
 def _general_ranks(F: FaceRingPresentation, field: int) -> tuple[tuple[int, int], ...]:
     """Z_K's ranks over GF(field) by the general route, once per ring and field."""
     return tuple(hochster.zk_ranks(F, field).items())
 
 
-# What a report reads of a candidate connected sum: its canonical text, top
-# dimension, sorted (degree, rank) pairs, Poincare check, Euler characteristic,
-# and the degree up to which homology gives homotopy ranks.  A namedtuple, not
-# a dataclass: building a dataclass costs about 1 ms of every process's start.
-_Candidate = namedtuple("_Candidate", "spec top ranks poincare euler hurewicz")
+class _Candidate(Record):
+    """What a report reads of a candidate connected sum: its canonical text,
+    top dimension, sorted (degree, rank) pairs, Poincare check, Euler
+    characteristic, and the degree up to which homology gives homotopy
+    ranks.  A record, not a dataclass: building a dataclass costs about
+    1 ms of every process's start."""
+
+    __slots__ = ()
+
+    def __new__(cls, spec: str, top: int, ranks: tuple, poincare: bool, euler: int,
+                hurewicz: int):
+        return super().__new__(cls, (spec, top, ranks, poincare, euler, hurewicz))
 
 
-@lru_cache(maxsize=SOURCE_CACHE_SIZE)
+@_source_cache
 def _candidate(text: str) -> _Candidate:
     """The candidate given as a `--vs` or `homology` text, computed once per text."""
     spec = manifold.parse_connected_sum(text)
@@ -544,7 +571,7 @@ def _write(value, indent: str, emit) -> None:
         raise TypeError(f"{kind.__name__} value {value!r} is not allowed in a report")
 
 
-@lru_cache(maxsize=SOURCE_CACHE_SIZE)
+@_source_cache
 def _rows(rows: tuple[tuple[int, ...], ...], indent: str) -> str:
     """`_json`'s text of a nonempty tuple of nonempty tuples of exact ints at
     `indent`, once per tuple and indent among the `SOURCE_CACHE_SIZE` most

@@ -17,8 +17,7 @@ k-subset of 3..n-2.  Only file facets take the facet walk (`from_facets`).
 
 from __future__ import annotations
 
-from collections import Counter
-from functools import reduce
+from _functools import reduce
 from itertools import chain, combinations, compress, count, groupby, islice, repeat
 from math import comb
 from operator import add, and_, eq, itemgetter, le, lshift, lt, ne, or_, rshift
@@ -290,8 +289,8 @@ def from_nonfaces(m: int, nonfaces) -> FaceRingPresentation:
     if any(len(nf) == 1 for nf in nfs):
         bad = [nf[0] for nf in nfs if len(nf) == 1]
         raise ValueError(f"singleton non-faces would leave ghost vertices: {bad}")
-    sizes = Counter(map(len, nfs)).values()
-    pairs = (len(nfs) ** 2 - sum(n * n for n in sizes)) // 2
+    same = sum(len([*run]) ** 2 for _, run in groupby(sorted(map(len, nfs))))
+    pairs = (len(nfs) ** 2 - same) // 2
     check_subset_count(pairs, "the containment test of the non-face list", "pairs")
     containers = {j for _, j in _comparable_pairs(nfs, list(map(_mask, nfs)))}
     return FaceRingPresentation(m, tuple(nf for j, nf in enumerate(nfs) if j not in containers))

@@ -14,14 +14,15 @@ odd components.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from itertools import accumulate, combinations, repeat
 from math import comb
+from operator import itemgetter
 
 __all__ = [
     "SUBSET_LIMIT",
     "check_subset_count",
     "comb_floor",
+    "Record",
     "CyclicParams",
     "as_subset",
     "is_face",
@@ -52,11 +53,39 @@ def comb_floor(a: int, b: int) -> int:
     return comb(a, b) if min(b, a - b) < 64 else 1 << 64
 
 
-class CyclicParams(namedtuple("CyclicParams", "n d")):
+class Record(tuple):
+    """A tuple whose fields are the parameters of its subclass's `__new__`,
+    in order, each read by a read-only property.  It equals and hashes as
+    the plain tuple of its values and reprs as `Name(field=value, ...)`, so
+    its repr evaluates back to it.  The subclass's `__new__`, which checks
+    the values, is its only constructor: copies and pickles rebuild through
+    it, at every pickle protocol.  Each subclass declares `__slots__ = ()`,
+    so no instance has a `__dict__`.
+
+    Records stand in for `collections.namedtuple`: importing `collections`
+    and `functools` took about half of this package's import time."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__new__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, property(itemgetter(i), doc=f"Field {i}, {name!r}."))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self._fields, self))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):  # copies and pickles rebuild through the checks
+        return type(self), tuple(self)
+
+
+class CyclicParams(Record):
     """Parameters of a cyclic polytope: n vertices in dimension d >= 2, n >= d+1.
 
-    A named tuple, so it equals the plain tuple (n, d); the CLI's caches
-    never mix the two."""
+    A record, so it equals the plain tuple (n, d); the CLI's caches never
+    mix the two."""
 
     __slots__ = ()
 
@@ -65,7 +94,7 @@ class CyclicParams(namedtuple("CyclicParams", "n d")):
             raise ValueError(f"cyclic polytopes need dimension d >= 2, got d={d}")
         if n < d + 1:
             raise ValueError(f"C(n,{d}) needs n >= {d + 1} vertices, got n={n}")
-        return super().__new__(cls, n, d)
+        return super().__new__(cls, (n, d))
 
 
 def as_subset(members, n: int) -> tuple[int, ...]:

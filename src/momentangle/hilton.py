@@ -20,9 +20,7 @@ multiplicities are unknown rather than zero.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
-from .gale import check_subset_count
+from .gale import Record, check_subset_count
 
 __all__ = [
     "SphereSpectrum",
@@ -30,7 +28,7 @@ __all__ = [
 ]
 
 
-class SphereSpectrum(namedtuple("SphereSpectrum", "entries ceiling")):
+class SphereSpectrum(Record):
     """Multiset of sphere dimensions (all odd, >= 3) with multiplicities,
     truncated at `ceiling`.  Dimensions above the ceiling are unknown, not
     zero."""
@@ -47,7 +45,7 @@ class SphereSpectrum(namedtuple("SphereSpectrum", "entries ceiling")):
                 raise ValueError(f"dimension {dim} exceeds ceiling {ceiling}")
             if mult < 1:
                 raise ValueError(f"multiplicities are positive, got {mult} at {dim}")
-        return super().__new__(cls, entries, ceiling)
+        return super().__new__(cls, (entries, ceiling))
 
 
 def wedge_spectrum(histogram, ceiling: int) -> SphereSpectrum:

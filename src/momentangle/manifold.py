@@ -10,7 +10,7 @@ summands off one at a time.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from .gale import Record
 
 __all__ = [
     "SphereProduct",
@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 
-class SphereProduct(namedtuple("SphereProduct", "m n")):
+class SphereProduct(Record):
     """S^m x S^n with 2 <= m <= n (factors are stored sorted); ordered as
     the pair (m, n)."""
 
@@ -35,7 +35,7 @@ class SphereProduct(namedtuple("SphereProduct", "m n")):
         m, n = min(m, n), max(m, n)
         if m < 2:
             raise ValueError(f"sphere factors must have dimension >= 2, got S^{m}")
-        return super().__new__(cls, m, n)
+        return super().__new__(cls, (m, n))
 
     @property
     def total_dim(self) -> int:
@@ -45,7 +45,7 @@ class SphereProduct(namedtuple("SphereProduct", "m n")):
         return f"S{self.m}xS{self.n}"
 
 
-class ConnectedSumSpec(namedtuple("ConnectedSumSpec", "summands")):
+class ConnectedSumSpec(Record):
     """Connected sum of sphere products: (multiplicity, factor) summands.
 
     Summands are normalized on construction (merged by factor and sorted),
@@ -68,14 +68,14 @@ class ConnectedSumSpec(namedtuple("ConnectedSumSpec", "summands")):
             raise ValueError(
                 f"summands must share one total dimension, got {sorted(dims)}"
             )
-        return super().__new__(cls, tuple((merged[f], f) for f in sorted(merged)))
+        return super().__new__(cls, (tuple((merged[f], f) for f in sorted(merged)),))
 
     @property
     def total_dim(self) -> int:
         return self.summands[0][1].total_dim
 
 
-class GradedRanks(namedtuple("GradedRanks", "ranks top")):
+class GradedRanks(Record):
     """Free ranks by degree for a connected space; `top` is the formal top
     dimension.  Only nonzero ranks are stored."""
 
@@ -90,7 +90,7 @@ class GradedRanks(namedtuple("GradedRanks", "ranks top")):
                 raise ValueError(f"ranks are nonnegative, got {v} in degree {k}")
         if cleaned.get(0, 0) != 1:
             raise ValueError("expected a connected space: rank 1 in degree 0")
-        return super().__new__(cls, cleaned, top)
+        return super().__new__(cls, (cleaned, top))
 
     def rank(self, k: int) -> int:
         return self.ranks.get(k, 0)
