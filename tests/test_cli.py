@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import enum
+import functools
 import io
 import json
 import math
@@ -977,7 +978,7 @@ class TestClosedFormByRing:
 # Modules that `import momentangle.cli` must not load: each costs a
 # command-line call milliseconds of start-up.
 HEAVY_MODULES = ("re", "dataclasses", "inspect", "argparse", "gettext", "locale", "json",
-                 "enum", "typing")
+                 "enum", "typing", "collections", "functools", "types", "reprlib", "keyword")
 
 
 class TestImportGraph:
@@ -1006,6 +1007,74 @@ class TestImportGraph:
             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
         )
         assert proc.stderr == "[0, 0, 0, 0, 0, 2, 2, 0] []\n"
+
+
+class TestSourceCache:
+    """`cli._source_cache` keeps a function as
+    `functools.lru_cache(maxsize=SOURCE_CACHE_SIZE)` keeps it."""
+
+    CACHED = (cli._face_ring, cli._relation, cli._spectrum, cli._closed_form,
+              cli._general_ranks, cli._candidate, cli._rows)
+
+    def test_is_lru_caches_own_type_and_sized(self):
+        for cached in self.CACHED:
+            assert type(cached) is type(functools.lru_cache(maxsize=1)(len))
+            info = cached.cache_info()
+            assert info._fields == ("hits", "misses", "maxsize", "currsize")
+            assert (info.hits, info.misses, info.maxsize, info.currsize) == info
+            assert info.maxsize == cli.SOURCE_CACHE_SIZE
+
+    def test_evicts_the_oldest_key_as_lru_cache_does(self):
+        size = cli.SOURCE_CACHE_SIZE
+        calls, infos = [], []
+
+        def square(x):
+            calls.append(x)
+            return x * x
+
+        for cached in (cli._source_cache(square), functools.lru_cache(maxsize=size)(square)):
+            calls.clear()
+            # The 65th distinct key evicts 0, the oldest; 1, read again, is kept.
+            for x in [*range(size + 1), 1, 0]:
+                assert cached(x) == x * x
+            assert calls == [*range(size + 1), 0]
+            infos.append(tuple(cached.cache_info()))
+        assert infos[0] == infos[1] == (1, size + 2, size, size)
+
+    def test_a_raised_build_is_not_kept(self):
+        attempts = []
+
+        def build(key):
+            attempts.append(key)
+            if len(attempts) == 1:
+                raise ValueError("the first build fails")
+            return key
+
+        cached = cli._source_cache(build)
+        with pytest.raises(ValueError):
+            cached("x")
+        assert cached("x") == cached("x") == "x"
+        assert attempts == ["x", "x"]
+        assert tuple(cached.cache_info()) == (1, 2, cli.SOURCE_CACHE_SIZE, 1)
+        cli._face_ring.cache_clear()
+        with pytest.raises(ValueError):
+            cli._face_ring(CyclicParams(1001, 1000))
+        assert cli._face_ring.cache_info().currsize == 0
+
+    def test_clear_and_wrapper_attributes(self):
+        def square(x: int) -> int:
+            """The square of x."""
+            return x * x
+
+        cached = cli._source_cache(square)
+        assert cached.__wrapped__ is square
+        assert (cached.__doc__, cached.__name__, cached.__qualname__, cached.__module__) == (
+            square.__doc__, square.__name__, square.__qualname__, square.__module__)
+        assert cached.__annotations__ == square.__annotations__
+        assert cached(3) == cached(3) == 9
+        cached.cache_clear()
+        assert tuple(cached.cache_info()) == (0, 0, cli.SOURCE_CACHE_SIZE, 0)
+        assert cli._candidate.__wrapped__.__doc__ == cli._candidate.__doc__
 
 
 class TestInProcessCalls:
