@@ -6,15 +6,16 @@ view of that dict.  Exit code 0 means NOT_EQUIVALENT was established (or no
 verdict was asked for), 2 means INCONCLUSIVE, 1 means error.
 
 Every shell call pays for start-up, so importing this module loads, besides
-the package, only `itertools`, `math`, `operator` and the C accelerators
-`_functools` and `_json` of the standard library: no `argparse`, `re`,
-`json`, `dataclasses`, `collections` or `functools`.  One table,
+the package, only `itertools`, `math` and the C accelerators `_functools`,
+`_json` and `_operator` of the standard library, and no pure-Python module
+beyond those the interpreter starts with: no `argparse`, `re`, `json`,
+`dataclasses`, `collections`, `functools`, `operator` or `__future__`
+(annotations are not deferred, so each is evaluated when its function is
+defined).  One table,
 `COMMANDS`, declares the subcommands, their arguments and their help; it
 and the parser's view of it are built at import, so a call only reads them.
 The parser reads an argv as argparse did and words its errors as argparse
 did, but takes no abbreviated option names."""
-
-from __future__ import annotations
 
 import sys
 from _functools import _lru_cache_wrapper

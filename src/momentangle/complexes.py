@@ -15,12 +15,10 @@ d = 2k+1 those of 2..n-1 with no two consecutive plus {1, n} with each such
 k-subset of 3..n-2.  Only file facets take the facet walk (`from_facets`).
 """
 
-from __future__ import annotations
-
 from _functools import reduce
+from _operator import add, and_, eq, itemgetter, le, lshift, lt, ne, or_, rshift
 from itertools import chain, combinations, compress, count, groupby, islice, repeat
 from math import comb
-from operator import add, and_, eq, itemgetter, le, lshift, lt, ne, or_, rshift
 
 from .gale import CyclicParams, as_subset, check_subset_count, comb_floor
 

@@ -12,11 +12,9 @@ k-subset spans a face of C(n, d) iff k <= d and it has at most d - k proper
 odd components.
 """
 
-from __future__ import annotations
-
+from _operator import itemgetter
 from itertools import accumulate, combinations, repeat
 from math import comb
-from operator import itemgetter
 
 __all__ = [
     "SUBSET_LIMIT",

@@ -18,8 +18,6 @@ arithmetic; spectra are always truncated at an explicit ceiling, above which
 multiplicities are unknown rather than zero.
 """
 
-from __future__ import annotations
-
 from .gale import Record, check_subset_count
 
 __all__ = [
@@ -53,23 +51,26 @@ def wedge_spectrum(histogram, ceiling: int) -> SphereSpectrum:
     up to the ceiling, the wedge given by its histogram: {D + 1: a_D}, a_D
     summands S^(D+1) for each sphere dimension D + 1.
 
-    The graded Witt formula reads only that histogram; the work is
-    O(ceiling^2) whatever the summand count, and a ceiling whose c_n
-    recurrence needs more than SUBSET_LIMIT products is refused before any
-    of it.
+    The graded Witt formula reads only that histogram.  Its c_n recurrence
+    sums over the nonzero a_D alone: at each n below the ceiling, one
+    product per sphere dimension of the wedge, whatever the summand count.
+    Each c_n has O(n) bits, so the bit work still grows as ceiling^2, and a
+    ceiling whose dense recurrence (n - 1 products at each n) would need
+    more than SUBSET_LIMIT products is refused before any of it.
 
     >>> wedge_spectrum({5: 16}, 9).entries == {5: 16, 9: 120}
     True
     >>> wedge_spectrum({3: 1, 5: 1}, 7).entries == {3: 1, 5: 1, 7: 1}
     True
     """
-    # The c_n recurrence takes n - 1 products at each n below the ceiling;
-    # a negative ceiling is left for SphereSpectrum to refuse.
+    # The dense c_n recurrence takes n - 1 products at each n below the
+    # ceiling; a negative ceiling is left for SphereSpectrum to refuse.
     products = (ceiling - 1) * (ceiling - 2) // 2 if ceiling > 2 else 0
     check_subset_count(products, f"the Witt recurrence up to ceiling {ceiling}", "products")
     if not histogram:
         raise ValueError("need at least one wedge summand")
     a = [0] * ceiling  # a[D] for D < ceiling; larger D cannot reach the ceiling
+    support = []  # (D, a_D) for each nonzero a[D], by increasing D
     for dim, count in sorted(histogram.items()):
         if dim % 2 == 0:
             raise ValueError(
@@ -81,11 +82,12 @@ def wedge_spectrum(histogram, ceiling: int) -> SphereSpectrum:
             raise ValueError(f"summand counts are positive, got {count} at S^{dim}")
         if dim <= ceiling:
             a[dim - 1] = count
+            support.append((dim - 1, count))
     c = [0] * ceiling
     below = [0] * ceiling  # below[n]: sum of d * L_d over the divisors d < n
     entries: dict[int, int] = {}
     for n in range(1, ceiling):
-        c[n] = n * a[n] + sum(a[j] * c[n - j] for j in range(1, n))
+        c[n] = n * a[n] + sum([count * c[n - j] for j, count in support if j < n])
         total = c[n] - below[n]
         if total < 0 or total % n:
             raise ArithmeticError(f"Witt sum {total} is not a multiple of {n}")

@@ -27,8 +27,6 @@ Three routes, cheapest first:
 Fields are tried in the order of `FIELDS`: GF(2), GF(10007), GF(3).
 """
 
-from __future__ import annotations
-
 from math import comb
 
 from .gale import CyclicParams, check_subset_count, h_vector

@@ -8,8 +8,6 @@ summand removes exactly its top class, and the collapse cofibration peels
 summands off one at a time.
 """
 
-from __future__ import annotations
-
 from .gale import Record
 
 __all__ = [

@@ -12,10 +12,8 @@ The multipliers of the pair (i, j) are the lcm quotients: the vertices of g_j
 missing from g_i, and the other way round.
 """
 
-from __future__ import annotations
-
+from _operator import ge
 from itertools import combinations, compress, repeat
-from operator import eq
 
 from .complexes import FaceRingPresentation
 
@@ -29,23 +27,26 @@ def min_relation_degree(F: FaceRingPresentation) -> tuple[int, tuple[int, int]]:
     Scans unordered generator pairs on their vertex bitmasks; the degree
     contributed by a pair is 2 * popcount(a | b) (the lcm degree).  Ties go
     to the lexicographically first index pair.  Two incomparable generators
-    have a union of at least s + 1 vertices, s the smallest generator size,
-    and of at least s + 2 unless both have size s.  So the pairs of two
-    size-s generators are scanned first, in index order, and the first of
-    them of degree 2 * (s + 1) is the answer: no pair is smaller, and every
-    earlier pair is larger.  Only if none reaches that bound are all pairs
-    scanned.
+    of sizes a <= b have a union of at least b + 1 vertices.  So with t the
+    smallest generator size, or the next size if only one generator has the
+    smallest, every pair has a union of at least t + 1, and only a pair of
+    two generators of size at most t can have exactly t + 1.  Those pairs
+    are scanned first, in index order, and the first of them of degree
+    2 * (t + 1) is the answer: no pair is smaller, and every earlier pair
+    is larger.  Only if none reaches that bound are all pairs scanned, so
+    the worst case stays quadratic in the generator count.
     """
     masks = F.masks
     if len(masks) < 2:
         raise ValueError(
             "no relations: the ideal needs at least two generators"
         )
-    s = F.histogram[0][0] // 2
-    smallest = compress(range(len(masks)), map(eq, map(int.bit_count, masks), repeat(s)))
-    for i, j in combinations(list(smallest), 2):
-        if (masks[i] | masks[j]).bit_count() == s + 1:
-            return 2 * (s + 1), (i, j)
+    (degree, count), *larger = F.histogram
+    t = (degree if count > 1 else larger[0][0]) // 2
+    small = compress(range(len(masks)), map(ge, repeat(t), map(int.bit_count, masks)))
+    for i, j in combinations(list(small), 2):
+        if (masks[i] | masks[j]).bit_count() == t + 1:
+            return 2 * (t + 1), (i, j)
     deg, i, j = min(
         (2 * (masks[i] | masks[j]).bit_count(), i, j)
         for i, j in combinations(range(len(masks)), 2)

@@ -24,7 +24,9 @@ bitmask and no pruning, or from the cellular chain complex of (D^2, S^1)^K
 instead of by Hochster's formula at all, and the connected-sum grammar is
 read by the two regular expressions that `manifold` used before it parsed
 with `str` methods, and the Moebius function that the necklace count inverts
-with is found by trial division, which `hilton` no longer needs.
+with is found by trial division, which `hilton` no longer needs, and the
+graded Witt recurrence sums over every smaller degree instead of over the
+wedge's sphere dimensions alone.
 """
 
 from __future__ import annotations
@@ -472,6 +474,27 @@ def necklace_sphere_spectrum(dims, ceiling: int) -> dict[int, int]:
 
     descend(0, ceiling - 1)
     return dict(sorted(entries.items()))
+
+
+def witt_spectrum_dense(histogram, ceiling: int) -> dict[int, int]:
+    """The graded Witt recurrence summed densely, over every 0 < j < n
+    whether a_j is zero or not: c_n = n * a_n + sum a_j * c_(n-j), and
+    n * L_n is c_n less d * L_d over the proper divisors d of n.  The
+    histogram is {sphere dimension D + 1: a_D}; returns {n + 1: L_n}."""
+    a = [0] * max(ceiling, 1)
+    for dim, count in histogram.items():
+        if dim <= ceiling:
+            a[dim - 1] = count
+    c = [0] * max(ceiling, 1)
+    spheres: dict[int, int] = {}
+    for n in range(1, ceiling):
+        c[n] = n * a[n] + sum(a[j] * c[n - j] for j in range(1, n))
+        total = c[n] - sum(d * spheres.get(d + 1, 0) for d in range(1, n) if n % d == 0)
+        if total % n:
+            raise ArithmeticError(f"Witt sum {total} is not a multiple of {n}")
+        if total:
+            spheres[n + 1] = total // n
+    return spheres
 
 
 # ---------------------------------------------------------------------------

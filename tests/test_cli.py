@@ -978,7 +978,8 @@ class TestClosedFormByRing:
 # Modules that `import momentangle.cli` must not load: each costs a
 # command-line call milliseconds of start-up.
 HEAVY_MODULES = ("re", "dataclasses", "inspect", "argparse", "gettext", "locale", "json",
-                 "enum", "typing", "collections", "functools", "types", "reprlib", "keyword")
+                 "enum", "typing", "collections", "functools", "types", "reprlib", "keyword",
+                 "__future__", "operator")
 
 
 class TestImportGraph:

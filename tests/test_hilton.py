@@ -18,6 +18,7 @@ from oracles import (
     hall_sphere_spectrum,
     moebius,
     necklace_sphere_spectrum,
+    witt_spectrum_dense,
 )
 
 MOEBIUS_TABLE = {
@@ -179,6 +180,16 @@ class TestMixedWedgeSpectrum:
     def test_matches_necklace_oracle(self, dims, ceiling):
         got = wedge_spectrum(Counter(dims), ceiling).entries
         assert got == necklace_sphere_spectrum(dims, ceiling), (dims, ceiling)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.dictionaries(st.integers(1, 30).map(lambda k: 2 * k + 1), st.integers(1, 40),
+                        min_size=1, max_size=6),
+        st.integers(0, 60),
+    )
+    def test_matches_dense_recurrence(self, histogram, ceiling):
+        got = wedge_spectrum(histogram, ceiling).entries
+        assert got == witt_spectrum_dense(histogram, ceiling), (histogram, ceiling)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -48,6 +48,35 @@ def presentations():
     )
 
 
+def single_smallest_presentations():
+    """Random small presentations whose smallest size has one generator: one
+    edge beside sampled supports of 3 to 5 vertices, reduced to an antichain,
+    so the early pair scan reads the next size."""
+
+    def build(m, edge, raw):
+        supports = sorted({tuple(sorted(s)) for s in raw if not edge <= s})
+        antichain = [
+            s
+            for s in supports
+            if not any(s != t and set(t).issubset(s) for t in supports)
+        ]
+        if not antichain:
+            antichain = [tuple(sorted(set(range(1, m + 1)) - edge))[:3]]
+        return FaceRingPresentation(m, tuple(sorted([tuple(sorted(edge)), *antichain])))
+
+    return st.integers(5, 9).flatmap(
+        lambda m: st.tuples(
+            st.just(m),
+            st.sets(st.integers(1, m), min_size=2, max_size=2),
+            st.lists(
+                st.sets(st.integers(1, m), min_size=3, max_size=5),
+                min_size=1,
+                max_size=10,
+            ),
+        ).map(lambda args: build(*args))
+    )
+
+
 class TestLcm:
     """The witness multipliers are the lcm quotients of its generators."""
 
@@ -96,6 +125,16 @@ class TestMinRelationDegree:
         F = from_cyclic(CyclicParams(43, 5))
         start = time.perf_counter()
         assert min_relation_degree(F) == (8, (703, 704))
+        assert time.perf_counter() - start < 0.1
+
+    def test_one_edge_stops_among_the_next_size(self):
+        # One edge beside the 4,060 triples on vertices 3..32: only the edge
+        # has size 2, so every pair has a union of at least 3 + 1 vertices,
+        # which the first two triples already reach.
+        edge_and_triples = [(1, 2), *combinations(range(3, 33), 3)]
+        F = FaceRingPresentation(32, tuple(edge_and_triples))
+        start = time.perf_counter()
+        assert min_relation_degree(F) == (8, (1, 2))
         assert time.perf_counter() - start < 0.1
 
     def test_single_generator_errors(self):
@@ -172,6 +211,13 @@ class TestPairScanOracle:
     @settings(max_examples=200, deadline=None)
     @given(presentations())
     def test_random_presentations(self, F):
+        self.check(F, rmin_block(F))
+
+    @settings(max_examples=200, deadline=None)
+    @given(single_smallest_presentations())
+    def test_single_smallest_generator(self, F):
+        sizes = sorted(map(len, F.generators))
+        assert sizes[0] < sizes[1]
         self.check(F, rmin_block(F))
 
     # d = n - 1 is a simplex boundary: one generator, so no pair to scan.
