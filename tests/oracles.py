@@ -481,11 +481,11 @@ def witt_spectrum_dense(histogram, ceiling: int) -> dict[int, int]:
     whether a_j is zero or not: c_n = n * a_n + sum a_j * c_(n-j), and
     n * L_n is c_n less d * L_d over the proper divisors d of n.  The
     histogram is {sphere dimension D + 1: a_D}; returns {n + 1: L_n}."""
-    a = [0] * max(ceiling, 1)
+    a = [0] * ceiling
     for dim, count in histogram.items():
         if dim <= ceiling:
             a[dim - 1] = count
-    c = [0] * max(ceiling, 1)
+    c = [0] * ceiling
     spheres: dict[int, int] = {}
     for n in range(1, ceiling):
         c[n] = n * a[n] + sum(a[j] * c[n - j] for j in range(1, n))

@@ -975,8 +975,8 @@ class TestClosedFormByRing:
         assert general == list(hochster.FIELDS)
 
 
-# Modules that `import momentangle.cli` must not load: each costs a
-# command-line call milliseconds of start-up.
+# Modules that `import momentangle.cli` must not load: each adds to the
+# start-up of every command-line call.
 HEAVY_MODULES = ("re", "dataclasses", "inspect", "argparse", "gettext", "locale", "json",
                  "enum", "typing", "collections", "functools", "types", "reprlib", "keyword",
                  "__future__", "operator")
