@@ -25,19 +25,20 @@ def rmin_block(F):
     return {"degree": degree, "witness": _witness_block(F, degree, pair)}
 
 
+def antichain(raw):
+    """The distinct sampled supports, as sorted tuples, that contain no other."""
+    supports = sorted({tuple(sorted(s)) for s in raw})
+    return [s for s in supports if not any(s != t and set(t) <= set(s) for t in supports)]
+
+
 def presentations():
     """Random small presentations: sampled supports reduced to an antichain."""
 
     def build(m, raw):
-        supports = sorted({tuple(sorted(s)) for s in raw})
-        antichain = [
-            s
-            for s in supports
-            if not any(s != t and set(t).issubset(s) for t in supports)
-        ]
-        if len(antichain) < 2:
-            antichain = [(1, 2), (1, 3)]
-        return FaceRingPresentation(m, tuple(sorted(antichain)))
+        chain = antichain(raw)
+        if len(chain) < 2:
+            chain = [(1, 2), (1, 3)]
+        return FaceRingPresentation(m, tuple(chain))
 
     return st.integers(4, 7).flatmap(
         lambda m: st.lists(
@@ -51,18 +52,13 @@ def presentations():
 def single_smallest_presentations():
     """Random small presentations whose smallest size has one generator: one
     edge beside sampled supports of 3 to 5 vertices, reduced to an antichain,
-    so the early pair scan reads the next size."""
+    so the first bound, one vertex above the edge, has no pair to scan."""
 
     def build(m, edge, raw):
-        supports = sorted({tuple(sorted(s)) for s in raw if not edge <= s})
-        antichain = [
-            s
-            for s in supports
-            if not any(s != t and set(t).issubset(s) for t in supports)
-        ]
-        if not antichain:
-            antichain = [tuple(sorted(set(range(1, m + 1)) - edge))[:3]]
-        return FaceRingPresentation(m, tuple(sorted([tuple(sorted(edge)), *antichain])))
+        chain = antichain(s for s in raw if not edge <= s)
+        if not chain:
+            chain = [tuple(sorted(set(range(1, m + 1)) - edge))[:3]]
+        return FaceRingPresentation(m, tuple(sorted([tuple(sorted(edge)), *chain])))
 
     return st.integers(5, 9).flatmap(
         lambda m: st.tuples(
@@ -71,6 +67,30 @@ def single_smallest_presentations():
             st.lists(
                 st.sets(st.integers(1, m), min_size=3, max_size=5),
                 min_size=1,
+                max_size=10,
+            ),
+        ).map(lambda args: build(*args))
+    )
+
+
+def disjoint_edges_presentations():
+    """Random small presentations of two or more pairwise disjoint edges
+    beside sampled supports of 3 to 5 vertices, reduced to an antichain: the
+    edges' pairs miss the first bound, one vertex above an edge, so the
+    minimum is met at a later bound, where the edges' pairs and the larger
+    generators' pairs compete for the first index pair."""
+
+    def build(m, edge_count, raw):
+        edges = [(2 * k + 1, 2 * k + 2) for k in range(edge_count)]
+        chain = antichain(s for s in raw if not any(set(e) <= s for e in edges))
+        return FaceRingPresentation(m, tuple(sorted([*edges, *chain])))
+
+    return st.integers(6, 10).flatmap(
+        lambda m: st.tuples(
+            st.just(m),
+            st.integers(2, m // 2),
+            st.lists(
+                st.sets(st.integers(1, m), min_size=3, max_size=5),
                 max_size=10,
             ),
         ).map(lambda args: build(*args))
@@ -128,13 +148,24 @@ class TestMinRelationDegree:
         assert time.perf_counter() - start < 0.1
 
     def test_one_edge_stops_among_the_next_size(self):
-        # One edge beside the 4,060 triples on vertices 3..32: only the edge
-        # has size 2, so every pair has a union of at least 3 + 1 vertices,
-        # which the first two triples already reach.
+        # One edge beside the 4,060 triples on vertices 3..32: the bound 3
+        # has only the edge below it, so no pair to scan, and at the bound 4
+        # the first two triples already reach it.
         edge_and_triples = [(1, 2), *combinations(range(3, 33), 3)]
         F = FaceRingPresentation(32, tuple(edge_and_triples))
         start = time.perf_counter()
         assert min_relation_degree(F) == (8, (1, 2))
+        assert time.perf_counter() - start < 0.1
+
+    def test_two_edges_stop_at_the_next_bound(self):
+        # The edges 1 2 and 3 4 beside the first 4,000 triples of 5..39: the
+        # edges' union has 4 vertices, so the bound 3 scans their one pair in
+        # vain, and the bound 4 is met by that same first pair, before any of
+        # the 8 million pairs that hold a triple.
+        triples = list(combinations(range(5, 40), 3))[:4000]
+        F = FaceRingPresentation(39, ((1, 2), (3, 4), *triples))
+        start = time.perf_counter()
+        assert min_relation_degree(F) == (8, (0, 1))
         assert time.perf_counter() - start < 0.1
 
     def test_single_generator_errors(self):
@@ -220,6 +251,12 @@ class TestPairScanOracle:
         assert sizes[0] < sizes[1]
         self.check(F, rmin_block(F))
 
+    @settings(max_examples=200, deadline=None)
+    @given(disjoint_edges_presentations())
+    def test_disjoint_edges(self, F):
+        assert {(1, 2), (3, 4)} <= set(F.generators)
+        self.check(F, rmin_block(F))
+
     # d = n - 1 is a simplex boundary: one generator, so no pair to scan.
     @pytest.mark.parametrize(
         "n,d", [(n, d) for n in range(3, 15) for d in range(2, n - 1)]
@@ -233,8 +270,9 @@ class TestPairScanOracle:
     def test_polygons(self, capsys, m):
         self.check(from_cyclic(CyclicParams(m, 2)), self.report(capsys, "polygon", str(m)))
 
-    # No two smallest generators reach the lower bound 2 * (s + 1), so every
-    # pair is scanned; in the last three the first minimal pair has two sizes.
+    # No two smallest generators reach the first bound, s + 1 vertices, so
+    # the minimum is met at a later bound; in the last three the first
+    # minimal pair has two sizes.
     @pytest.mark.parametrize("m, sups", [
         (4, ((1, 2), (3, 4))),
         (5, ((1, 2), (1, 3, 5), (3, 4))),
