@@ -37,6 +37,7 @@ from .hochster import (
     betti_table,
     bottom_ranks,
     cyclic_ranks,
+    field_ranks,
     zk_ranks,
 )
 from .hilton import (

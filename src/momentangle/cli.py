@@ -37,7 +37,7 @@ COUNTEREXAMPLE_NOTES = (
     "rings, so they are rationally homotopy equivalent and no rank comparison "
     "separates them",
 )
-# Face rings, their relation, wedge and homology facts, their
+# Face rings, their relation and wedge facts, their
 # generator rows as the report writer renders them, and parsed candidates
 # kept for repeated inputs across the in-process calls of one interpreter (a
 # benchmark pass, a test session).
@@ -124,21 +124,6 @@ def _spectrum(F: FaceRingPresentation, ceiling: int) -> tuple[tuple[int, int], .
     so the wedge's histogram is the ring's, each degree less one."""
     shown = hilton.wedge_spectrum({degree - 1: n for degree, n in F.histogram}, ceiling)
     return tuple(sorted(shown.entries.items()))
-
-
-@_source_cache
-def _closed_form(F: FaceRingPresentation) -> tuple[tuple[int, int], ...] | None:
-    """Z_K's ranks by the even-d closed form, as sorted (degree, rank) pairs,
-    when `complexes.even_cyclic_twin` names the polytope whose ring F is, else
-    None: decided once per ring, whatever source gives it, for every field."""
-    twin = complexes.even_cyclic_twin(F)
-    return tuple(sorted(hochster.cyclic_ranks(twin).items())) if twin else None
-
-
-@_source_cache
-def _general_ranks(F: FaceRingPresentation, field: int) -> tuple[tuple[int, int], ...]:
-    """Z_K's ranks over GF(field) by the general route, once per ring and field."""
-    return tuple(hochster.zk_ranks(F, field).items())
 
 
 class _Candidate(Record):
@@ -236,12 +221,10 @@ def _difference(field: str, zk: dict, candidate: dict, degrees) -> dict | None:
 def _homology_block(F: FaceRingPresentation, c: _Candidate, q: int | None) -> dict:
     """Z_K's homology against the candidate's: degrees in ascending order,
     the bottom read first, then, only if it agrees, the full ranks field by
-    field in the order of `hochster.FIELDS`: by `_closed_form` when F is an
-    even-d cyclic polytope's ring, whatever its source, else by the general
-    route.  The first (field, degree) that differs is the difference; a
-    candidate is torsion-free, so any one field's difference rules out a
-    homotopy equivalence.  With `q`, degree q alone, which both sides'
-    Hurewicz windows must admit."""
+    field from `hochster.field_ranks`.  The first (field, degree) that
+    differs is the difference; a candidate is torsion-free, so any one
+    field's difference rules out a homotopy equivalence.  With `q`, degree
+    q alone, which both sides' Hurewicz windows must admit."""
     top, bottom = hochster.bottom_ranks(F)
     if q is not None:
         window = manifold.hurewicz_window(manifold.GradedRanks(bottom, top))
@@ -263,9 +246,7 @@ def _homology_block(F: FaceRingPresentation, c: _Candidate, q: int | None) -> di
         fields = list(FIELD_NAMES)
     else:
         fields = []
-        closed = _closed_form(F)
-        for name, field in zip(FIELD_NAMES, hochster.FIELDS):
-            zk = dict(closed or _general_ranks(F, field))
+        for name, (_, zk) in zip(FIELD_NAMES, hochster.field_ranks(F)):
             degrees = sorted(zk.keys() | candidate.keys()) if q is None else (q,)
             difference = _difference(name, zk, candidate, degrees)
             fields.append(name)
@@ -479,7 +460,7 @@ def cmd_wedge(source, ceiling: int | None = None) -> dict:
     return {
         "input": {"source": descriptor},
         "ideal": _ideal_block(F),
-        "rmin": {"degree": _relation(F)[0]},
+        "rmin": {"degree": q_max + 2},
         "wedge": wedge,
     }
 

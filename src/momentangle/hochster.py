@@ -10,7 +10,8 @@ empty J gives degree 0).  In the face ring's bigraded Betti numbers
 beta_(i,j) = sum over |J| = j of dim H~^(j-i-1)(K_J), degree p collects
 every beta_(i,j) with 2j - i = p.
 
-Three routes, cheapest first:
+Three routes, cheapest first; `field_ranks` alone chooses between the
+last two, field by field in the order of `FIELDS`: GF(2), GF(10007), GF(3).
 
 - the bottom read (`bottom_ranks`): with j0 the smallest generator size,
   Z_K is (2j0-2)-connected and H_(2j0-1) is free of rank the number of
@@ -23,15 +24,14 @@ Three routes, cheapest first:
 - the general route (`betti_table`): one elimination per subset J that is
   the union of the generators inside it (any other K_J is a cone), over
   GF(p) for a prime p.
-
-Fields are tried in the order of `FIELDS`: GF(2), GF(10007), GF(3).
 """
 
 from math import comb
 
+from . import complexes
 from .gale import CyclicParams, check_subset_count, h_vector
 
-__all__ = ["FIELDS", "bottom_ranks", "cyclic_ranks", "betti_table", "zk_ranks"]
+__all__ = ["FIELDS", "bottom_ranks", "cyclic_ranks", "betti_table", "zk_ranks", "field_ranks"]
 
 FIELDS = (2, 10007, 3)
 
@@ -211,3 +211,20 @@ def zk_ranks(F, p: int) -> dict[int, int]:
     for (i, j), b in betti_table(F, p).items():
         ranks[2 * j - i] = ranks.get(2 * j - i, 0) + b
     return dict(sorted(ranks.items()))
+
+
+def field_ranks(F):
+    """Z_K's ranks over each field of `FIELDS` in order, as (p, ranks)
+    pairs: the even-d closed form, computed once and yielded for every
+    field, when `complexes.even_cyclic_twin` names the polytope whose ring F
+    is, whatever its source; else `zk_ranks(F, p)`, computed only when the
+    caller asks for field p.
+
+    >>> from momentangle import CyclicParams, from_cyclic
+    >>> next(field_ranks(from_cyclic(CyclicParams(5, 2))))
+    (2, {0: 1, 3: 5, 4: 5, 7: 1})
+    """
+    twin = complexes.even_cyclic_twin(F)
+    closed = cyclic_ranks(twin) if twin else None
+    for p in FIELDS:
+        yield p, closed if twin else zk_ranks(F, p)

@@ -402,8 +402,7 @@ class TestVerdictReadsNoWedgeFact:
         plain = self.verdicts(capsys, tokens, specs)
         difference = plain[1][1]["difference"]
         assert difference is None or difference["degree"] >= degree
-        for cached in (cli._face_ring, cli._relation, cli._spectrum, cli._closed_form,
-                       cli._general_ranks, cli._candidate):
+        for cached in (cli._face_ring, cli._relation, cli._spectrum, cli._candidate):
             cached.cache_clear()
         monkeypatch.setattr(cli, "_wedge_block", lambda F: {
             "spectrum": {"3": 1}, "ceiling": 1, "q_max": 1, "pi2_rank": F.m})
@@ -875,7 +874,6 @@ class TestClosedFormByRing:
         general = []
         zk_ranks = hochster.zk_ranks
         monkeypatch.setattr(hochster, "zk_ranks", lambda F, p: general.append(p) or zk_ranks(F, p))
-        cli._general_ranks.cache_clear()
         gon30 = self.write(tmp_path / "gon30.txt", "facets",
                            [(i, i % 30 + 1) for i in range(1, 31)], 30)
         c84 = self.write(tmp_path / "c84.txt", "nonfaces", CYCLIC_8_4_MINIMAL_NONFACES, 8)
@@ -952,21 +950,21 @@ class TestClosedFormByRing:
         assert (code, payload["homology"]["difference"]) == (
             0, {"field": "GF(2)", "degree": 5, "zk_rank": 57086, "manifold_rank": 1})
 
-    def test_twin_is_decided_once_per_ring(self, capsys, monkeypatch):
+    def test_twin_is_decided_once_per_call(self, capsys, monkeypatch):
+        # Each INCONCLUSIVE verdict compares all three fields, but tests the
+        # ring for a twin once; nothing is kept for the next call.
         calls = []
         twin = complexes.even_cyclic_twin
         monkeypatch.setattr(complexes, "even_cyclic_twin", lambda F: calls.append(F) or twin(F))
-        cli._closed_form.cache_clear()
         for spec in (HEADLINE, "15*S6xS6 # 16*S5xS7"):
             code, out, err = run_cli(capsys, "verdict", "cyclic", "8", "4", "--vs", spec)
             assert (code, err) == (2, ""), spec
-        assert calls == [complexes.from_cyclic(CyclicParams(8, 4))]
+        assert calls == [complexes.from_cyclic(CyclicParams(8, 4))] * 2
 
     def test_relabelled_pentagon_takes_the_general_route(self, capsys, tmp_path, monkeypatch):
         general = []
         zk_ranks = hochster.zk_ranks
         monkeypatch.setattr(hochster, "zk_ranks", lambda F, p: general.append(p) or zk_ranks(F, p))
-        cli._general_ranks.cache_clear()
         path = self.write(tmp_path / "pentagon.txt", "facets",
                           [(1, 3), (3, 5), (5, 2), (2, 4), (4, 1)], 5)
         # McGavran: Z_K of the pentagon is 5*S3xS4, ranks {0: 1, 3: 5, 4: 5, 7: 1}.
@@ -1014,8 +1012,7 @@ class TestSourceCache:
     """`cli._source_cache` keeps a function as
     `functools.lru_cache(maxsize=SOURCE_CACHE_SIZE)` keeps it."""
 
-    CACHED = (cli._face_ring, cli._relation, cli._spectrum, cli._closed_form,
-              cli._general_ranks, cli._candidate, cli._rows)
+    CACHED = (cli._face_ring, cli._relation, cli._spectrum, cli._candidate, cli._rows)
 
     def test_is_lru_caches_own_type_and_sized(self):
         for cached in self.CACHED:
@@ -1024,6 +1021,10 @@ class TestSourceCache:
             assert info._fields == ("hits", "misses", "maxsize", "currsize")
             assert (info.hits, info.misses, info.maxsize, info.currsize) == info
             assert info.maxsize == cli.SOURCE_CACHE_SIZE
+
+    def test_no_other_function_is_cached(self):
+        kind = type(functools.lru_cache(maxsize=1)(len))
+        assert {v for v in vars(cli).values() if type(v) is kind} == set(self.CACHED)
 
     def test_evicts_the_oldest_key_as_lru_cache_does(self):
         size = cli.SOURCE_CACHE_SIZE
@@ -1187,7 +1188,7 @@ class TestInProcessCalls:
             assert code in (0, 2) and err == "", argv
         assert counts == {"min_relation_degree": 1, "wedge_spectrum": 1}
 
-    def test_closed_form_runs_once_per_source(self, capsys, monkeypatch, tmp_path):
+    def test_closed_form_runs_once_per_call(self, capsys, monkeypatch, tmp_path):
         calls, twins = [], []
         cyclic_ranks, twin = hochster.cyclic_ranks, complexes.even_cyclic_twin
 
@@ -1197,7 +1198,6 @@ class TestInProcessCalls:
 
         monkeypatch.setattr(hochster, "cyclic_ranks", counted)
         monkeypatch.setattr(complexes, "even_cyclic_twin", lambda F: twins.append(F) or twin(F))
-        cli._closed_form.cache_clear()
         gon30 = tmp_path / "gon30.txt"
         gon30.write_text("vertices 30\nfacets\n" + "".join(
             f"{i} {i % 30 + 1}\n" for i in range(1, 31)))
@@ -1207,14 +1207,15 @@ class TestInProcessCalls:
             ["verdict", "cyclic", "8", "4", "--vs", "16*S5xS7 # 15*S6xS6", "--q", "7"],
             ["verdict", "cyclic", "8", "4", "--vs", "16*S5xS7"],
             ["counterexample"],
-            # The 30-gon's edge file and `polygon 30` share one closed form.
+            # The 30-gon's edge file takes the closed form, as `polygon 30` does.
             ["verdict", "file", str(gon30), "--vs", "2*S3xS3", "--q", "4"],
             ["verdict", "polygon", "30", "--vs", "2*S3xS3", "--q", "4"],
         ):
             code, out, err = run_cli(capsys, *argv)
             assert code in (0, 2) and err == "", argv
-        assert calls == [CyclicParams(8, 4), CyclicParams(30, 2)]
-        # One twin test per ring: the edge file's ring is polygon 30's.
+        # Each call past the bottom read computes the closed form once, for
+        # every field it compares, after one twin test.
+        assert calls == [CyclicParams(8, 4)] * 4 + [CyclicParams(30, 2)] * 2
         assert twins == [complexes.from_cyclic(p) for p in calls]
 
     def test_polygon_and_cyclic_share_a_face_ring(self, capsys, monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentangle import hochster
+from momentangle import complexes, hochster
 from momentangle.cli import main
 from momentangle.complexes import FaceRingPresentation, from_cyclic, from_facets, from_nonfaces
 from momentangle.gale import CyclicParams
@@ -158,6 +158,62 @@ class TestRoutesAgree:
         ranks = hochster.zk_ranks(cyclic(n, d), 2)
         assert max(ranks) == n + d and ranks[n + d] == 1
         assert all(ranks.get(n + d - k) == v for k, v in ranks.items())
+
+
+class TestFieldRanks:
+    """`field_ranks` chooses each field's route: the closed form, computed
+    once per call, when the ring has an even-d cyclic twin, else the general
+    route, computed only for the fields a consumer reads."""
+
+    GON30 = from_facets(30, [(i, i % 30 + 1) for i in range(1, 31)])
+    FIXTURES = {
+        "pentagon": from_nonfaces(5, PENTAGON_MINIMAL_NONFACES),
+        "relabelled pentagon": from_facets(5, [(1, 3), (3, 5), (5, 2), (2, 4), (4, 1)]),
+        "octahedron": OCTAHEDRON,
+        "rp2": from_facets(6, RP2_FACETS),
+        "C8_4 nonfaces": from_nonfaces(8, CYCLIC_8_4_MINIMAL_NONFACES),
+        "C6_3": cyclic(6, 3),
+    }
+
+    @staticmethod
+    def counted(monkeypatch):
+        """The arguments of each `cyclic_ranks` and `zk_ranks` call from now on."""
+        calls = {"cyclic_ranks": [], "zk_ranks": []}
+        for name, log in calls.items():
+            fn = getattr(hochster, name)
+            monkeypatch.setattr(hochster, name, lambda *a, fn=fn, log=log: log.append(a) or fn(*a))
+        return calls
+
+    @staticmethod
+    def route(F, p):
+        """The route the verdict took before `field_ranks` chose it."""
+        twin = complexes.even_cyclic_twin(F)
+        return hochster.cyclic_ranks(twin) if twin else hochster.zk_ranks(F, p)
+
+    def test_fields_come_in_order(self):
+        for F in (cyclic(8, 4), self.FIXTURES["relabelled pentagon"]):
+            assert [p for p, _ in hochster.field_ranks(F)] == list(hochster.FIELDS)
+
+    @pytest.mark.parametrize("F", [cyclic(8, 4), GON30], ids=["C8_4", "gon30 edges"])
+    def test_twin_takes_one_closed_form(self, monkeypatch, F):
+        calls = self.counted(monkeypatch)
+        ranks = dict(hochster.field_ranks(F))
+        twin = complexes.even_cyclic_twin(F)
+        assert calls == {"cyclic_ranks": [(twin,)], "zk_ranks": []}
+        assert ranks == {p: hochster.cyclic_ranks(twin) for p in hochster.FIELDS}
+
+    @pytest.mark.parametrize("name", ["relabelled pentagon", "rp2"])
+    def test_general_route_runs_per_field_read(self, monkeypatch, name):
+        F = self.FIXTURES[name]
+        calls = self.counted(monkeypatch)
+        fields = hochster.field_ranks(F)
+        assert next(fields) == (2, zk_ranks_cellular(F.m, F.generators, 2))
+        assert calls == {"cyclic_ranks": [], "zk_ranks": [(F, 2)]}
+
+    @pytest.mark.parametrize("F", [cyclic(n, d) for n in range(3, 11) for d in range(2, n)]
+                             + list(FIXTURES.values()) + [GON30])
+    def test_equals_the_former_route(self, F):
+        assert dict(hochster.field_ranks(F)) == {p: self.route(F, p) for p in hochster.FIELDS}
 
 
 class TestRelationRow:
