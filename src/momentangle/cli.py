@@ -259,8 +259,12 @@ def build_verdict_report(source, vs: str, q: int | None = None) -> dict:
     F, descriptor = _resolve_source(source)
     if F.is_trivial:
         raise ValueError("the ideal is empty (full simplex): nothing to compare")
-    # The verdict does not read the wedge block.
-    wedge = _wedge_block(F)
+    # The verdict does not read the wedge block, so a ring with no wedge
+    # model (one generator, or a relation scan refused) gets none.
+    try:
+        wedge = _wedge_block(F)
+    except ValueError:
+        wedge = None
     c = _candidate(vs)
     homology = _homology_block(F, c, q)
     return {

@@ -422,6 +422,44 @@ class TestVerdictReadsNoWedgeFact:
         assert code in (0, 2) and verdict["wedge"] == wedge
 
 
+class TestVerdictWithoutWedgeModel:
+    """A ring with no wedge model, one generator or a relation scan above
+    the subset limit, still gets a verdict, with a null `wedge` block that
+    the text view does not print; `wedge` and `syzmin` still refuse it."""
+
+    NO_RELATIONS = "error: no relations: the ideal needs at least two generators\n"
+
+    @pytest.mark.parametrize("source, spec, degree", [
+        (["cyclic", "5", "4"], "S4xS5", 4),
+        (["polygon", "3"], "S2xS3", 2),
+    ])
+    def test_one_generator(self, capsys, source, spec, degree):
+        code, payload = run_json(capsys, "verdict", *source, "--vs", spec)
+        assert (code, payload["wedge"], payload["verdict"]) == (0, None, "NOT_EQUIVALENT")
+        assert payload["homology"]["difference"] == {
+            "field": "GF(2)", "degree": degree, "zk_rank": 0, "manifold_rank": 1}
+        code, out, err = run_cli(capsys, "verdict", *source, "--vs", spec)
+        assert (code, err) == (0, "") and "wedge" not in out
+        for command in ("wedge", "syzmin"):
+            assert run_cli(capsys, command, *source) == (1, "", self.NO_RELATIONS)
+
+    def test_refused_relation_scan(self, capsys, tmp_path):
+        # The 3,721 lines y = ax + b (mod 61) on the columns x = 0..4 of a
+        # 5 x 61 grid: 6,921,060 pairs at the first bound.
+        path = tmp_path / "lines61.txt"
+        path.write_text("vertices 305\nnonfaces\n" + "".join(
+            " ".join(str(x * 61 + (a * x + b) % 61 + 1) for x in range(5)) + "\n"
+            for a in range(61) for b in range(61)))
+        start = time.perf_counter()
+        code, payload = run_json(capsys, "verdict", "file", str(path), "--vs", "S5xS7")
+        assert time.perf_counter() - start < 1.0
+        assert (code, payload["wedge"], payload["homology"]["difference"]["degree"]) == (0, None, 5)
+        refusal = ("error: the relation scan at 6 vertices would need 6921060 pairs, "
+                   "above the limit of 1048576\n")
+        for command in ("wedge", "syzmin"):
+            assert run_cli(capsys, command, "file", str(path)) == (1, "", refusal)
+
+
 class TestHomology:
     def test_headline_table(self, capsys):
         code, payload = run_json(capsys, "homology", "16*S5xS7 # 15*S6xS6")
@@ -1251,7 +1289,7 @@ class TestInProcessCalls:
         assert cli.build_verdict_report(["cyclic", "8", "4"], "16*S5xS7") == expected
 
     def test_error_is_repeated_not_kept(self, capsys):
-        argv = ["verdict", "cyclic", "5", "4", "--vs", "S3xS3"]
+        argv = ["wedge", "cyclic", "5", "4"]
         first = run_cli(capsys, *argv)
         assert first == run_cli(capsys, *argv)
         assert first == (

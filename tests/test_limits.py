@@ -24,6 +24,7 @@ from momentangle.gale import (
     h_vector,
 )
 from momentangle.hilton import wedge_spectrum
+from momentangle.syzygy import min_relation_degree
 
 PENTAGON = from_cyclic(CyclicParams(5, 2))
 TWELVE_GON_EDGES = [(i, i % 12 + 1) for i in range(1, 13)]
@@ -64,6 +65,9 @@ SITES = {
     "betti_table face tests": (
         lambda: hochster.betti_table(PENTAGON, 2), 160,
         "Hochster's formula", 187, "face tests"),
+    "min_relation_degree": (
+        lambda: min_relation_degree(from_nonfaces(6, [(1, 2), (3, 4), (5, 6)])), 2,
+        "the relation scan at 3 vertices", 3, "pairs"),
     "wedge_spectrum": (
         lambda: wedge_spectrum({3: 1}, 10), 35,
         "the Witt recurrence up to ceiling 10", 36, "products"),

@@ -168,6 +168,31 @@ class TestMinRelationDegree:
         assert min_relation_degree(F) == (8, (0, 1))
         assert time.perf_counter() - start < 0.1
 
+    @staticmethod
+    def lines(p):
+        """The p * p lines y = ax + b (mod p) on the columns x = 0..4 of a
+        5 x p grid, vertex x * p + y + 1: 5-sets that pairwise share at most
+        one vertex, so no pair meets the bounds 6, 7 and 8."""
+        return FaceRingPresentation(5 * p, tuple(sorted(
+            tuple(sorted(x * p + (a * x + b) % p + 1 for x in range(5)))
+            for a in range(p) for b in range(p))))
+
+    def test_lines_mod_31_scan_every_pair_at_each_bound(self):
+        # 961 lines: 461,280 pairs per bound, under the subset limit.
+        assert min_relation_degree(self.lines(31)) == (18, (0, 1))
+
+    def test_lines_mod_61_are_refused_at_the_first_bound(self):
+        # 3,721 lines: 6,921,060 pairs, of which the bound 6 reads the
+        # first 2**20 in vain before it is refused.
+        F = self.lines(61)
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            min_relation_degree(F)
+        assert time.perf_counter() - start < 1.0
+        assert str(info.value) == (
+            "the relation scan at 6 vertices would need 6921060 pairs, above the limit of 1048576"
+        )
+
     def test_single_generator_errors(self):
         F = FaceRingPresentation(3, ((1, 2),))
         with pytest.raises(ValueError, match="at least two"):
