@@ -1323,6 +1323,7 @@ class TestReadme:
         assert hurewicz_window(ns["g"]) == 8
         assert (ns["wedge"].entries.get(6, 0), ns["g"].rank(6)) == (0, 30)
         assert ns["zk"] == ns["g"].ranks == {0: 1, 5: 16, 6: 30, 7: 16, 12: 1}
+        assert ns["ranks"] == {2: ns["zk"], 10007: ns["zk"], 3: ns["zk"]}
 
 
 class TestTextRendering:
