@@ -23,8 +23,10 @@ unrecognized arguments, `--opt=value`, options before positionals, `--`,
 a repeated option, negative values (`--q -0`, `faces -1 3`, `--ceiling
 -1`), `--json` before the subcommand and the abbreviated names `--v` and
 `--ceil`, and `wedge --ceiling 1450`, one past the Witt bound, on `polygon
-4` and on `cyclic 5 4`, which has no relation; every call plain, `--json`
-and `--quiet`.  Larger rings add `ideal` and `syzmin`, with `--json` only:
+4` and on `cyclic 5 4`, which has no relation, and `verdict cyclic 8 4`
+against the headline spec with `--q -1` and with `--q 12`, its top
+class; every call plain, `--json` and `--quiet`.  Larger rings add `ideal`
+and `syzmin`, with `--json` only:
 every `face_ladder` rung of `perfbench/workloads.py`, the probe rings
 C(16,6), C(20,4) and C(14,8), the rings C(19,9) and C(21,8) just inside the
 subset limit, C(20,10), C(22,11), C(24,12) and C(23,11), which are
@@ -124,6 +126,9 @@ MISC_CALLS = [
     ["wedge", "polygon", "4", "--ceil", "9"],
     ["wedge", "polygon", "4", "--ceiling", "1450"],
     ["wedge", "cyclic", "5", "4", "--ceiling", "1450"],
+    # a negative degree, and C(8,4)'s top class
+    ["verdict", "cyclic", "8", "4", "--vs", SPECS[0], "--q", "-1"],
+    ["verdict", "cyclic", "8", "4", "--vs", SPECS[0], "--q", "12"],
 ]
 
 # Runs in the subprocess: argv lists on stdin, one [code, out, err] each on stdout.

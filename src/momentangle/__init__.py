@@ -51,7 +51,6 @@ from .manifold import (
     connected_sum_homology,
     euler_characteristic,
     format_connected_sum,
-    hurewicz_window,
     parse_connected_sum,
     poincare_check,
 )

@@ -128,16 +128,14 @@ def _spectrum(F: FaceRingPresentation, ceiling: int) -> tuple[tuple[int, int], .
 
 class _Candidate(Record):
     """What a report reads of a candidate connected sum: its canonical text,
-    top dimension, sorted (degree, rank) pairs, Poincare check, Euler
-    characteristic, and the degree up to which homology gives homotopy
-    ranks.  A record, not a dataclass: building a dataclass costs about
-    1 ms of every process's start."""
+    top dimension, sorted (degree, rank) pairs, Poincare check and Euler
+    characteristic.  A record, not a dataclass: building a dataclass costs
+    about 1 ms of every process's start."""
 
     __slots__ = ()
 
-    def __new__(cls, spec: str, top: int, ranks: tuple, poincare: bool, euler: int,
-                hurewicz: int):
-        return super().__new__(cls, (spec, top, ranks, poincare, euler, hurewicz))
+    def __new__(cls, spec: str, top: int, ranks: tuple, poincare: bool, euler: int):
+        return super().__new__(cls, (spec, top, ranks, poincare, euler))
 
 
 @_source_cache
@@ -151,7 +149,6 @@ def _candidate(text: str) -> _Candidate:
         ranks=tuple(sorted(g.ranks.items())),
         poincare=manifold.poincare_check(g),
         euler=manifold.euler_characteristic(g),
-        hurewicz=manifold.hurewicz_window(g),
     )
 
 
@@ -186,7 +183,7 @@ def _wedge_block(F: FaceRingPresentation, ceiling: int | None = None) -> dict:
     degree (the degree-2 rank they print is `F.m`).  The multiplicities are
     not exact up to q_max: the square has S^5 at q = 5 <= 6, while
     pi_5(S^3 x S^3) (x) Q = 0.  The exact range is q <= rmin - 4 (ROADMAP
-    item 2)."""
+    item 3)."""
     q_max = _relation(F)[0] - 2
     if ceiling is None:
         ceiling = q_max
@@ -224,15 +221,11 @@ def _homology_block(F: FaceRingPresentation, c: _Candidate, q: int | None) -> di
     field from `hochster.field_ranks`.  The first (field, degree) that
     differs is the difference; a candidate is torsion-free, so any one
     field's difference rules out a homotopy equivalence.  With `q`, degree
-    q alone, which both sides' Hurewicz windows must admit."""
+    q alone, any q >= 0: from the bottom read up to its top 2j0 - 1, above
+    it from the full ranks."""
+    if q is not None and q < 0:
+        raise ValueError(f"q={q} is not a degree: homology starts in degree 0")
     top, bottom = hochster.bottom_ranks(F)
-    if q is not None:
-        window = manifold.hurewicz_window(manifold.GradedRanks(bottom, top))
-        if not 0 <= q <= min(window, c.hurewicz):
-            raise ValueError(
-                f"q={q} outside the joint window: Z_K's homology gives homotopy "
-                f"ranks for q <= {window}, the candidate's for q <= {c.hurewicz}"
-            )
     candidate = dict(c.ranks)
     if q is None:
         low = range(top + 1)
@@ -598,7 +591,7 @@ COMMANDS = {
     "verdict": ("compare Z_K's homology with a connected sum's, field by field",
                 build_verdict_report, text_verdict, (
         _SOURCE, ("--vs SPEC", str, "candidate, e.g. '16*S5xS7 # 15*S6xS6'"),
-        ("[--q Q]", int, "compare degree Q alone, in both Hurewicz windows"))),
+        ("[--q Q]", int, "compare degree Q alone"))),
     "counterexample": ("run the full C(8,4) pipeline with all artifacts", cmd_counterexample,
                        text_verdict, ()),
 }

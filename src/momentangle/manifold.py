@@ -1,5 +1,5 @@
-"""Homology of connected sums of sphere products, and the rational-Hurewicz
-window where homology ranks double as homotopy ranks.
+"""Homology of connected sums of sphere products, their duality and Euler
+checks, and the grammar of their specs.
 
 All spaces here (products of spheres of dimension >= 2 and their connected
 sums) have torsion-free homology, so graded ranks are a lossless record.
@@ -17,7 +17,6 @@ __all__ = [
     "connected_sum_homology",
     "poincare_check",
     "euler_characteristic",
-    "hurewicz_window",
     "parse_connected_sum",
     "format_connected_sum",
 ]
@@ -123,24 +122,6 @@ def poincare_check(g: GradedRanks) -> bool:
 def euler_characteristic(g: GradedRanks) -> int:
     """Alternating sum of the ranks."""
     return sum((-1) ** k * v for k, v in g.ranks.items())
-
-
-def hurewicz_window(g: GradedRanks) -> int:
-    """Largest degree where rational homotopy ranks can be read off homology.
-
-    For a simply connected space whose first nonzero reduced homology sits in
-    degree r, rational homotopy and homology ranks agree through degree
-    2r - 2, so inside the window the rank of pi_q tensor Q is `g.rank(q)`.
-    Callers guarantee simple connectivity.
-
-    >>> M = connected_sum_homology(parse_connected_sum("16*S5xS7 # 15*S6xS6"))
-    >>> hurewicz_window(M), M.rank(6)
-    (8, 30)
-    """
-    positive = [k for k in g.ranks if k > 0]
-    if not positive:
-        return g.top  # contractible-looking table: everything vanishes anyway
-    return 2 * min(positive) - 2
 
 
 def _summand(part: str) -> tuple[int, SphereProduct]:

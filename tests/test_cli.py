@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from momentangle import cli, complexes, hilton, hochster, syzygy
 from momentangle.cli import main
 from momentangle.gale import CyclicParams, enumerate_faces, f_vector
-from momentangle.manifold import hurewicz_window, parse_connected_sum
+from momentangle.manifold import parse_connected_sum
 
 from conftest import SRC
 from oracles import (
@@ -534,18 +534,64 @@ class TestVerdict:
             assert payload["verdict"] == "INCONCLUSIVE"
             assert payload["homology"] == {"fields": ALL_FIELDS, "difference": None, "q": q}
 
-    def test_out_of_window_lists_both_bounds(self, capsys):
-        # Z_K's first class sits in degree 5, so its Hurewicz window is
-        # 2*5 - 2 = 8; 5*S3xS4's starts in degree 3, window 4.
-        for q in ("5", "9", "-1"):
-            code, out, err = run_cli(
-                capsys, "verdict", "cyclic", "8", "4", "--vs", "5*S3xS4", "--q", q,
-            )
-            assert (code, out) == (1, "")
-            assert err == (
-                f"error: q={q} outside the joint window: Z_K's homology gives "
-                "homotopy ranks for q <= 8, the candidate's for q <= 4\n"
-            )
+    # `--q Q` against the full comparison: polygons 4..8 and C(n, d) with
+    # n <= 8 and d <= n - 2, then RP^2, whose GF(2) ranks hold one more class
+    # in degrees 8 and 9 than the other fields'.  S2xS8 meets GF(2)'s rank in
+    # degree 8, so GF(10007) is the first field to differ there.
+    Q_SOURCES = ([f"polygon {m}" for m in range(4, 9)]
+                 + [f"cyclic {n} {d}" for n in range(4, 9) for d in range(2, n - 1)]
+                 + ["rp2"])
+    Q_SPECS = ["5*S3xS4", "16*S5xS7 # 15*S6xS6", "16*S5xS7 # 14*S6xS6 # S6xS6", "S2xS8"]
+
+    @pytest.mark.parametrize("source", Q_SOURCES)
+    def test_any_degree_matches_the_full_ranks(self, tmp_path, source):
+        if source == "rp2":
+            path = tmp_path / "rp2.txt"
+            path.write_text("vertices 6\nfacets\n" + "".join(
+                " ".join(map(str, f)) + "\n" for f in RP2_FACETS))
+            tokens = ["file", str(path)]
+        else:
+            tokens = source.split()
+        F = cli._resolve_source(tokens)[0]
+        # Each field's ranks once, by the naive per-subset elimination.
+        ranks = {name: zk_ranks_naive(F.m, F.generators, p)
+                 for name, p in zip(ALL_FIELDS, hochster.FIELDS)}
+        for spec in self.Q_SPECS:
+            candidate = dict(cli._candidate(spec).ranks)
+            top = max(*candidate, *(k for zk in ranks.values() for k in zk))
+            for q in range(top + 2):
+                homology = cli.build_verdict_report(tokens, spec, q)["homology"]
+                differ = [name for name in ALL_FIELDS
+                          if ranks[name].get(q, 0) != candidate.get(q, 0)]
+                if differ:
+                    first = differ[0]
+                    assert homology == {
+                        "fields": ALL_FIELDS[: ALL_FIELDS.index(first) + 1],
+                        "difference": {"field": first, "degree": q,
+                                       "zk_rank": ranks[first].get(q, 0),
+                                       "manifold_rank": candidate.get(q, 0)},
+                        "q": q,
+                    }, (spec, q)
+                else:
+                    assert homology == {"fields": ALL_FIELDS, "difference": None,
+                                        "q": q}, (spec, q)
+
+    def test_degree_above_the_bottom_read(self, capsys):
+        # The hexagon's bottom read stops at degree 3; degree 5 comes from the
+        # full ranks, where Z_K has 9 classes and 5*S3xS4 none.
+        code, out, err = run_cli(
+            capsys, "verdict", "polygon", "6", "--vs", "5*S3xS4", "--q", "5", "--quiet",
+        )
+        assert (code, err) == (0, "")
+        assert out == ("verdict: NOT_EQUIVALENT (homology ranks differ over GF(2) "
+                       "in degree 5: Z_K 9, candidate 0)\n")
+
+    def test_negative_degree_is_refused(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verdict", "polygon", "5", "--vs", "5*S3xS4", "--q", "-1",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: q=-1 is not a degree: homology starts in degree 0\n"
 
     def test_agreeing_candidate_is_inconclusive(self, capsys):
         # Finding 1 of ROADMAP.md: Z_K of C(8,4) and 16*S5xS7 # 15*S6xS6 are
@@ -1320,7 +1366,6 @@ class TestReadme:
         assert ns["F"].generators[0] == (1, 3, 5) and ns["F"].histogram == ((6, 16),)
         assert (ns["rmin"], ns["i"], ns["j"]) == (8, 0, 1)
         assert ns["wedge"].entries == {5: 16} and ns["wedge"].ceiling == 6
-        assert hurewicz_window(ns["g"]) == 8
         assert (ns["wedge"].entries.get(6, 0), ns["g"].rank(6)) == (0, 30)
         assert ns["zk"] == ns["g"].ranks == {0: 1, 5: 16, 6: 30, 7: 16, 12: 1}
         assert ns["ranks"] == {2: ns["zk"], 10007: ns["zk"], 3: ns["zk"]}

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentangle import complexes, hochster
+from momentangle import cli, complexes, gale, hochster
 from momentangle.cli import main
 from momentangle.complexes import FaceRingPresentation, from_cyclic, from_facets, from_nonfaces
 from momentangle.gale import CyclicParams
@@ -285,3 +285,31 @@ class TestK12:
         assert str(info.value) == (
             "Hochster's formula would need 1434015 face tests, above the limit of 1048576"
         )
+
+    # The full route with the limit doubled: the 2-torsion of the RP^2 on 1..6
+    # and of its complement on 7..12 adds two classes in degrees 8 and 9 over
+    # GF(2) alone.  A route that halves the face tests must give these ranks.
+    GF3_RANKS = {0: 1, 5: 56, 6: 197, 7: 288, 8: 256, 9: 256, 10: 288, 11: 197, 12: 56, 17: 1}
+
+    def test_full_route_over_gf3(self, monkeypatch):
+        monkeypatch.setattr(gale, "SUBSET_LIMIT", 2**21)
+        assert hochster.zk_ranks(self.K, 3) == self.GF3_RANKS
+
+    def test_full_route_over_gf2_sees_the_torsion(self, monkeypatch):
+        monkeypatch.setattr(gale, "SUBSET_LIMIT", 2**21)
+        assert hochster.zk_ranks(self.K, 2) == self.GF3_RANKS | {8: 258, 9: 258}
+
+    def test_verdict_names_the_torsion(self, monkeypatch, tmp_path):
+        # The candidate's ranks are the GF(3) ranks, so only GF(2) tells them apart.
+        monkeypatch.setattr(gale, "SUBSET_LIMIT", 2**21)
+        path = tmp_path / "k12.txt"
+        path.write_text("vertices 12\nfacets\n" + "".join(
+            " ".join(map(str, f)) + "\n" for f in K12_FACETS))
+        report = cli.build_verdict_report(
+            ["file", str(path)], "56*S5xS12 # 197*S6xS11 # 288*S7xS10 # 256*S8xS9")
+        assert report["verdict"] == "NOT_EQUIVALENT"
+        assert report["homology"] == {
+            "fields": ["GF(2)"],
+            "difference": {"field": "GF(2)", "degree": 8, "zk_rank": 258, "manifold_rank": 256},
+            "q": None,
+        }

@@ -11,7 +11,6 @@ from momentangle.manifold import (
     connected_sum_homology,
     euler_characteristic,
     format_connected_sum,
-    hurewicz_window,
     parse_connected_sum,
     poincare_check,
 )
@@ -193,34 +192,6 @@ class TestPoincareAndEuler:
         assert euler_characteristic(connected_sum_homology(M_SPEC)) == 0
         assert euler_characteristic(product(T66)) == 4
         assert euler_characteristic(product(T57)) == 0
-
-
-class TestRationalHomotopyRank:
-    """Inside the rational-Hurewicz window the rank of pi_q tensor Q is the
-    homology rank in degree q."""
-
-    def test_degree_six(self):
-        g = connected_sum_homology(M_SPEC)
-        assert 6 <= hurewicz_window(g) and g.rank(6) == 30
-
-    def test_degree_five(self):
-        g = connected_sum_homology(M_SPEC)
-        assert 5 <= hurewicz_window(g) and g.rank(5) == 16
-
-    def test_below_connectivity(self):
-        g = connected_sum_homology(M_SPEC)
-        assert 4 <= hurewicz_window(g) and g.rank(4) == 0
-
-    def test_window(self):
-        assert hurewicz_window(connected_sum_homology(M_SPEC)) == 8
-
-    @settings(max_examples=50, deadline=None)
-    @given(dim12_specs())
-    def test_bottom_degree_rank_matches_homology(self, spec):
-        g = connected_sum_homology(spec)
-        r = min(k for k in g.ranks if k > 0)
-        assert hurewicz_window(g) == 2 * r - 2 >= r
-        assert g.rank(r) > 0
 
 
 class TestGrammar:

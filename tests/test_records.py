@@ -24,10 +24,10 @@ RECORDS = [
      vars(momentangle)),
     (GradedRanks({0: 1, 6: 2, 12: 1}, 12), ({0: 1, 6: 2, 12: 1}, 12),
      "GradedRanks(ranks={0: 1, 6: 2, 12: 1}, top=12)", vars(momentangle)),
-    (cli._Candidate("1*S6xS6", 12, ((0, 1), (6, 2), (12, 1)), True, 4, 10),
-     ("1*S6xS6", 12, ((0, 1), (6, 2), (12, 1)), True, 4, 10),
+    (cli._Candidate("1*S6xS6", 12, ((0, 1), (6, 2), (12, 1)), True, 4),
+     ("1*S6xS6", 12, ((0, 1), (6, 2), (12, 1)), True, 4),
      "_Candidate(spec='1*S6xS6', top=12, ranks=((0, 1), (6, 2), (12, 1)), poincare=True, "
-     "euler=4, hurewicz=10)", vars(cli)),
+     "euler=4)", vars(cli)),
 ]
 IDS = [type(record).__name__ for record, *_ in RECORDS]
 
@@ -97,7 +97,7 @@ def test_keyword_construction_by_name():
 
 def test_fields_are_the_parameters_of_new():
     assert CyclicParams._fields == ("n", "d")
-    assert cli._Candidate._fields == ("spec", "top", "ranks", "poincare", "euler", "hurewicz")
+    assert cli._Candidate._fields == ("spec", "top", "ranks", "poincare", "euler")
     assert all(issubclass(type(record), Record) for record, *_ in RECORDS)
 
 
