@@ -25,7 +25,8 @@ a repeated option, negative values (`--q -0`, `faces -1 3`, `--ceiling
 `--ceil`, and `wedge --ceiling 1450`, one past the Witt bound, on `polygon
 4` and on `cyclic 5 4`, which has no relation, and `verdict cyclic 8 4`
 against the headline spec with `--q -1` and with `--q 12`, its top
-class; every call plain, `--json` and `--quiet`.  Larger rings add `ideal`
+class, and `verdict cyclic 12 5` against its own ranks, which runs the
+general route over all three fields; every call plain, `--json` and `--quiet`.  Larger rings add `ideal`
 and `syzmin`, with `--json` only:
 every `face_ladder` rung of `perfbench/workloads.py`, the probe rings
 C(16,6), C(20,4) and C(14,8), the rings C(19,9) and C(21,8) just inside the
@@ -129,6 +130,8 @@ MISC_CALLS = [
     # a negative degree, and C(8,4)'s top class
     ["verdict", "cyclic", "8", "4", "--vs", SPECS[0], "--q", "-1"],
     ["verdict", "cyclic", "8", "4", "--vs", SPECS[0], "--q", "12"],
+    # the general route run over all three fields
+    ["verdict", "cyclic", "12", "5", "--vs", "56*S5xS12 # 210*S6xS11 # 357*S7xS10 # 400*S8xS9"],
 ]
 
 # Runs in the subprocess: argv lists on stdin, one [code, out, err] each on stdout.

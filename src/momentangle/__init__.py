@@ -37,7 +37,7 @@ from .hochster import (
     betti_table,
     bottom_ranks,
     cyclic_ranks,
-    field_ranks,
+    first_difference,
     zk_ranks,
 )
 from .hilton import (

@@ -30,7 +30,6 @@ __all__ = ["build_verdict_report", "main", "run"]
 
 COUNTEREXAMPLE_SOURCE = ("cyclic", "8", "4")
 COUNTEREXAMPLE_MANIFOLD = "16*S5xS7 # 15*S6xS6"
-FIELD_NAMES = tuple(f"GF({p})" for p in hochster.FIELDS)
 COUNTEREXAMPLE_NOTES = (
     "Z_K and the candidate have the same homology over every field: both are "
     "formal 4-connected closed 12-manifolds with isomorphic rational cohomology "
@@ -205,47 +204,16 @@ def _manifold_block(c: _Candidate) -> dict:
     }
 
 
-def _difference(field: str, zk: dict, candidate: dict, degrees) -> dict | None:
-    """The first of `degrees` where Z_K's ranks and the candidate's differ,
-    as a report's difference over the field named `field`; None if they agree."""
-    q = next((q for q in degrees if zk.get(q, 0) != candidate.get(q, 0)), None)
-    if q is None:
-        return None
-    return {"field": field, "degree": q, "zk_rank": zk.get(q, 0),
-            "manifold_rank": candidate.get(q, 0)}
-
-
 def _homology_block(F: FaceRingPresentation, c: _Candidate, q: int | None) -> dict:
-    """Z_K's homology against the candidate's: degrees in ascending order,
-    the bottom read first, then, only if it agrees, the full ranks field by
-    field from `hochster.field_ranks`.  The first (field, degree) that
-    differs is the difference; a candidate is torsion-free, so any one
-    field's difference rules out a homotopy equivalence.  With `q`, degree
-    q alone, any q >= 0: from the bottom read up to its top 2j0 - 1, above
-    it from the full ranks."""
-    if q is not None and q < 0:
-        raise ValueError(f"q={q} is not a degree: homology starts in degree 0")
-    top, bottom = hochster.bottom_ranks(F)
-    candidate = dict(c.ranks)
-    if q is None:
-        low = range(top + 1)
-    else:
-        low = (q,) if q <= top else ()
-    # The bottom read holds over every field, so a difference there is GF(2)'s.
-    difference = _difference(FIELD_NAMES[0], bottom, candidate, low)
+    """Z_K's homology against the candidate's, as `hochster.first_difference`
+    compares them: the fields compared, named GF(p), and the first (field,
+    degree) that differs.  A candidate is torsion-free, so any one field's
+    difference rules out a homotopy equivalence."""
+    fields, difference = hochster.first_difference(F, dict(c.ranks), q)
     if difference is not None:
-        fields = [FIELD_NAMES[0]]
-    elif q is not None and q <= top:
-        fields = list(FIELD_NAMES)
-    else:
-        fields = []
-        for name, (_, zk) in zip(FIELD_NAMES, hochster.field_ranks(F)):
-            degrees = sorted(zk.keys() | candidate.keys()) if q is None else (q,)
-            difference = _difference(name, zk, candidate, degrees)
-            fields.append(name)
-            if difference is not None:
-                break
-    return {"fields": fields, "difference": difference, "q": q}
+        p, degree, zk, rank = difference
+        difference = {"field": f"GF({p})", "degree": degree, "zk_rank": zk, "manifold_rank": rank}
+    return {"fields": [f"GF({p})" for p in fields], "difference": difference, "q": q}
 
 
 def build_verdict_report(source, vs: str, q: int | None = None) -> dict:

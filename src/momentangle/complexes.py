@@ -20,7 +20,7 @@ from _operator import add, and_, eq, itemgetter, le, lshift, lt, ne, or_, rshift
 from itertools import chain, combinations, compress, count, groupby, islice, repeat
 from math import comb
 
-from .gale import CyclicParams, as_subset, check_subset_count, comb_floor
+from .gale import CyclicParams, as_subset, check_subset_count, comb_floor, h_vector
 
 __all__ = [
     "FaceRingPresentation",
@@ -306,12 +306,6 @@ def _independent(lo: int, hi: int, k: int) -> list:
     return [map(add, map(itemgetter(i), subsets), repeat(i)) for i in range(k)]
 
 
-def _cyclic_facet_count(n: int, d: int) -> int:
-    """f_(d-1) of C(n, d): the facet count of Gale's evenness condition."""
-    k = d // 2
-    return 2 * comb(n - k - 1, k) if d % 2 else comb(n - k, k) + comb(n - k - 1, k - 1)
-
-
 def cyclic_generator_count(n: int, d: int) -> int:
     """The generator count of the boundary of C(n, d), as `_cyclic_ring`
     writes its generators: 1 if n = d+1; else for d = 2k, C(n-k-1, k+1)
@@ -385,7 +379,7 @@ def from_cyclic(p: CyclicParams) -> FaceRingPresentation:
     name = f"the {n}-gon" if d == 2 else f"C({n},{d})"
     generators = cyclic_generator_count(n, d)
     check_subset_count(generators, f"the minimal non-faces of {name}", "generators")
-    closure = _cyclic_facet_count(n, d) << min(d, 64)  # from d = 64 on, a lower bound
+    closure = sum(h_vector(p)) << min(d, 64)  # f_(d-1) = sum h_i; from d = 64, a lower bound
     check_subset_count(closure, "the downward closure of the facet list", "subsets")
     return _cyclic_ring(n, d)
 

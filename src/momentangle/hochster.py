@@ -10,8 +10,9 @@ empty J gives degree 0).  In the face ring's bigraded Betti numbers
 beta_(i,j) = sum over |J| = j of dim H~^(j-i-1)(K_J), degree p collects
 every beta_(i,j) with 2j - i = p.
 
-Three routes, cheapest first; `field_ranks` alone chooses between the
-last two, field by field in the order of `FIELDS`: GF(2), GF(10007), GF(3).
+Three routes, cheapest first; `first_difference` alone orders them, and
+chooses between the last two field by field in the order of `FIELDS`:
+GF(2), GF(10007), GF(3).
 
 - the bottom read (`bottom_ranks`): with j0 the smallest generator size,
   Z_K is (2j0-2)-connected and H_(2j0-1) is free of rank the number of
@@ -31,7 +32,8 @@ from math import comb
 from . import complexes
 from .gale import CyclicParams, check_subset_count, h_vector
 
-__all__ = ["FIELDS", "bottom_ranks", "cyclic_ranks", "betti_table", "zk_ranks", "field_ranks"]
+__all__ = ["FIELDS", "bottom_ranks", "cyclic_ranks", "betti_table", "zk_ranks",
+           "first_difference"]
 
 FIELDS = (2, 10007, 3)
 
@@ -213,18 +215,47 @@ def zk_ranks(F, p: int) -> dict[int, int]:
     return dict(sorted(ranks.items()))
 
 
-def field_ranks(F):
-    """Z_K's ranks over each field of `FIELDS` in order, as (p, ranks)
-    pairs: the even-d closed form, computed once and yielded for every
-    field, when `complexes.even_cyclic_twin` names the polytope whose ring F
-    is, whatever its source; else `zk_ranks(F, p)`, computed only when the
-    caller asks for field p.
+def _first(p: int, zk: dict, candidate: dict, degrees):
+    """The first (p, degree, zk_rank, candidate_rank) in `degrees` that differs, or None."""
+    k = next((k for k in degrees if zk.get(k, 0) != candidate.get(k, 0)), None)
+    return None if k is None else (p, k, zk.get(k, 0), candidate.get(k, 0))
+
+
+def first_difference(F, candidate: dict, q: int | None = None):
+    """Z_K's ranks against `candidate`'s ({degree: rank}), in ascending
+    degrees (degree q alone with `q`, any q >= 0), as (fields, difference):
+    the primes of `FIELDS` compared, in order, and the first (p, degree,
+    zk_rank, candidate_rank) that differs, or None.
+
+    The bottom read comes first and holds over every field: a difference
+    there is GF(2)'s, and a q <= 2j0 - 1 that agrees agrees over all.  Then
+    each field takes the even-d closed form, computed once per call, if
+    `complexes.even_cyclic_twin` names F's polytope, whatever its source;
+    else `zk_ranks(F, p)`, computed only when field p is reached.
 
     >>> from momentangle import CyclicParams, from_cyclic
-    >>> next(field_ranks(from_cyclic(CyclicParams(5, 2))))
-    (2, {0: 1, 3: 5, 4: 5, 7: 1})
+    >>> first_difference(from_cyclic(CyclicParams(5, 2)), {0: 1, 3: 5, 4: 5, 7: 1})
+    ([2, 10007, 3], None)
+    >>> first_difference(from_cyclic(CyclicParams(8, 4)), {0: 1, 5: 16, 12: 1})
+    ([2], (2, 6, 30, 0))
     """
+    if q is not None and q < 0:
+        raise ValueError(f"q={q} is not a degree: homology starts in degree 0")
+    top, bottom = bottom_ranks(F)
+    low = range(top + 1) if q is None else (q,) if q <= top else ()
+    difference = _first(FIELDS[0], bottom, candidate, low)
+    if difference is not None:
+        return [FIELDS[0]], difference
+    if q is not None and q <= top:
+        return list(FIELDS), None
     twin = complexes.even_cyclic_twin(F)
     closed = cyclic_ranks(twin) if twin else None
+    fields = []
     for p in FIELDS:
-        yield p, closed if twin else zk_ranks(F, p)
+        zk = closed if twin else zk_ranks(F, p)
+        degrees = sorted(zk.keys() | candidate.keys()) if q is None else (q,)
+        fields.append(p)
+        difference = _first(p, zk, candidate, degrees)
+        if difference is not None:
+            break
+    return fields, difference

@@ -1368,7 +1368,7 @@ class TestReadme:
         assert ns["wedge"].entries == {5: 16} and ns["wedge"].ceiling == 6
         assert (ns["wedge"].entries.get(6, 0), ns["g"].rank(6)) == (0, 30)
         assert ns["zk"] == ns["g"].ranks == {0: 1, 5: 16, 6: 30, 7: 16, 12: 1}
-        assert ns["ranks"] == {2: ns["zk"], 10007: ns["zk"], 3: ns["zk"]}
+        assert (ns["fields"], ns["difference"]) == ([2, 10007, 3], None)
 
 
 class TestTextRendering:

@@ -23,7 +23,6 @@ from momentangle.cli import _monomial
 from momentangle.complexes import (
     FaceRingPresentation,
     _comparable_pairs,
-    _cyclic_facet_count,
     cyclic_generator_count,
     even_cyclic_twin,
     from_cyclic,
@@ -31,7 +30,7 @@ from momentangle.complexes import (
     from_nonfaces,
     parse_complex,
 )
-from momentangle.gale import CyclicParams, f_vector, is_face as cyclic_is_face
+from momentangle.gale import CyclicParams, f_vector, h_vector, is_face as cyclic_is_face
 
 from oracles import (
     CYCLIC_8_4_MINIMAL_NONFACES,
@@ -367,7 +366,8 @@ class TestFromCyclic:
         "n,d", [(n, d) for n in range(3, 15) for d in range(2, n)]
     )
     def test_facet_count(self, n, d):
-        assert _cyclic_facet_count(n, d) == len(cyclic_facets_by_filter(n, d))
+        # The closure guard's facet count: f_(d-1) is the sum of the h-vector.
+        assert sum(h_vector(CyclicParams(n, d))) == len(cyclic_facets_by_filter(n, d))
         assert sorted(cyclic_facets_by_pairings(n, d)) == cyclic_facets_by_filter(n, d)
 
     @pytest.mark.parametrize(

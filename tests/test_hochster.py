@@ -161,9 +161,9 @@ class TestRoutesAgree:
 
 
 class TestFieldRanks:
-    """`field_ranks` chooses each field's route: the closed form, computed
-    once per call, when the ring has an even-d cyclic twin, else the general
-    route, computed only for the fields a consumer reads."""
+    """Each field's ranks as `first_difference` reads them: the closed form,
+    computed once per call, when the ring has an even-d cyclic twin, else
+    the general route, computed only for the fields the comparison reaches."""
 
     GON30 = from_facets(30, [(i, i % 30 + 1) for i in range(1, 31)])
     FIXTURES = {
@@ -186,34 +186,106 @@ class TestFieldRanks:
 
     @staticmethod
     def route(F, p):
-        """The route the verdict took before `field_ranks` chose it."""
+        """The route each field took before `first_difference` chose it."""
         twin = complexes.even_cyclic_twin(F)
         return hochster.cyclic_ranks(twin) if twin else hochster.zk_ranks(F, p)
 
+    @classmethod
+    def compared(cls, F, candidate, q=None):
+        """(fields, difference) by the full ranks of every field in turn,
+        with no bottom read."""
+        fields = []
+        for p in hochster.FIELDS:
+            zk = cls.route(F, p)
+            fields.append(p)
+            for k in sorted(zk.keys() | candidate.keys()) if q is None else (q,):
+                if zk.get(k, 0) != candidate.get(k, 0):
+                    return fields, (p, k, zk.get(k, 0), candidate.get(k, 0))
+        return fields, None
+
     def test_fields_come_in_order(self):
         for F in (cyclic(8, 4), self.FIXTURES["relabelled pentagon"]):
-            assert [p for p, _ in hochster.field_ranks(F)] == list(hochster.FIELDS)
+            assert hochster.first_difference(F, self.route(F, 2)) == (list(hochster.FIELDS), None)
 
     @pytest.mark.parametrize("F", [cyclic(8, 4), GON30], ids=["C8_4", "gon30 edges"])
     def test_twin_takes_one_closed_form(self, monkeypatch, F):
-        calls = self.counted(monkeypatch)
-        ranks = dict(hochster.field_ranks(F))
         twin = complexes.even_cyclic_twin(F)
+        ranks = hochster.cyclic_ranks(twin)
+        calls = self.counted(monkeypatch)
+        assert hochster.first_difference(F, ranks) == (list(hochster.FIELDS), None)
         assert calls == {"cyclic_ranks": [(twin,)], "zk_ranks": []}
-        assert ranks == {p: hochster.cyclic_ranks(twin) for p in hochster.FIELDS}
 
     @pytest.mark.parametrize("name", ["relabelled pentagon", "rp2"])
     def test_general_route_runs_per_field_read(self, monkeypatch, name):
+        # The candidate is GF(2)'s ranks by the cellular oracle with one more
+        # class on top: GF(2) differs there, after agreeing in every lower degree.
         F = self.FIXTURES[name]
+        want = zk_ranks_cellular(F.m, F.generators, 2)
+        top = max(want)
         calls = self.counted(monkeypatch)
-        fields = hochster.field_ranks(F)
-        assert next(fields) == (2, zk_ranks_cellular(F.m, F.generators, 2))
+        fields, difference = hochster.first_difference(F, {**want, top: want[top] + 1})
+        assert (fields, difference) == ([2], (2, top, want[top], want[top] + 1))
         assert calls == {"cyclic_ranks": [], "zk_ranks": [(F, 2)]}
 
     @pytest.mark.parametrize("F", [cyclic(n, d) for n in range(3, 11) for d in range(2, n)]
                              + list(FIXTURES.values()) + [GON30])
     def test_equals_the_former_route(self, F):
-        assert dict(hochster.field_ranks(F)) == {p: self.route(F, p) for p in hochster.FIELDS}
+        # Each field's own ranks, and a candidate that differs at the bottom.
+        for candidate in [*(self.route(F, p) for p in hochster.FIELDS), {0: 1}]:
+            assert hochster.first_difference(F, candidate) == self.compared(F, candidate)
+
+    @pytest.mark.parametrize("F", list(FIXTURES.values()) + [cyclic(8, 4), GON30])
+    def test_q_equals_the_former_route(self, F):
+        # Every degree up to one past the top; rp2's GF(3) ranks differ from
+        # GF(2)'s above the bottom read.
+        candidate = self.route(F, 3)
+        for q in range(max(candidate) + 2):
+            assert hochster.first_difference(F, candidate, q) == self.compared(F, candidate, q)
+
+    def test_negative_q_is_refused(self):
+        with pytest.raises(ValueError, match=r"^q=-1 is not a degree: homology starts in degree 0$"):
+            hochster.first_difference(cyclic(8, 4), {0: 1}, -1)
+
+
+class TestGorensteinSymmetry:
+    """The face ring of a (d-1)-sphere on m vertices is Gorenstein, so its
+    Betti table is symmetric over every field: beta_(i,j) = beta_(m-d-i, m-j)
+    (Stanley, Combinatorics and Commutative Algebra, Ch. II Sec. 5)."""
+
+    @staticmethod
+    def broken(F, d, p, shift=0):
+        """The keys of `betti_table(F, p)` whose mirror, its index i moved by
+        `shift`, holds another number."""
+        table = hochster.betti_table(F, p)
+        return sorted(key for key, b in table.items()
+                      if b != table.get((F.m - d - key[0] + shift, F.m - key[1]), 0))
+
+    @pytest.mark.parametrize("p", hochster.FIELDS)
+    @pytest.mark.parametrize("n,d", [(n, d) for n in range(4, 11) for d in range(2, n - 1)])
+    def test_cyclic(self, n, d, p):
+        assert self.broken(cyclic(n, d), d, p) == []
+
+    @pytest.mark.parametrize("p", hochster.FIELDS)
+    def test_relabelled_pentagon(self, p):
+        F = TestFieldRanks.FIXTURES["relabelled pentagon"]
+        assert complexes.even_cyclic_twin(F) is None
+        assert self.broken(F, 2, p) == []
+
+    @pytest.mark.parametrize("p", hochster.FIELDS)
+    def test_k12(self, monkeypatch, p):
+        monkeypatch.setattr(gale, "SUBSET_LIMIT", 2**21)
+        assert self.broken(TestK12.K, 5, p) == []
+
+    @pytest.mark.parametrize("p,keys", [
+        (2, [(1, 3), (2, 4), (3, 5), (4, 6)]),
+        (10007, [(0, 0), (1, 3), (2, 4), (3, 5)]),
+        (3, [(0, 0), (1, 3), (2, 4), (3, 5)]),
+    ])
+    def test_rp2_is_no_sphere(self, p, keys):
+        assert self.broken(TestFieldRanks.FIXTURES["rp2"], 3, p) == keys
+
+    def test_mirror_off_by_one_breaks(self):
+        assert len(self.broken(cyclic(8, 4), 4, 2, shift=1)) == 5
 
 
 class TestRelationRow:
