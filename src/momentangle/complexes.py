@@ -20,7 +20,7 @@ from _operator import add, and_, eq, itemgetter, le, lshift, lt, ne, or_, rshift
 from itertools import chain, combinations, compress, count, groupby, islice, repeat
 from math import comb
 
-from .gale import CyclicParams, as_subset, check_subset_count, comb_floor, h_vector
+from .gale import CyclicParams, as_subset, check_subset_count, comb_floor
 
 __all__ = [
     "FaceRingPresentation",
@@ -379,7 +379,11 @@ def from_cyclic(p: CyclicParams) -> FaceRingPresentation:
     name = f"the {n}-gon" if d == 2 else f"C({n},{d})"
     generators = cyclic_generator_count(n, d)
     check_subset_count(generators, f"the minimal non-faces of {name}", "generators")
-    closure = sum(h_vector(p)) << min(d, 64)  # f_(d-1) = sum h_i; from d = 64, a lower bound
+    # f_(d-1) = sum(gale.h_vector(p)), in closed form: each half of the
+    # h-vector sums to C(e+k+1, k) (hockey stick); for even d they share h_k.
+    e, k = n - d - 1, d // 2
+    facets = 2 * comb(e + k + 1, k) - (0 if d % 2 else comb(e + k, k))
+    closure = facets << min(d, 64)  # from d = 64 on, a lower bound
     check_subset_count(closure, "the downward closure of the facet list", "subsets")
     return _cyclic_ring(n, d)
 

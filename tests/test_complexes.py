@@ -317,14 +317,19 @@ class TestFactories:
     @pytest.mark.parametrize(
         "n,d,count",
         [(20, 10, "4100096"), (22, 11, "17891328"),
-         (1001, 1000, "at least 2^73"), (1448, 1447, "at least 2^74")],
+         (1001, 1000, "at least 2^73"), (1448, 1447, "at least 2^74"),
+         (10**9 + 1, 10**9, "at least 2^93"), (3000002, 3000000, "at least 2^105")],
     )
     def test_cyclic_refusal_messages(self, n, d, count):
         # C(n, n-1) is the simplex boundary, n facets of n-1 vertices each;
         # f_vector refuses C(1448, 1447) with a message of its own.  From
-        # d = 64 on the closure is worded by the bound facets * 2**64.
+        # d = 64 on the closure is worded by the bound facets * 2**64.  The
+        # facet count is read in closed form, never off a built h-vector,
+        # which for C(10**9+1, 10**9) would hold 10**9 + 1 entries.
+        start = time.perf_counter()
         with pytest.raises(ValueError) as info:
             from_cyclic(CyclicParams(n, d))
+        assert time.perf_counter() - start < 0.05
         assert str(info.value) == (
             f"the downward closure of the facet list would need {count} subsets, "
             "above the limit of 1048576"
@@ -365,10 +370,19 @@ class TestFromCyclic:
     @pytest.mark.parametrize(
         "n,d", [(n, d) for n in range(3, 15) for d in range(2, n)]
     )
-    def test_facet_count(self, n, d):
-        # The closure guard's facet count: f_(d-1) is the sum of the h-vector.
-        assert sum(h_vector(CyclicParams(n, d))) == len(cyclic_facets_by_filter(n, d))
-        assert sorted(cyclic_facets_by_pairings(n, d)) == cyclic_facets_by_filter(n, d)
+    def test_facet_count(self, n, d, monkeypatch):
+        # The closure guard's facet count, read off the count it checks:
+        # f_(d-1), the sum of the h-vector, times 2**d.
+        counts = {}
+        monkeypatch.setattr(
+            momentangle.complexes, "check_subset_count",
+            lambda count, what, unit: counts.setdefault(unit, count),
+        )
+        from_cyclic(CyclicParams(n, d))
+        facets = cyclic_facets_by_filter(n, d)
+        assert counts["subsets"] == len(facets) << d
+        assert sum(h_vector(CyclicParams(n, d))) == len(facets)
+        assert sorted(cyclic_facets_by_pairings(n, d)) == facets
 
     @pytest.mark.parametrize(
         "n,d", [(n, d) for n in range(3, 15) for d in range(2, n)]
