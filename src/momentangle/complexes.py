@@ -381,6 +381,7 @@ def from_cyclic(p: CyclicParams) -> FaceRingPresentation:
     check_subset_count(generators, f"the minimal non-faces of {name}", "generators")
     # f_(d-1) = sum(gale.h_vector(p)), in closed form: each half of the
     # h-vector sums to C(e+k+1, k) (hockey stick); for even d they share h_k.
+    # The generator guard above leaves each binomial only a few factors.
     e, k = n - d - 1, d // 2
     facets = 2 * comb(e + k + 1, k) - (0 if d % 2 else comb(e + k, k))
     closure = facets << min(d, 64)  # from d = 64 on, a lower bound
