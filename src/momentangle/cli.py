@@ -109,10 +109,22 @@ def _resolve_source(tokens) -> tuple[FaceRingPresentation, dict]:
 
 
 @_source_cache
-def _relation(F: FaceRingPresentation) -> tuple[int, tuple[int, int]]:
+def _relation(F: FaceRingPresentation) -> tuple[int, tuple[int, int]] | str:
     """The minimal relation degree of a face ring and the generator pair that
-    reaches it, computed once per ring."""
-    return syzygy.min_relation_degree(F)
+    reaches it, computed once per ring, or the message of its refusal, kept
+    as well, so that a repeat scans nothing again; `_relation_of` raises it."""
+    try:
+        return syzygy.min_relation_degree(F)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _relation_of(F: FaceRingPresentation) -> tuple[int, tuple[int, int]]:
+    """`_relation(F)`, its refusal raised as a ValueError."""
+    found = _relation(F)
+    if isinstance(found, str):
+        raise ValueError(found)
+    return found
 
 
 @_source_cache
@@ -183,7 +195,7 @@ def _wedge_block(F: FaceRingPresentation, ceiling: int | None = None) -> dict:
     not exact up to q_max: the square has S^5 at q = 5 <= 6, while
     pi_5(S^3 x S^3) (x) Q = 0.  The exact range is q <= rmin - 4 (ROADMAP
     item 3)."""
-    q_max = _relation(F)[0] - 2
+    q_max = _relation_of(F)[0] - 2
     if ceiling is None:
         ceiling = q_max
     return {
@@ -407,7 +419,7 @@ def cmd_ideal(source) -> dict:
 
 def cmd_syzmin(source) -> dict:
     F, descriptor = _resolve_source(source)
-    degree, pair = _relation(F)
+    degree, pair = _relation_of(F)
     return {
         "input": {"source": descriptor},
         "ideal": _ideal_block(F),

@@ -15,9 +15,9 @@ d = 2k+1 those of 2..n-1 with no two consecutive plus {1, n} with each such
 k-subset of 3..n-2.  Only file facets take the facet walk (`from_facets`).
 """
 
-from _functools import reduce
+from _functools import partial, reduce
 from _operator import add, and_, eq, itemgetter, le, lshift, lt, ne, or_, rshift
-from itertools import chain, combinations, compress, count, groupby, islice, repeat
+from itertools import chain, combinations, compress, count, groupby, islice, repeat, starmap
 from math import comb
 
 from .gale import CyclicParams, as_subset, check_subset_count, comb_floor
@@ -46,7 +46,8 @@ class FaceRingPresentation:
     enforce this.
 
     Immutable.  Equality, hash and repr read `m` and `generators` only; three
-    attributes are derived from them here: `masks`, one vertex bitmask per
+    attributes are derived from them in `_derive`, the checked core that the
+    constructor and `_cyclic_ring` share: `masks`, one vertex bitmask per
     generator (bit v-1 for vertex v), `histogram`, the (degree, generator
     count) pairs by increasing degree, the one view of generator counts that
     reports, the bottom read and the wedge spectrum take, and `_hash`,
@@ -57,32 +58,51 @@ class FaceRingPresentation:
     __slots__ = ("m", "generators", "masks", "histogram", "_hash")
 
     def __init__(self, m: int, generators: tuple[tuple[int, ...], ...] = ()) -> None:
-        # Support checks come first: a vertex below 1 has no bitmask.  They
-        # run by column: `_columns` cuts the generators into runs of one
-        # size, and column i of a run holds entry i of each of its supports
-        # (a run of empty supports has no column).  So a run is strictly
-        # increasing iff each column lies below the next, entry by entry,
-        # and its least vertex is its first column's least; each is a C-level
-        # pass over a whole column, and only a refusal walks the supports in
-        # turn, for the first bad one's message.
-        runs, grouped = _columns(generators)
+        self._derive(m, generators, *_columns(generators))
+
+    def _derive(self, m, generators, runs, grouped) -> None:
+        """The one checked core of both entries: this constructor, whose
+        `runs` and `grouped` come from `_columns`, and `_cyclic_ring`, which
+        hands over the columns its generators were zipped from.  Each run is
+        a list of columns of one size, column i holding entry i of each of
+        its supports; `grouped` is as `_columns` returns it."""
+        # Support checks come first: a vertex below 1 has no bitmask.  A run
+        # is strictly increasing iff each column lies below the next, entry
+        # by entry, and its least vertex is its first column's least; each
+        # is a C-level pass over a whole column, and only a refusal walks
+        # the supports in turn, for the first bad one's message.
         for run in runs:
             if not (run and min(run[0]) >= 1
                     and all(map(all, map(map, repeat(lt), run, islice(run, 1, None))))):
                 _refuse_support(generators)
         if m < 1:
             raise ValueError(f"vertex count must be positive, got {m}")
-        # A run's masks OR its columns' bits in, bit v for vertex v, and are
-        # shifted down by one in a last pass, back in order if sorted.
-        one, bits = repeat(1), []
+        # A run's masks add its columns' bits in, each column folded into a
+        # list before the next: nesting one lazy map per column overflows the
+        # C stack on a support of 80,000 vertices.  The bits come from a
+        # table of bit v-1 for vertex v when its bits, about top**2/2, stay
+        # below the masks' own, about the sum of each generator's largest
+        # vertex.  Else bit v is shifted in, so that a vertex that is no
+        # integer raises TypeError, and a last pass shifts the masks down by
+        # one.  Masks go back in order if sorted.
+        last = [*map(itemgetter(-1), runs)]
+        top = max(map(max, last), default=0)
+        table = top * top < 2 * sum(map(sum, last))
+        if table:
+            bit = [0, *map(lshift, repeat(1), range(top))].__getitem__
+        else:
+            bit = partial(lshift, 1)
+        bits = []
         for run in runs:
-            acc = map(lshift, one, run[0])
+            acc = map(bit, run[0])
             for column in islice(run, 1, None):
-                acc = map(or_, acc, map(lshift, one, column))
+                acc = [*map(add, acc, map(bit, column))]
             bits += acc
+        if not table:
+            bits = map(rshift, bits, repeat(1))
         if grouped is not None:
             bits = map(dict(zip(grouped, bits)).__getitem__, generators)
-        masks = tuple(map(rshift, bits, one))
+        masks = tuple(bits)
         # Strictly sorted generators repeat no support, so with one size they
         # hold no comparable pair.
         strict = all(map(lt, generators, islice(generators, 1, None)))
@@ -95,7 +115,7 @@ class FaceRingPresentation:
                 raise ValueError(
                     f"generators must be incomparable: {generators[i]} vs {generators[j]}"
                 )
-        if max(map(max, map(itemgetter(-1), runs)), default=0) > m:
+        if top > m:
             raise ValueError("generator mentions a variable beyond v_m")
         histogram = tuple(sorted([(2 * len(run), len(run[0])) for run in runs]))
         derived = (m, generators, masks, histogram, hash((m, generators)))
@@ -296,14 +316,15 @@ def from_nonfaces(m: int, nonfaces) -> FaceRingPresentation:
 
 def _independent(lo: int, hi: int, k: int) -> list:
     """The k-subsets of lo..hi with no two consecutive members, in
-    lexicographic order, as k columns: column i holds member i of each
+    lexicographic order, as k column lists: column i holds member i of each
     subset, column i of `combinations(range(lo, hi - k + 2), k)` shifted up
-    by i, each in one C-level pass.  `zip(*columns)` lists the subsets.
+    by i, each in one C-level pass.  `zip(*columns)` lists the subsets, and
+    `_cyclic_ring` hands the same lists to the ring's checked core.
     Columns are read with `itemgetter`: `zip(*subsets)` would keep one
     iterator per subset alive at once, and on C(187,4)'s million subsets
     that sets the cyclic garbage collector off again and again."""
     subsets = [*combinations(range(lo, hi - k + 2), k)]
-    return [map(add, map(itemgetter(i), subsets), repeat(i)) for i in range(k)]
+    return [[*map(add, map(itemgetter(i), subsets), repeat(i))] for i in range(k)]
 
 
 def cyclic_generator_count(n: int, d: int) -> int:
@@ -322,17 +343,25 @@ def cyclic_generator_count(n: int, d: int) -> int:
 
 def _cyclic_ring(n: int, d: int) -> FaceRingPresentation:
     """The closed-form generators of C(n, d), those with vertex 1 first: sorted.
-    Each is zipped from `_independent`'s columns and the constant columns of
-    vertex 1, and of n for odd d."""
+    Their runs of one size are `_independent`'s columns beside the constant
+    columns of vertex 1, and of n for odd d; for even d both halves have
+    k+1 vertices, so their columns are joined into one run.  Each generator
+    is zipped once from those columns, and the ring's checked core takes the
+    columns as they are, with no transposition back."""
     k = d // 2
     if n == d + 1:
-        gens = (tuple(range(1, n + 1)),)
-    elif d % 2:
-        gens = (*zip(repeat(1), *_independent(3, n - 2, k), repeat(n)),
-                *zip(*_independent(2, n - 1, k + 1)))
+        return FaceRingPresentation(n, (tuple(range(1, n + 1)),))
+    if d % 2:
+        low = _independent(3, n - 2, k)
+        runs = [[[1] * len(low[0]), *low, [n] * len(low[0])], _independent(2, n - 1, k + 1)]
     else:
-        gens = (*zip(repeat(1), *_independent(3, n - 1, k)), *zip(*_independent(2, n, k + 1)))
-    return FaceRingPresentation(n, gens)
+        low = _independent(3, n - 1, k)
+        runs = [[[1] * len(low[0]), *low]]
+        for column, more in zip(runs[0], _independent(2, n, k + 1)):
+            column += more
+    ring = object.__new__(FaceRingPresentation)
+    ring._derive(n, tuple(chain.from_iterable(starmap(zip, runs))), runs, None)
+    return ring
 
 
 def even_cyclic_twin(F: FaceRingPresentation) -> CyclicParams | None:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentangle import cli, complexes, hilton, hochster, syzygy
+from momentangle import cli, complexes, gale, hilton, hochster, syzygy
 from momentangle.cli import main
 from momentangle.gale import CyclicParams, enumerate_faces, f_vector
 from momentangle.manifold import parse_connected_sum
@@ -458,6 +458,36 @@ class TestVerdictWithoutWedgeModel:
                    "above the limit of 1048576\n")
         for command in ("wedge", "syzmin"):
             assert run_cli(capsys, command, "file", str(path)) == (1, "", refusal)
+
+    def test_refused_relation_scan_is_kept(self, capsys, tmp_path, monkeypatch):
+        # The 49 lines y = ax + b (mod 7) on the columns x = 0..4 of a 5 x 7
+        # grid: 1,176 pairs at the first bound, above a limit of 1,000.  The
+        # refusal is kept with the ring, so repeated calls scan once and
+        # print what the first printed.
+        path = tmp_path / "lines7.txt"
+        path.write_text("vertices 35\nnonfaces\n" + "".join(
+            " ".join(str(x * 7 + (a * x + b) % 7 + 1) for x in range(5)) + "\n"
+            for a in range(7) for b in range(7)))
+        calls = []
+        scan = syzygy.min_relation_degree
+        monkeypatch.setattr(syzygy, "min_relation_degree", lambda F: calls.append(F) or scan(F))
+        monkeypatch.setattr(gale, "SUBSET_LIMIT", 1000)
+        for cached in (cli._face_ring, cli._relation):
+            cached.cache_clear()
+        refusal = ("error: the relation scan at 6 vertices would need 1176 pairs, "
+                   "above the limit of 1000\n")
+        verdict = ["verdict", "file", str(path), "--vs", "S5xS7"]
+        try:
+            outputs = [run_cli(capsys, *verdict, "--json") for _ in range(3)]
+            assert outputs[0] == outputs[1] == outputs[2]
+            code, out, err = outputs[0]
+            assert (code, err, json.loads(out)["wedge"]) == (0, "", None)
+            assert out.endswith('\n  "wedge": null\n}\n')
+            for command in ("wedge", "syzmin", "wedge", "syzmin"):
+                assert run_cli(capsys, command, "file", str(path)) == (1, "", refusal)
+            assert len(calls) == 1
+        finally:
+            cli._relation.cache_clear()
 
 
 class TestHomology:

@@ -1,6 +1,8 @@
 import copy
+import os
 import pickle
 import random
+import subprocess
 import sys
 import time
 from collections import Counter
@@ -18,6 +20,7 @@ from momentangle import (
     GradedRanks,
     SphereProduct,
     SphereSpectrum,
+    complexes,
 )
 from momentangle.cli import _monomial
 from momentangle.complexes import (
@@ -32,6 +35,7 @@ from momentangle.complexes import (
 )
 from momentangle.gale import CyclicParams, f_vector, h_vector, is_face as cyclic_is_face
 
+from conftest import SRC
 from oracles import (
     CYCLIC_8_4_MINIMAL_NONFACES,
     PENTAGON_MINIMAL_NONFACES,
@@ -740,6 +744,79 @@ class TestComparablePairRoutes:
             assert set(_comparable_pairs(distinct, masks_of(distinct))) == (
                 comparable_pairs_by_sets(distinct))
         check_presentation(m, sups)
+
+
+class TestColumnPath:
+    """`_cyclic_ring` hands the columns it zips its generators from to the
+    constructor's checked core, so a closed-form ring is the ring that the
+    constructor builds from its generators, and a bad column is refused as
+    the constructor refuses its generators."""
+
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_matches_the_constructor(self, n):
+        for d in range(2, n):
+            try:
+                F = from_cyclic(CyclicParams(n, d))
+            except ValueError as exc:
+                # Refused by a guard before any column is built.
+                assert str(exc).startswith((f"the minimal non-faces of C({n},{d}) would need ",
+                                            "the downward closure of the facet list would need "))
+                continue
+            G = FaceRingPresentation(n, F.generators)
+            assert (F.m, F.generators, F.masks, F.histogram) == (
+                G.m, G.generators, G.masks, G.histogram)
+            assert hash(F) == hash(G) and F == G
+
+    # Each takes `_independent`'s columns and its least vertex lo; the last
+    # two change the half without vertex 1 (lo = 2) only.
+    MUTATIONS = {
+        "reversed": lambda columns, lo: [column[::-1] for column in columns],
+        "swapped": lambda columns, lo: [*columns[1::-1], *columns[2:]],
+        "below 1": lambda columns, lo: (
+            [[v - 2 for v in columns[0]], *columns[1:]] if lo == 2 else columns),
+        "beyond m": lambda columns, lo: (
+            [*columns[:-1], [v + 40 for v in columns[-1]]] if lo == 2 else columns),
+    }
+
+    @pytest.mark.parametrize("n, d", [(8, 4), (9, 4), (11, 5), (12, 6), (13, 7)])
+    @pytest.mark.parametrize("mutation", MUTATIONS)
+    def test_refuses_bad_columns_as_the_constructor(self, monkeypatch, n, d, mutation):
+        independent, derive, seen = complexes._independent, FaceRingPresentation._derive, []
+
+        def recording(ring, m, generators, runs, grouped):
+            seen.append(generators)
+            return derive(ring, m, generators, runs, grouped)
+
+        monkeypatch.setattr(complexes, "_independent", lambda lo, hi, k: (
+            self.MUTATIONS[mutation](independent(lo, hi, k), lo)))
+        monkeypatch.setattr(FaceRingPresentation, "_derive", recording)
+        with pytest.raises(ValueError) as column_path:
+            complexes._cyclic_ring(n, d)
+        with pytest.raises(ValueError) as constructor:
+            FaceRingPresentation(n, seen[0])
+        assert str(column_path.value) == str(constructor.value) == (
+            presentation_refusal(n, seen[0]))
+
+    def test_a_vertex_that_is_no_integer_raises_type_error(self):
+        with pytest.raises(TypeError):
+            FaceRingPresentation(3, ((1, 2.5),))
+
+    def test_sparse_masks_are_shifted_in(self):
+        # A table of 1 << v up to v = 10**6 would hold 5 * 10**11 bits, so
+        # this generator's two bits are shifted in.
+        start = time.perf_counter()
+        F = FaceRingPresentation(10**6, ((1, 10**6),))
+        assert time.perf_counter() - start < 0.05
+        assert F.masks == (1 | 1 << (10**6 - 1),)
+
+    def test_a_support_of_80000_vertices(self):
+        # One lazy map per column, nested, overflowed the C stack here, so
+        # the interpreter is a child process.
+        code = ("from momentangle.complexes import FaceRingPresentation as F; "
+                "k = 80000; assert F(k, (tuple(range(1, k + 1)),)).masks == ((1 << k) - 1,)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
 
 
 class TestIncomparabilityScaling:
